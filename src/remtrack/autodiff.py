@@ -7,38 +7,35 @@ deterministic: accumulation orders are fixed, and reductions across a variable
 number of neighbor terms use exact summation (math.fsum) so results do not
 depend on how neighbors happen to be ordered.
 
-Also provides parameter management (Xavier init, Adam, JSON-checkpoint-ready
-stores) and a central finite-difference gradient checker.
+Also provides parameter management (stores with Xavier-initialized matrices,
+Adam, JSON-checkpoint-ready state) and a central finite-difference gradient
+checker. ``no_grad`` switches tape recording off for the whole process.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-# Tape recording is toggled per thread so forward-only work in one thread
-# cannot suppress gradients being built in another.
-_grad_state = threading.local()
-
-
-def _grad_enabled() -> bool:
-    return getattr(_grad_state, "enabled", True)
+# Tape recording is on unless a no_grad block is active.
+_grad_enabled = True
 
 
 class no_grad:
     """Context manager that disables tape recording (forward-only mode)."""
 
     def __enter__(self):
-        self._prev = _grad_enabled()
-        _grad_state.enabled = False
+        global _grad_enabled
+        self._prev = _grad_enabled
+        _grad_enabled = False
         return self
 
     def __exit__(self, *exc):
-        _grad_state.enabled = self._prev
+        global _grad_enabled
+        _grad_enabled = self._prev
         return False
 
 
@@ -65,9 +62,6 @@ class Tensor:
 
     def item(self) -> float:
         return float(self.data)
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy())
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
@@ -101,7 +95,7 @@ def as_tensor(x) -> Tensor:
 
 def _make(data: np.ndarray, parents: tuple[Tensor, ...], backward_fn) -> Tensor:
     out = Tensor(data)
-    if _grad_enabled() and any(p.requires_grad for p in parents):
+    if _grad_enabled and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = parents
         out._backward = backward_fn
@@ -255,15 +249,6 @@ def get(x: Tensor, index: int) -> Tensor:
         gx = np.zeros_like(x.data)
         gx[index] = g
         return (gx,)
-
-    return _make(data, (x,), bw)
-
-
-def sumall(x: Tensor) -> Tensor:
-    data = np.asarray(np.sum(x.data))
-
-    def bw(g):
-        return (np.full_like(x.data, float(g)),)
 
     return _make(data, (x,), bw)
 
@@ -425,14 +410,8 @@ def backward(loss: Tensor) -> None:
 # parameters
 
 
-def xavier_init(rows: int, cols: int, seed: int) -> Tensor:
-    """Uniform Xavier/Glorot sample in +-sqrt(6/(rows+cols)), seeded."""
-    if rows < 1 or cols < 1:
-        raise ValueError("xavier_init needs rows, cols >= 1")
-    return Tensor(_xavier(np.random.default_rng(seed), rows, cols), requires_grad=True)
-
-
 def _xavier(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
+    """Uniform Xavier/Glorot sample in +-sqrt(6/(rows+cols))."""
     bound = math.sqrt(6.0 / (rows + cols))
     return rng.uniform(-bound, bound, size=(rows, cols))
 

@@ -1,9 +1,7 @@
 """Command-line interface: generate, train, track, evaluate, inspect.
 
 Every subcommand is deterministic under --seed. Outputs are plot-ready CSV /
-JSON / JSONL files; plotting itself is out of scope. The REMTRACK_THREADS
-environment variable caps how many ablation settings run concurrently
-(default 1, i.e. sequential).
+JSON / JSONL files; plotting itself is out of scope.
 """
 
 from __future__ import annotations
@@ -11,9 +9,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -40,14 +36,6 @@ from .tracker import (
 
 GRADCHECK_TOLERANCE = 1e-4
 ABLATION_GRID = (5.0, 10.0, 20.0, 30.0, 40.0)
-
-
-def thread_cap() -> int:
-    raw = os.environ.get("REMTRACK_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def _build_model(
@@ -100,6 +88,11 @@ def _parse_alphas(raw: str | None) -> tuple[float, ...]:
 def _scenario_config(args, seed: int) -> ScenarioConfig:
     if getattr(args, "config", None):
         fields = json.loads(Path(args.config).read_text())
+        if not isinstance(fields, dict):
+            raise ValueError(f"scenario config {args.config} must be a JSON object")
+        unknown = sorted(set(fields) - {f.name for f in dataclasses.fields(ScenarioConfig)})
+        if unknown:
+            raise ValueError(f"scenario config {args.config} has unknown fields {unknown}")
         fields["seed"] = seed
         return ScenarioConfig(**fields)
     return ScenarioConfig(seed=seed)
@@ -227,14 +220,7 @@ def _cmd_ablate(args) -> int:
     eval_dets = detect_sequence(eval_seq, eval_cfg, args.seed + 2000)
 
     grid = list(ABLATION_GRID)
-    workers = min(thread_cap(), len(grid))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(
-                pool.map(lambda d: _run_ablation_setting(d, sequences, eval_seq, eval_dets, args), grid)
-            )
-    else:
-        results = [_run_ablation_setting(d, sequences, eval_seq, eval_dets, args) for d in grid]
+    results = [_run_ablation_setting(d, sequences, eval_seq, eval_dets, args) for d in grid]
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -1,4 +1,4 @@
-"""Bounding-box algebra: scaled inter-object distance, adjacency, IoU, GIoU.
+"""Bounding-box algebra: scaled inter-object distance, IoU, GIoU.
 
 Boxes are center-format (cx, cy, w, h) in abstract scene units. The scaled
 distance between two boxes divides the squared center offsets by the smaller
@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -63,32 +62,6 @@ def scaled_distance(a: BoundingBox, b: BoundingBox) -> float:
     dx = a.cx - b.cx
     dy = a.cy - b.cy
     return math.sqrt(dx * dx / w_bar + dy * dy / h_bar)
-
-
-class DistanceMatrix:
-    """Symmetric pairwise scaled distances with a zero diagonal."""
-
-    def __init__(self, boxes: Sequence[BoundingBox]):
-        self.n = len(boxes)
-        self.values = np.zeros((self.n, self.n))
-        for i in range(self.n):
-            for j in range(i + 1, self.n):
-                d = scaled_distance(boxes[i], boxes[j])
-                self.values[i, j] = d
-                self.values[j, i] = d
-
-    def __getitem__(self, ij: tuple[int, int]) -> float:
-        return float(self.values[ij])
-
-
-def adjacency(boxes: Sequence[BoundingBox], d_th: float) -> np.ndarray:
-    """Boolean matrix: edge iff scaled distance <= d_th, no self-edges."""
-    if d_th <= 0:
-        raise ValueError("d_th must be positive")
-    dm = DistanceMatrix(boxes).values
-    adj = dm <= d_th
-    np.fill_diagonal(adj, False)
-    return adj
 
 
 def _corners(box: BoundingBox) -> tuple[float, float, float, float]:

@@ -62,6 +62,10 @@ def parse_mot_csv(text: str) -> list[MotRecord]:
             values = [float(p) for p in parts]
         except ValueError as exc:
             raise ValueError(f"line {lineno}: non-numeric field ({exc})") from None
+        if not (values[0].is_integer() and values[1].is_integer()):
+            raise ValueError(
+                f"line {lineno}: frame and id must be integers, got {parts[0]!r}, {parts[1]!r}"
+            )
         cls = int(values[7]) if len(parts) >= 9 else -1
         vis = values[8] if len(parts) >= 9 and values[8] >= 0 else None
         try:
@@ -100,18 +104,6 @@ def write_results_csv(tracks: Sequence[Sequence[tuple[int, BoundingBox]]]) -> st
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def write_gt_csv(seq: GroundTruthSequence) -> str:
-    """Ground truth in MOT gt.txt form (class 1, visibility column)."""
-    lines = []
-    for t, frame in enumerate(seq.frames):
-        for rec in sorted(frame, key=lambda r: r.instance):
-            left, top, w, h = rec.box.to_corner()
-            lines.append(
-                f"{t + 1},{rec.instance},{_fmt(left)},{_fmt(top)},{_fmt(w)},{_fmt(h)},1,1,{_fmt(rec.vis)}"
-            )
-    return "\n".join(lines) + ("\n" if lines else "")
-
-
 def records_to_frames(
     records: Sequence[MotRecord], n_frames: int | None = None
 ) -> list[list[tuple[int, BoundingBox]]]:
@@ -120,6 +112,8 @@ def records_to_frames(
         n_frames = max((r.frame for r in records), default=0)
     frames: list[list[tuple[int, BoundingBox]]] = [[] for _ in range(n_frames)]
     for r in records:
+        if r.frame > n_frames:
+            raise ValueError(f"record at frame {r.frame} is past the last of {n_frames} frames")
         frames[r.frame - 1].append((r.track_id, r.center_box()))
     return frames
 
@@ -204,8 +198,13 @@ def checkpoint_to_json(store: ParameterStore, dims: Mapping[str, int]) -> str:
 
 def load_checkpoint_json(text: str) -> tuple[dict[str, int], dict[str, np.ndarray]]:
     doc = json.loads(text)
+    if not isinstance(doc, dict):
+        raise ValueError("checkpoint must be a JSON object")
     if doc.get("version") != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {doc.get('version')!r}")
+    missing = [key for key in ("dims", "params") if key not in doc]
+    if missing:
+        raise ValueError(f"checkpoint is missing {missing}")
     dims = dict(doc["dims"])
     params: dict[str, np.ndarray] = {}
     for name, entry in doc["params"].items():

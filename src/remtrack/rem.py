@@ -14,14 +14,14 @@ so relabeling instances permutes the outputs bitwise.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import GruCellParams, ParameterStore, Tensor
-from .geometry import BoundingBox, scaled_distance
-from .st_graph import SpatioTemporalGraph
+from .geometry import BoundingBox
+from .st_graph import GraphFrame, SpatioTemporalGraph
 
 # The generic nonlinearity is LeakyReLU(0.1); attention logits use the
 # steeper 0.2 slope customary for graph attention.
@@ -165,18 +165,40 @@ def spatiotemporal_update(
     return ad.gru_cell(params.gru_rel, u, r_prev)
 
 
-def _aggregate(
+def _node_features(
     params: RemParameters,
-    v: dict[int, Tensor],
+    frame: GraphFrame,
+    prev_boxes: Mapping[int, BoundingBox],
+    prev_v: Mapping[int, Tensor],
+) -> dict[int, Tensor]:
+    """Node features of every instance in ``frame``; an instance continues its
+    recurrence only if it has a hidden state in ``prev_v``."""
+    return {
+        i: node_feature(params, frame.boxes[i], prev_boxes[i], prev_v[i])
+        if i in prev_v
+        else node_feature(params, frame.boxes[i], None, None)
+        for i in frame.ids
+    }
+
+
+def _relation_update(
+    params: RemParameters,
+    frame: GraphFrame,
+    v: Mapping[int, Tensor],
     i: int,
-    neighbor_ids: Sequence[int],
-    distance,
+    r_prev: Tensor | None,
+    exclude: int | None = None,
 ) -> Tensor:
-    if not neighbor_ids:
-        return Tensor(np.zeros(params.dim))
-    msgs = [message(params, v[i], v[j], distance(i, j)) for j in neighbor_ids]
-    alphas = attention_coefficients(params, v[i], [v[j] for j in neighbor_ids])
-    return ad.weighted_sum(alphas, msgs)
+    """Relation embedding of instance i: attention over messages from its
+    spatial neighbors, less ``exclude``, then the spatiotemporal update."""
+    neighbor_ids = [j for j in frame.neighbors[i] if j != exclude]
+    if neighbor_ids:
+        msgs = [message(params, v[i], v[j], frame.distance(i, j)) for j in neighbor_ids]
+        alphas = attention_coefficients(params, v[i], [v[j] for j in neighbor_ids])
+        aggregated = ad.weighted_sum(alphas, msgs)
+    else:
+        aggregated = Tensor(np.zeros(params.dim))
+    return spatiotemporal_update(params, v[i], aggregated, r_prev)
 
 
 def rem_step(
@@ -197,26 +219,12 @@ def rem_step(
             f"state instances {sorted(state.live())} do not match frame {t - 1} "
             f"instances {sorted(prev_ids)}"
         )
-    continuing = prev_ids & set(frame.ids)
-
-    v: dict[int, Tensor] = {}
-    for i in frame.ids:
-        if i in continuing:
-            v[i] = node_feature(params, frame.boxes[i], state.prev_box[i], state.v[i])
-        else:
-            v[i] = node_feature(params, frame.boxes[i], None, None)
-
-    embeddings: list[RelationEmbedding] = []
-    r: dict[int, Tensor] = {}
-    for i in frame.ids:
-        agg = _aggregate(params, v, i, frame.neighbors[i], frame.distance)
-        r[i] = spatiotemporal_update(params, v[i], agg, state.r[i] if i in continuing else None)
-        embeddings.append(RelationEmbedding(i, t, r[i].data.copy()))
-
+    v = _node_features(params, frame, state.prev_box, state.v)
+    r = {i: _relation_update(params, frame, v, i, state.r.get(i)) for i in frame.ids}
     state.v = v
     state.r = r
-    state.prev_box = {i: frame.boxes[i] for i in frame.ids}
-    return embeddings
+    state.prev_box = dict(frame.boxes)
+    return [RelationEmbedding(i, t, r[i].data.copy()) for i in frame.ids]
 
 
 # ---------------------------------------------------------------------------
@@ -238,23 +246,12 @@ def _phi(a: np.ndarray, b: np.ndarray) -> float:
 def _window_node_features(
     params: RemParameters, graph: SpatioTemporalGraph, t: int, window: int
 ) -> list[dict[int, Tensor]]:
-    """Node features for frames [t-window+1, t], zero states at window start.
-
-    Recurrence carries only across consecutive presence, mirroring rem_step.
-    """
+    """Node features for frames [t-window+1, t], zero states at window start."""
     t0 = max(0, t - window + 1)
     out: list[dict[int, Tensor]] = []
     for s in range(t0, t + 1):
-        frame = graph.frames[s]
-        prev = out[-1] if out else {}
         prev_boxes = graph.frames[s - 1].boxes if s > t0 else {}
-        v: dict[int, Tensor] = {}
-        for i in frame.ids:
-            if i in prev and i in prev_boxes:
-                v[i] = node_feature(params, frame.boxes[i], prev_boxes[i], prev[i])
-            else:
-                v[i] = node_feature(params, frame.boxes[i], None, None)
-        out.append(v)
+        out.append(_node_features(params, graph.frames[s], prev_boxes, out[-1] if out else {}))
     return out
 
 
@@ -271,18 +268,12 @@ def _replay_relation(
     ``exclude`` removed from its neighbor set at every step."""
     t0 = max(0, t - window + 1)
     r: Tensor | None = None
-    present_before = False
     for s in range(t0, t + 1):
         frame = graph.frames[s]
-        if instance not in frame.boxes:
-            r = None
-            present_before = False
-            continue
-        v = feats[s - t0]
-        neighbor_ids = [j for j in frame.neighbors[instance] if j != exclude]
-        agg = _aggregate(params, v, instance, neighbor_ids, frame.distance)
-        r = spatiotemporal_update(params, v[instance], agg, r if present_before else None)
-        present_before = True
+        if instance in frame.boxes:
+            r = _relation_update(params, frame, feats[s - t0], instance, r, exclude)
+        else:
+            r = None  # absence breaks the recurrence
     if r is None:
         raise ValueError(f"instance {instance} not present at frame {t}")
     return r.data
@@ -298,7 +289,7 @@ def relation_importance(
 ) -> float:
     """Degree to which instance j shapes instance i's embedding at frame t.
 
-    Gated to zero beyond the graph threshold; otherwise 1 - cos^2 between
+    Zero unless j is a spatial neighbor of i at t; otherwise 1 - cos^2 between
     i's embedding and its leave-j-out recomputation, both replayed over the
     trailing window so the two sides are directly comparable. Asymmetric in
     general.
@@ -308,7 +299,7 @@ def relation_importance(
     frame = graph.frames[t]
     if i not in frame.boxes or j not in frame.boxes:
         raise ValueError(f"instances {i}, {j} must both be present at frame {t}")
-    if scaled_distance(frame.boxes[i], frame.boxes[j]) > graph.d_th:
+    if j not in frame.neighbors[i]:
         return 0.0
     with ad.no_grad():
         feats = _window_node_features(params, graph, t, window)
@@ -330,12 +321,11 @@ def relation_importance_records(
         for t in frame_ids:
             frame = graph.frames[t]
             feats = _window_node_features(params, graph, t, window)
-            full: dict[int, np.ndarray] = {}
             for i in frame.ids:
                 if not frame.neighbors[i]:
                     continue
-                full[i] = _replay_relation(params, graph, t, window, i, feats, exclude=None)
+                r_full = _replay_relation(params, graph, t, window, i, feats, exclude=None)
                 for j in frame.neighbors[i]:
                     r_drop = _replay_relation(params, graph, t, window, i, feats, exclude=j)
-                    records.append((t, i, j, _phi(full[i], r_drop)))
+                    records.append((t, i, j, _phi(r_full, r_drop)))
     return records

@@ -19,18 +19,6 @@ from .geometry import BoundingBox, scaled_distance
 
 
 @dataclass(frozen=True)
-class NodeId:
-    """A node = persistent instance id at one frame index."""
-
-    instance: int
-    t: int
-
-    def __post_init__(self):
-        if self.instance < 0 or self.t < 0:
-            raise ValueError("instance and frame index must be non-negative")
-
-
-@dataclass(frozen=True)
 class GraphFrame:
     ids: tuple[int, ...]  # ascending
     boxes: dict[int, BoundingBox]
@@ -126,13 +114,3 @@ def update_graph(
         raise ValueError(f"missing boxes for instances {sorted(missing)}")
     graph.frames.append(_build_frame({i: boxes[i] for i in current}, graph.d_th))
     return graph
-
-
-def neighbors(graph: SpatioTemporalGraph, t: int, instance: int) -> tuple[int, ...]:
-    """Spatially adjacent instance ids at frame t, ascending."""
-    if not 0 <= t < graph.n_frames:
-        raise KeyError(f"frame {t} not in graph")
-    frame = graph.frames[t]
-    if instance not in frame.neighbors:
-        raise KeyError(f"instance {instance} not present at frame {t}")
-    return frame.neighbors[instance]

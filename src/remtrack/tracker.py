@@ -215,8 +215,8 @@ def track_sequence(
     """
     if mode not in TRACK_MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {TRACK_MODES}")
-    if not detections_per_frame or not detections_per_frame[0]:
-        raise ValueError("first frame has no detections to initialize tracks")
+    if not detections_per_frame:
+        raise ValueError("no frames to track")
 
     graph = SpatioTemporalGraph(d_th=d_th)
     state = RemState()

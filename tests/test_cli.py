@@ -212,38 +212,6 @@ class TestAblate:
             assert (out / f"metrics_base_dth{d}.json").exists()
 
 
-class TestThreadCap:
-    def test_env_var_parsing(self, monkeypatch):
-        from remtrack.cli import thread_cap
-
-        monkeypatch.delenv("REMTRACK_THREADS", raising=False)
-        assert thread_cap() == 1
-        monkeypatch.setenv("REMTRACK_THREADS", "3")
-        assert thread_cap() == 3
-        monkeypatch.setenv("REMTRACK_THREADS", "junk")
-        assert thread_cap() == 1
-        monkeypatch.setenv("REMTRACK_THREADS", "0")
-        assert thread_cap() == 1
-
-    def test_parallel_ablation_matches_sequential(self, tmp_path, monkeypatch):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(
-            json.dumps(
-                {
-                    "n_frames": 6, "scene_w": 16.0, "scene_h": 16.0, "n_groups": 1,
-                    "group_size_min": 2, "group_size_max": 2, "occlusion_prob": 0.0,
-                }
-            )
-        )
-        argv = ["ablate", "--config", str(cfg), "--gen-sequences", "1", "--dim", "4",
-                "--app-dim", "3", "--window", "3", "--epochs", "1", "--seed", "4"]
-        monkeypatch.setenv("REMTRACK_THREADS", "1")
-        assert run(argv + ["--out", str(tmp_path / "seq")]) == 0
-        monkeypatch.setenv("REMTRACK_THREADS", "3")
-        assert run(argv + ["--out", str(tmp_path / "par")]) == 0
-        assert (tmp_path / "seq" / "summary.csv").read_text() == (tmp_path / "par" / "summary.csv").read_text()
-
-
 class TestErrors:
     def test_unknown_subcommand_usage_exit(self, capsys):
         code = run(["frobnicate"])
@@ -261,6 +229,43 @@ class TestErrors:
         )
         assert code == 1
         assert "absent.jsonl" in capsys.readouterr().err
+
+    @staticmethod
+    def one_line_error(capsys) -> str:
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1, err
+        return err
+
+    def test_eval_prediction_frame_past_ground_truth(self, tmp_path, capsys):
+        scenario, _ = write_scenario(tmp_path, n_frames=30)
+        pred = tmp_path / "pred.csv"
+        pred.write_text("1,1,0,0,4,4,1,-1,-1,-1\n31,1,0,0,4,4,1,-1,-1,-1\n")
+        code = run(["eval", "--gt", str(scenario), "--pred", str(pred), "--out", str(tmp_path / "e")])
+        assert code == 1
+        err = self.one_line_error(capsys)
+        assert "frame 31" in err and "30 frames" in err
+
+    @pytest.mark.parametrize("command", ["gen", "train", "ablate"])
+    @pytest.mark.parametrize(
+        "config, message",
+        [({"n_frame": 5}, "unknown fields ['n_frame']"), ([1, 2], "JSON object")],
+        ids=["unknown-field", "not-an-object"],
+    )
+    def test_bad_scenario_config(self, tmp_path, capsys, command, config, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        code = run([command, "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert message in self.one_line_error(capsys)
+
+    @pytest.mark.parametrize("command", ["track", "relations"])
+    def test_incomplete_checkpoint(self, tmp_path, capsys, command):
+        scenario, _ = write_scenario(tmp_path)
+        ckpt = tmp_path / "ckpt.json"
+        ckpt.write_text(json.dumps({"version": 1}))
+        code = run([command, "--scenario", str(scenario), "--checkpoint", str(ckpt), "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert "missing ['dims', 'params']" in self.one_line_error(capsys)
 
     def test_no_arguments_is_usage_error(self, capsys):
         assert run([]) == 2

@@ -7,11 +7,10 @@ from hypothesis import strategies as st
 
 from remtrack import autodiff as ad
 from remtrack.autodiff import ParameterStore, Tensor, gradient_check
+from remtrack.st_graph import build_graph
 from remtrack.geometry import (
     MIN_BOX_SIZE,
     BoundingBox,
-    DistanceMatrix,
-    adjacency,
     clamped_box,
     giou,
     giou_loss,
@@ -80,36 +79,49 @@ class TestScaledDistance:
 
     def test_distance_matrix_invariants(self, rng):
         bs = [BoundingBox(*rng.uniform(1, 10, 2), *rng.uniform(0.5, 3, 2)) for _ in range(6)]
-        dm = DistanceMatrix(bs)
-        assert np.array_equal(dm.values, dm.values.T)
-        assert np.all(np.diag(dm.values) == 0.0)
-        assert np.all(dm.values >= 0.0)
+        dm = np.array([[scaled_distance(a, b) for b in bs] for a in bs])
+        assert np.array_equal(dm, dm.T)
+        assert np.all(np.diag(dm) == 0.0)
+        assert np.all(dm >= 0.0)
+
+
+def edges(boxes, d_th):
+    """Spatial edges of one frame with instance ids 0..n-1."""
+    return build_graph([list(enumerate(boxes))], d_th).frames[0]
 
 
 class TestAdjacency:
+    """The edge rule, scaled_distance <= d_th, as build_graph applies it."""
+
     def test_identical_boxes_edge_at_default_threshold(self):
         b = BoundingBox(1.0, 1.0, 2.0, 2.0)
-        adj = adjacency([b, b], d_th=15.0)
-        assert adj[0, 1] and adj[1, 0]
+        frame = edges([b, b], d_th=15.0)
+        assert frame.neighbors == {0: (1,), 1: (0,)}
 
     def test_no_self_edges(self):
         b = BoundingBox(1.0, 1.0, 2.0, 2.0)
-        assert not adjacency([b, b], d_th=15.0).diagonal().any()
+        frame = edges([b, b, b], d_th=15.0)
+        assert all(i not in frame.neighbors[i] for i in frame.ids)
+
+    def test_threshold_inclusive(self):
+        a = BoundingBox(10, 10, 4, 2)
+        b = BoundingBox(13, 14, 6, 8)
+        assert edges([a, b], d_th=scaled_distance(a, b)).neighbors[0] == (1,)
 
     def test_example_pair_beyond_threshold_three(self):
         a = BoundingBox(10, 10, 4, 2)
         b = BoundingBox(13, 14, 6, 8)
-        assert not adjacency([a, b], d_th=3.0)[0, 1]
+        assert edges([a, b], d_th=3.0).neighbors[0] == ()
 
     def test_monotone_in_threshold(self, rng):
         bs = [BoundingBox(*rng.uniform(0, 20, 2), *rng.uniform(0.5, 3, 2)) for _ in range(8)]
-        lo = adjacency(bs, d_th=2.0)
-        hi = adjacency(bs, d_th=6.0)
-        assert np.all(hi[lo])
+        lo = edges(bs, d_th=2.0).edge_distance
+        hi = edges(bs, d_th=6.0).edge_distance
+        assert set(lo) <= set(hi)
 
     def test_threshold_must_be_positive(self):
         with pytest.raises(ValueError, match="d_th"):
-            adjacency([BoundingBox(0, 0, 1, 1)], d_th=0.0)
+            edges([BoundingBox(0, 0, 1, 1)], d_th=0.0)
 
 
 class TestIou:

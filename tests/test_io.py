@@ -46,6 +46,13 @@ class TestParseMotCsv:
         with pytest.raises(ValueError, match="line 1"):
             rio.parse_mot_csv("1,1,xx,0,4,4,1\n")
 
+    def test_non_integer_frame_or_id_rejected(self):
+        with pytest.raises(ValueError, match="line 1: frame and id must be integers"):
+            rio.parse_mot_csv("1.5,2.7,0,0,4,4,1\n")
+        with pytest.raises(ValueError, match="line 2: frame and id must be integers"):
+            rio.parse_mot_csv("1,1,0,0,4,4,1\n2,3.5,0,0,4,4,1\n")
+        assert rio.parse_mot_csv("2.0,3.0,0,0,4,4,1\n")[0].frame == 2
+
     def test_invalid_geometry_reports_number(self):
         with pytest.raises(ValueError, match="line 1"):
             rio.parse_mot_csv("1,1,0,0,-4,4,1\n")
@@ -72,13 +79,10 @@ class TestWriteResultsCsv:
         assert rio.write_results_csv([]) == ""
         assert rio.write_results_csv([[], []]) == ""
 
-    def test_gt_csv_round_trip(self):
-        seq = generate(ScenarioConfig(n_frames=4, seed=1))
-        text = rio.write_gt_csv(seq)
-        records = rio.parse_mot_csv(text)
-        assert len(records) == sum(len(f) for f in seq.frames)
-        for rec in records:
-            assert rec.cls == 1 and rec.visibility is not None
+    def test_frame_past_count_rejected(self):
+        records = rio.parse_mot_csv("1,1,0,0,4,4,1\n31,1,0,0,4,4,1\n")
+        with pytest.raises(ValueError, match="frame 31.*30 frames"):
+            rio.records_to_frames(records, n_frames=30)
 
 
 class TestScenarioJsonl:
@@ -157,6 +161,14 @@ class TestCheckpoints:
         del params["a.b"]
         with pytest.raises(ValueError, match="mismatch"):
             rio.restore_store(store, params)
+
+    def test_missing_sections_named(self):
+        with pytest.raises(ValueError, match=r"missing \['dims', 'params'\]"):
+            rio.load_checkpoint_json(json.dumps({"version": 1}))
+        with pytest.raises(ValueError, match=r"missing \['params'\]"):
+            rio.load_checkpoint_json(json.dumps({"version": 1, "dims": {}}))
+        with pytest.raises(ValueError, match="JSON object"):
+            rio.load_checkpoint_json("[1, 2]")
 
     def test_corrupt_length_rejected(self):
         doc = json.loads(rio.checkpoint_to_json(self.make_store(), {}))

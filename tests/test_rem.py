@@ -7,6 +7,8 @@ from remtrack.autodiff import Tensor, gradient_check
 from remtrack.geometry import BoundingBox, scaled_distance
 from remtrack.rem import (
     RemState,
+    _replay_relation,
+    _window_node_features,
     attention_coefficients,
     message,
     node_feature,
@@ -15,6 +17,7 @@ from remtrack.rem import (
     rem_step,
     spatiotemporal_update,
 )
+from remtrack.simulator import ScenarioConfig, generate
 from remtrack.st_graph import build_graph
 
 from conftest import make_rem
@@ -306,6 +309,31 @@ class TestRelationImportance:
         assert pairs == {(0, 0, 1), (0, 1, 0)}
         for _, _, _, r in records:
             assert 0.0 <= r <= 1.0
+
+
+    def test_window_replay_equals_rem_step_bitwise(self):
+        # within the first window the replay starts where rem_step starts, so
+        # the two must run the same recurrence, including re-entry resets
+        store, params = make_rem(dim=8, seed=32)
+        rng = np.random.default_rng(33)
+        graph = random_graph(rng, n_frames=6, n_instances=5, spread=6.0, d_th=6.0, p_present=0.7)
+        stepped, _ = run_rem(params, graph)
+        window = graph.n_frames
+        with ad.no_grad():
+            for t in range(window):
+                feats = _window_node_features(params, graph, t, window)
+                for i in graph.frames[t].ids:
+                    replayed = _replay_relation(params, graph, t, window, i, feats, exclude=None)
+                    assert np.array_equal(replayed, stepped[t][i])
+
+    def test_records_equal_pairwise_importance_bitwise(self):
+        store, params = make_rem(dim=8, seed=34)
+        seq = generate(ScenarioConfig(n_frames=8, n_groups=3, seed=5))
+        graph = build_graph(seq.as_track_frames(), d_th=15.0)
+        records = relation_importance_records(params, graph, window=4)
+        assert records
+        for t, i, j, value in records:
+            assert value == relation_importance(params, graph, t, i, j, window=4)
 
 
 class TestZeroNormCosine:

@@ -1,7 +1,7 @@
 import pytest
 
 from remtrack.geometry import BoundingBox, scaled_distance
-from remtrack.st_graph import NodeId, build_graph, neighbors, update_graph
+from remtrack.st_graph import build_graph, update_graph
 
 
 def box(cx, cy, w=2.0, h=2.0):
@@ -29,18 +29,6 @@ def brute_force_edges(frame_nodes, d_th):
             if i < j and scaled_distance(nodes[i], nodes[j]) <= d_th:
                 spatial.add((i, j))
     return spatial
-
-
-class TestNodeId:
-    def test_valid(self):
-        n = NodeId(instance=3, t=0)
-        assert (n.instance, n.t) == (3, 0)
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            NodeId(instance=-1, t=0)
-        with pytest.raises(ValueError):
-            NodeId(instance=0, t=-2)
 
 
 class TestBuildGraph:
@@ -139,34 +127,32 @@ class TestUpdateGraph:
 class TestNeighbors:
     def test_isolated_node(self):
         g = build_graph([[(0, box(0, 0)), (1, box(100, 100))]], d_th=2)
-        assert neighbors(g, 0, 0) == ()
+        assert g.frames[0].neighbors[0] == ()
 
     def test_clique_of_three(self):
         b = box(1, 1)
         g = build_graph([[(0, b), (1, b), (2, b)]], d_th=15)
         for i in range(3):
-            assert len(neighbors(g, 0, i)) == 2
+            assert len(g.frames[0].neighbors[i]) == 2
 
     def test_chain(self):
         # only consecutive pairs within threshold
         frames = [[(0, box(0, 0, 1, 1)), (1, box(3, 0, 1, 1)), (2, box(6, 0, 1, 1))]]
         g = build_graph(frames, d_th=3.5)
-        assert neighbors(g, 0, 1) == (0, 2)
-        assert neighbors(g, 0, 0) == (1,)
-        assert neighbors(g, 0, 2) == (1,)
+        assert g.frames[0].neighbors == {0: (1,), 1: (0, 2), 2: (1,)}
 
     def test_missing_node_raises(self):
         g = build_graph([[(0, box(1, 1))]], d_th=15)
         with pytest.raises(KeyError):
-            neighbors(g, 0, 7)
-        with pytest.raises(KeyError):
-            neighbors(g, 3, 0)
+            g.frames[0].neighbors[7]
+        with pytest.raises(IndexError):
+            g.frames[3]
 
     def test_ascending_order(self, rng):
         frames = random_frames(rng, n_frames=3)
         g = build_graph(frames, d_th=6.0)
-        for t in range(g.n_frames):
-            for i in g.frames[t].ids:
-                ns = neighbors(g, t, i)
+        for frame in g.frames:
+            for i in frame.ids:
+                ns = frame.neighbors[i]
                 assert list(ns) == sorted(ns)
                 assert i not in ns

@@ -132,7 +132,7 @@ class TestRegressionHeads:
             a = regress_baseline(trk, Tensor(feat))
             b = regress_relation_aware(trk, Tensor(feat), Tensor(r))
             c = regress_from_relations(trk, Tensor(r))
-            return ad.sumall(ad.add(ad.add(ad.mul(a, a), ad.mul(b, b)), ad.mul(c, c)))
+            return ad.add(ad.add(ad.dot(a, a), ad.dot(b, b)), ad.dot(c, c))
 
         assert gradient_check(loss, store, epsilon=1e-5) < 1e-4
 
@@ -209,10 +209,20 @@ class TestTrackSequence:
         assert all(len(f) == 1 for f in tracks[1:4])  # coasting while alive
         assert all(len(f) == 0 for f in tracks[4:])  # terminated after 3 misses
 
-    def test_empty_first_frame_rejected(self):
+    def test_empty_first_frame_tracked(self):
+        # everyone hidden at t=0: tracking starts at the first detection
+        store, rem_params, trk = make_model(dim=6, app_dim=5, seed=18)
+        frames = [[], [Detection(box=box(1, 1))], [Detection(box=box(1.2, 1))]]
+        for mode in ("baseline", "relation_aware", "relations_for_occluded"):
+            tracks = track_sequence(trk, rem_params, frames, mode)
+            assert tracks[0] == []
+            assert [tid for tid, _ in tracks[1]] == [0]
+            assert [tid for tid, _ in tracks[2]] == [0]
+
+    def test_empty_sequence_rejected(self):
         store, rem_params, trk = zero_model()
-        with pytest.raises(ValueError, match="first frame"):
-            track_sequence(trk, rem_params, [[]], "baseline")
+        with pytest.raises(ValueError, match="no frames"):
+            track_sequence(trk, rem_params, [], "baseline")
 
     def test_unknown_mode_rejected(self):
         store, rem_params, trk = zero_model()
