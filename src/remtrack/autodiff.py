@@ -2,10 +2,10 @@
 
 Covers exactly the operations the relation module and its regression heads
 need: affine maps, concatenation, sigmoid/tanh/LeakyReLU/softplus, softmax,
-elementwise arithmetic, and attention-style weighted sums. Forward passes are
-deterministic: accumulation orders are fixed, and reductions across a variable
-number of neighbor terms use exact summation (math.fsum) so results do not
-depend on how neighbors happen to be ordered.
+and elementwise arithmetic. Forward passes are deterministic: the same inputs
+in the same order give the same bits. Results may depend on the order of
+summed terms, so callers that need order independence fix the order
+themselves (the relation module sorts each receiver's neighbors by content).
 
 Also provides parameter management (stores with Xavier-initialized matrices,
 Adam, JSON-checkpoint-ready state) and a central finite-difference gradient
@@ -321,15 +321,6 @@ def minimum(a, b) -> Tensor:
     return _make(data, (a, b), bw)
 
 
-def _fsum_rows(rows: list[np.ndarray]) -> np.ndarray:
-    # Exact columnwise sum; result is independent of the row order.
-    if len(rows) == 1:
-        return rows[0].copy()
-    if len(rows) == 2:
-        return rows[0] + rows[1]
-    return np.array([math.fsum(r[k] for r in rows) for k in range(rows[0].shape[0])])
-
-
 def softmax(logits: Tensor) -> Tensor:
     """Softmax over a vector; exact denominator, order-independent."""
     _check_vector(logits, "softmax input")
@@ -345,24 +336,6 @@ def softmax(logits: Tensor) -> Tensor:
         return (out * (g - inner),)
 
     return _make(out, (logits,), bw)
-
-
-def weighted_sum(weights: Tensor, vectors: Sequence[Tensor]) -> Tensor:
-    """sum_j weights[j] * vectors[j], exact and order-independent over j."""
-    _check_vector(weights, "weights")
-    vectors = tuple(vectors)
-    if weights.data.shape[0] != len(vectors):
-        raise ValueError(f"{len(vectors)} vectors for {weights.data.shape[0]} weights")
-    for v in vectors:
-        _check_vector(v, "weighted_sum vector")
-    rows = [float(weights.data[j]) * vectors[j].data for j in range(len(vectors))]
-    data = _fsum_rows(rows)
-
-    def bw(g):
-        gw = np.array([float(np.dot(g, v.data)) for v in vectors])
-        return (gw, *[float(weights.data[j]) * g for j in range(len(vectors))])
-
-    return _make(data, (weights, *vectors), bw)
 
 
 # ---------------------------------------------------------------------------

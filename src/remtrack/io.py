@@ -66,6 +66,8 @@ def parse_mot_csv(text: str) -> list[MotRecord]:
             raise ValueError(
                 f"line {lineno}: frame and id must be integers, got {parts[0]!r}, {parts[1]!r}"
             )
+        if len(parts) >= 9 and not values[7].is_integer():
+            raise ValueError(f"line {lineno}: class must be an integer, got {parts[7]!r}")
         cls = int(values[7]) if len(parts) >= 9 else -1
         vis = values[8] if len(parts) >= 9 and values[8] >= 0 else None
         try:
@@ -205,10 +207,22 @@ def load_checkpoint_json(text: str) -> tuple[dict[str, int], dict[str, np.ndarra
     missing = [key for key in ("dims", "params") if key not in doc]
     if missing:
         raise ValueError(f"checkpoint is missing {missing}")
-    dims = dict(doc["dims"])
+    for key in ("dims", "params"):
+        if not isinstance(doc[key], dict):
+            raise ValueError(f"checkpoint {key} must be a JSON object")
+    dims = doc["dims"]
+    bad_dims = sorted(
+        k for k, v in dims.items() if isinstance(v, bool) or not isinstance(v, (int, float))
+    )
+    if bad_dims:
+        raise ValueError(f"checkpoint dims {bad_dims} must be numbers")
     params: dict[str, np.ndarray] = {}
     for name, entry in doc["params"].items():
+        if not (isinstance(entry, dict) and isinstance(entry.get("shape"), list) and "data" in entry):
+            raise ValueError(f"parameter '{name}' must be an object with a shape list and data")
         shape = tuple(entry["shape"])
+        if not all(isinstance(n, int) and not isinstance(n, bool) and n >= 0 for n in shape):
+            raise ValueError(f"parameter '{name}': shape {list(shape)} must list non-negative integers")
         data = np.asarray(entry["data"], dtype=np.float64)
         if data.size != int(np.prod(shape, dtype=np.int64)):
             raise ValueError(f"parameter '{name}': data length {data.size} does not match shape {shape}")

@@ -7,8 +7,14 @@ into a per-instance relation embedding through a second GRU. Temporal edges
 are realized by the GRU recurrences; attention only ever runs over spatial
 neighbors.
 
-Aggregation over neighbors is order-independent by construction (exact sums),
-so relabeling instances permutes the outputs bitwise.
+Each receiver's messages, attention and aggregation run as one fused tape
+node over its k neighbors, taken in a canonical order that depends only on
+content (distance, box, then node feature), never on instance ids; neighbors
+equal in all of these give identical rows. Node-level work (``node_feature``,
+``spatiotemporal_update``) stays per node, so a node's numbers never depend
+on how many other nodes share its frame. Together these make relabeling
+instances permute the outputs bitwise, and leave an isolated instance's
+embedding bitwise independent of the rest of the scene.
 """
 
 from __future__ import annotations
@@ -129,7 +135,10 @@ def node_feature(
 
 
 def message(params: RemParameters, v_i: Tensor, v_j: Tensor, d_ij: float) -> Tensor:
-    """Directed message to receiver i from sender j, aware of their distance."""
+    """Directed message to receiver i from sender j, aware of their distance.
+
+    One sender at a time; REM itself runs the fused ``_attend``, which this
+    function and ``attention_coefficients`` specify."""
     if d_ij < 0:
         raise ValueError("distance must be non-negative")
     x = ad.concat([v_i, v_j, Tensor(np.array([d_ij]))])
@@ -181,6 +190,61 @@ def _node_features(
     }
 
 
+def _leaky(x: np.ndarray, slope: float) -> np.ndarray:
+    return np.where(x >= 0, x, slope * x)
+
+
+def _attend(
+    params: RemParameters, v_i: Tensor, senders: Sequence[Tensor], distances: np.ndarray
+) -> Tensor:
+    """sum_j alpha_ij m_ij over receiver i's k senders, as one tape node.
+
+    The maths of ``message`` and ``attention_coefficients`` followed by the
+    weighted sum, with the k senders stacked as rows X = [v_i || v_j || d_ij]:
+    every per-sender product is one k-row matrix product, and so is every
+    weight gradient in the backward closure.
+    """
+    p, f = params, params.dim
+    x = np.empty((len(senders), 2 * f + 1))
+    x[:, :f] = v_i.data
+    for row, v_j in enumerate(senders):
+        x[row, f : 2 * f] = v_j.data
+    x[:, 2 * f] = distances
+    v_n = x[:, f : 2 * f]
+    a1 = x @ p.w_m1.data.T + p.b_m1.data
+    hidden = _leaky(a1, SIGMA_SLOPE)
+    a2 = hidden @ p.w_m2.data.T + p.b_m2.data
+    msgs = _leaky(a2, SIGMA_SLOPE)
+    query = p.w_a1.data @ v_i.data
+    keys = v_n @ p.w_a2.data.T
+    scores = keys @ query
+    logits = _leaky(scores, ATTENTION_SLOPE)
+    exps = np.exp(logits - np.max(logits))
+    alphas = exps / np.sum(exps)
+    out = alphas @ msgs
+
+    def bw(g):
+        d_alphas = msgs @ g
+        d_scores = alphas * (d_alphas - alphas @ d_alphas) * np.where(scores >= 0, 1.0, ATTENTION_SLOPE)
+        d_query = d_scores @ keys
+        d_a2 = np.outer(alphas, g) * np.where(a2 >= 0, 1.0, SIGMA_SLOPE)
+        d_a1 = (d_a2 @ p.w_m2.data) * np.where(a1 >= 0, 1.0, SIGMA_SLOPE)
+        d_x = d_a1 @ p.w_m1.data
+        d_senders = d_x[:, f : 2 * f] + np.outer(d_scores, query @ p.w_a2.data)
+        return (
+            d_a1.T @ x,  # w_m1
+            d_a1.sum(axis=0),  # b_m1
+            d_a2.T @ hidden,  # w_m2
+            d_a2.sum(axis=0),  # b_m2
+            np.outer(d_query, v_i.data),  # w_a1
+            np.outer(query, d_scores @ v_n),  # w_a2
+            d_x[:, :f].sum(axis=0) + p.w_a1.data.T @ d_query,  # v_i
+            *d_senders,
+        )
+
+    return ad._make(out, (p.w_m1, p.b_m1, p.w_m2, p.b_m2, p.w_a1, p.w_a2, v_i, *senders), bw)
+
+
 def _relation_update(
     params: RemParameters,
     frame: GraphFrame,
@@ -190,12 +254,19 @@ def _relation_update(
     exclude: int | None = None,
 ) -> Tensor:
     """Relation embedding of instance i: attention over messages from its
-    spatial neighbors, less ``exclude``, then the spatiotemporal update."""
-    neighbor_ids = [j for j in frame.neighbors[i] if j != exclude]
-    if neighbor_ids:
-        msgs = [message(params, v[i], v[j], frame.distance(i, j)) for j in neighbor_ids]
-        alphas = attention_coefficients(params, v[i], [v[j] for j in neighbor_ids])
-        aggregated = ad.weighted_sum(alphas, msgs)
+    spatial neighbors, less ``exclude``, then the spatiotemporal update.
+
+    Neighbors enter in the canonical order (distance, box, node feature)."""
+    keyed = []
+    for j in frame.neighbors[i]:
+        if j != exclude:
+            b = frame.boxes[j]
+            keyed.append(((frame.distance(i, j), b.cx, b.cy, b.w, b.h, v[j].data.tobytes()), j))
+    if keyed:
+        keyed.sort(key=lambda pair: pair[0])
+        aggregated = _attend(
+            params, v[i], [v[j] for _, j in keyed], np.array([key[0] for key, _ in keyed])
+        )
     else:
         aggregated = Tensor(np.zeros(params.dim))
     return spatiotemporal_update(params, v[i], aggregated, r_prev)

@@ -26,6 +26,42 @@ _GRID = 1024.0
 DEFAULT_OCCLUSION_CUTOFF = 0.3
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
+def _is_real(x) -> bool:
+    return isinstance(x, (int, float, np.integer, np.floating)) and not isinstance(x, bool)
+
+
+def _is_real_seq(x) -> bool:
+    return isinstance(x, (list, tuple)) and all(map(_is_real, x))
+
+
+def _is_pair(x) -> bool:
+    return _is_real_seq(x) and len(x) == 2
+
+
+# The type of every ScenarioConfig field, checked on construction so that a
+# config read from JSON fails with the names of its wrongly typed fields.
+_FIELD_CHECKS = {
+    **dict.fromkeys(
+        ("n_frames", "n_groups", "group_size_min", "group_size_max", "occlusion_min", "occlusion_max", "seed"),
+        _is_int,
+    ),
+    **dict.fromkeys(
+        ("scene_w", "scene_h", "speed", "group_radius", "jitter_std", "det_center_std", "det_size_std",
+         "occlusion_cutoff", "margin"),
+        _is_real,
+    ),  # fmt: skip
+    **dict.fromkeys(("box_w_range", "box_h_range", "occlusion_vis"), _is_pair),
+    "occlusion_prob": lambda x: _is_real(x) or _is_real_seq(x),
+    "occlusion_start": lambda x: x is None or _is_int(x),
+    "headings": lambda x: x is None or _is_real_seq(x),
+    "group_centers": lambda x: x is None or (isinstance(x, (list, tuple)) and all(map(_is_pair, x))),
+}
+
+
 def _snap(x: float) -> float:
     return round(x * _GRID) / _GRID
 
@@ -59,6 +95,9 @@ class ScenarioConfig:
     seed: int = 0
 
     def __post_init__(self):
+        wrong = [name for name, check in _FIELD_CHECKS.items() if not check(getattr(self, name))]
+        if wrong:
+            raise ValueError(f"scenario fields of the wrong type: {', '.join(wrong)}")
         if self.n_frames < 1 or self.n_groups < 0:
             raise ValueError("frame and group counts must be non-negative")
         if self.group_size_min < 1 or self.group_size_max < self.group_size_min:

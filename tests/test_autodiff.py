@@ -251,15 +251,6 @@ class TestDeterminismAndInvariants:
             assert abs(v.data.sum() - 1.0) <= 1e-12
             assert np.all(v.data > 0)
 
-    def test_weighted_sum_order_independent_bitwise(self, rng):
-        n, dim = 5, 7
-        weights = rng.normal(size=n)
-        vectors = [rng.normal(size=dim) for _ in range(n)]
-        perm = rng.permutation(n)
-        a = ad.weighted_sum(Tensor(weights), [Tensor(v) for v in vectors])
-        b = ad.weighted_sum(Tensor(weights[perm]), [Tensor(vectors[k]) for k in perm])
-        assert np.array_equal(a.data, b.data)
-
     def test_softmax_order_equivariant_bitwise(self, rng):
         logits = rng.normal(size=6)
         perm = rng.permutation(6)

@@ -248,8 +248,12 @@ class TestErrors:
     @pytest.mark.parametrize("command", ["gen", "train", "ablate"])
     @pytest.mark.parametrize(
         "config, message",
-        [({"n_frame": 5}, "unknown fields ['n_frame']"), ([1, 2], "JSON object")],
-        ids=["unknown-field", "not-an-object"],
+        [
+            ({"n_frame": 5}, "unknown fields ['n_frame']"),
+            ([1, 2], "JSON object"),
+            ({"n_frames": "x"}, "wrong type: n_frames"),
+        ],
+        ids=["unknown-field", "not-an-object", "wrong-type"],
     )
     def test_bad_scenario_config(self, tmp_path, capsys, command, config, message):
         cfg = tmp_path / "cfg.json"
@@ -266,6 +270,23 @@ class TestErrors:
         code = run([command, "--scenario", str(scenario), "--checkpoint", str(ckpt), "--out", str(tmp_path / "o")])
         assert code == 1
         assert "missing ['dims', 'params']" in self.one_line_error(capsys)
+
+    def test_eval_non_finite_class_field(self, tmp_path, capsys):
+        scenario, _ = write_scenario(tmp_path)
+        pred = tmp_path / "pred.csv"
+        pred.write_text("1,1,0,0,4,4,1,inf,1\n")
+        code = run(["eval", "--gt", str(scenario), "--pred", str(pred), "--out", str(tmp_path / "e")])
+        assert code == 1
+        assert "line 1: class must be an integer" in self.one_line_error(capsys)
+
+    @pytest.mark.parametrize("command", ["track", "relations"])
+    def test_wrongly_typed_checkpoint(self, tmp_path, capsys, command):
+        scenario, _ = write_scenario(tmp_path)
+        ckpt = tmp_path / "ckpt.json"
+        ckpt.write_text(json.dumps({"version": 1, "dims": [1], "params": {}}))
+        code = run([command, "--scenario", str(scenario), "--checkpoint", str(ckpt), "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert "dims must be a JSON object" in self.one_line_error(capsys)
 
     def test_no_arguments_is_usage_error(self, capsys):
         assert run([]) == 2

@@ -53,6 +53,11 @@ class TestParseMotCsv:
             rio.parse_mot_csv("1,1,0,0,4,4,1\n2,3.5,0,0,4,4,1\n")
         assert rio.parse_mot_csv("2.0,3.0,0,0,4,4,1\n")[0].frame == 2
 
+    @pytest.mark.parametrize("cls", ["inf", "nan", "-inf", "1.5"])
+    def test_non_integer_class_reports_number(self, cls):
+        with pytest.raises(ValueError, match="line 2: class must be an integer"):
+            rio.parse_mot_csv(f"1,1,0,0,4,4,1,-1,1\n1,2,0,0,4,4,1,{cls},1\n")
+
     def test_invalid_geometry_reports_number(self):
         with pytest.raises(ValueError, match="line 1"):
             rio.parse_mot_csv("1,1,0,0,-4,4,1\n")
@@ -169,6 +174,24 @@ class TestCheckpoints:
             rio.load_checkpoint_json(json.dumps({"version": 1, "dims": {}}))
         with pytest.raises(ValueError, match="JSON object"):
             rio.load_checkpoint_json("[1, 2]")
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ({"version": 1, "dims": [1], "params": {}}, "dims must be a JSON object"),
+            ({"version": 1, "dims": {}, "params": [1]}, "params must be a JSON object"),
+            ({"version": 1, "dims": {"F": [3]}, "params": {}}, r"dims \['F'\] must be numbers"),
+            ({"version": 1, "dims": {}, "params": {"a.b": [1.0]}}, "'a.b' must be an object"),
+            ({"version": 1, "dims": {}, "params": {"a.b": {"data": [1.0]}}}, "'a.b' must be an object"),
+            ({"version": 1, "dims": {}, "params": {"a.b": {"shape": [1]}}}, "'a.b' must be an object"),
+            ({"version": 1, "dims": {}, "params": {"a.b": {"shape": "1", "data": [1.0]}}}, "'a.b' must be an object"),
+            ({"version": 1, "dims": {}, "params": {"a.b": {"shape": [1.5], "data": [1.0]}}}, "non-negative integers"),
+        ],
+        ids=["dims-list", "params-list", "dims-value", "entry-list", "no-shape", "no-data", "shape-str", "shape-float"],
+    )
+    def test_wrongly_typed_fields_rejected(self, doc, message):
+        with pytest.raises(ValueError, match=message):
+            rio.load_checkpoint_json(json.dumps(doc))
 
     def test_corrupt_length_rejected(self):
         doc = json.loads(rio.checkpoint_to_json(self.make_store(), {}))

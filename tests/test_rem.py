@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import scalar_rem_transcription
 from remtrack import autodiff as ad
@@ -7,6 +9,9 @@ from remtrack.autodiff import Tensor, gradient_check
 from remtrack.geometry import BoundingBox, scaled_distance
 from remtrack.rem import (
     RemState,
+    _attend,
+    _node_features,
+    _relation_update,
     _replay_relation,
     _window_node_features,
     attention_coefficients,
@@ -143,6 +148,61 @@ class TestAttention:
             attention_coefficients(params, Tensor(np.zeros(4)), [])
 
 
+def reference_aggregate(params, v_i, senders, distances):
+    """Sum_j alpha_ij m_ij from the public per-sender functions."""
+    msgs = [message(params, v_i, v_j, d) for v_j, d in zip(senders, distances)]
+    alphas = attention_coefficients(params, v_i, senders)
+    return sum(a * m.data for a, m in zip(alphas.data, msgs))
+
+
+def assert_close_rel(got, expected, rtol=1e-12):
+    assert np.max(np.abs(got - expected)) <= rtol * np.max(np.abs(expected))
+
+
+class TestFusedReceiver:
+    @pytest.mark.parametrize("k", [1, 2, 7])
+    def test_matches_reference_composition(self, k):
+        store, params = make_rem(dim=6, seed=40 + k)
+        rng = np.random.default_rng(41 + k)
+        v_i = Tensor(rng.normal(size=6))
+        senders = [Tensor(rng.normal(size=6)) for _ in range(k)]
+        distances = rng.uniform(0.0, 5.0, size=k)
+        got = _attend(params, v_i, senders, distances).data
+        assert_close_rel(got, reference_aggregate(params, v_i, senders, distances))
+
+    @pytest.mark.parametrize("exclude", [None, 0, 3])
+    def test_relation_update_matches_reference(self, exclude):
+        store, params = make_rem(dim=5, seed=42)
+        rng = np.random.default_rng(43)
+        nodes = [(i, box(rng.uniform(0, 4), rng.uniform(0, 4))) for i in range(8)]
+        frame = build_graph([nodes], d_th=50.0).frames[0]
+        v = _node_features(params, frame, {}, {})
+        r_prev = Tensor(rng.normal(size=5))
+        i = 5
+        assert len(frame.neighbors[i]) == 7
+        nbrs = [j for j in frame.neighbors[i] if j != exclude]
+        aggregated = reference_aggregate(
+            params, v[i], [v[j] for j in nbrs], [frame.distance(i, j) for j in nbrs]
+        )
+        expected = spatiotemporal_update(params, v[i], Tensor(aggregated), r_prev).data
+        got = _relation_update(params, frame, v, i, r_prev, exclude).data
+        assert_close_rel(got, expected)
+
+    def test_gradient_through_one_receiver(self):
+        # inputs registered as parameters, so their gradients are checked too
+        store, params = make_rem(dim=4, seed=44)
+        rng = np.random.default_rng(45)
+        v_i = store.register("v_i", Tensor(rng.normal(size=4)))
+        senders = [store.register(f"v_{j}", Tensor(rng.normal(size=4))) for j in range(3)]
+        distances = np.array([0.5, 1.5, 2.5])
+
+        def loss():
+            out = _attend(params, v_i, senders, distances)
+            return ad.dot(out, out)
+
+        assert gradient_check(loss, store, epsilon=1e-5) < 1e-4
+
+
 class TestSpatiotemporalUpdate:
     def test_zero_weights_halve_relation_state(self):
         _, params = zeroed_rem()
@@ -216,6 +276,31 @@ class TestRemStep:
             for t in range(3):
                 for i in before[t]:
                     assert np.array_equal(before[t][i], after[t][perm[i]])
+
+    @given(
+        st.lists(st.integers(0, 2), min_size=4, max_size=7),
+        st.lists(st.integers(0, 2), min_size=4, max_size=7),
+        st.randoms(use_true_random=False),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_shared_boxes_relabel_bitwise(self, slots_0, slots_1, random):
+        # instances drawn onto three box slots, so neighbors share boxes (and
+        # distances) in both frames, with equal or different histories
+        slots = [box(2.0, 2.0), box(3.5, 2.5), box(2.5, 3.75, 1.5, 2.5)]
+        n = min(len(slots_0), len(slots_1))
+        assert len(set(slots_0[:n])) < n  # four or more instances on three slots
+        frames = [
+            [(i, slots[slots_0[i]]) for i in range(n)],
+            [(i, slots[slots_1[i]]) for i in range(n)],
+        ]
+        store, params = make_rem(dim=5, seed=48)
+        before, _ = run_rem(params, build_graph(frames, d_th=6.0))
+        perm = dict(zip(range(n), random.sample(range(100), n)))
+        relabeled = [[(perm[i], b) for i, b in frame] for frame in frames]
+        after, _ = run_rem(params, build_graph(relabeled, d_th=6.0))
+        for t in range(2):
+            for i in range(n):
+                assert np.array_equal(before[t][i], after[t][perm[i]])
 
     def test_state_graph_mismatch_rejected(self):
         store, params = make_rem(dim=4, seed=22)

@@ -148,6 +148,32 @@ class TestGenerate:
         with pytest.raises(ValueError):
             ScenarioConfig(occlusion_vis=(0.4, 0.2))
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("n_frames", "x"), ("n_groups", 2.5), ("seed", True), ("speed", "fast"),
+            ("box_w_range", 1.0), ("occlusion_vis", [0.0]), ("occlusion_prob", "0.3"),
+            ("occlusion_start", 2.0), ("headings", 0.5), ("group_centers", [(1.0, "y")]),
+        ],
+    )  # fmt: skip
+    def test_wrongly_typed_field_named(self, field, value):
+        with pytest.raises(ValueError, match=f"wrong type: {field}$"):
+            ScenarioConfig(**{field: value})
+
+    def test_every_field_type_checked(self):
+        from dataclasses import fields
+
+        from remtrack.simulator import _FIELD_CHECKS
+
+        assert set(_FIELD_CHECKS) == {f.name for f in fields(ScenarioConfig)}
+
+    def test_numpy_scalars_and_lists_accepted(self):
+        cfg = ScenarioConfig(
+            n_frames=np.int64(5), speed=np.float64(0.2), box_w_range=[1.2, 2.0],
+            occlusion_prob=[0.0, 1.0], headings=[0.5], group_centers=[[5.0, 6.0]],
+        )  # fmt: skip
+        assert cfg.n_frames == 5
+
 
 class TestDetect:
     def test_zero_noise_detections_equal_ground_truth(self):
