@@ -6,12 +6,17 @@ of the two widths / heights, so the threshold that gates graph edges adapts
 to object size. Both squared terms are ADDED under the square root; dividing
 by the raw (not squared) extents is kept as-is, so the threshold lives in
 mixed units.
+
+``iou_matrix`` and ``scaled_distance_matrix`` are the all-pairs forms used on
+hot paths. They repeat the scalar arithmetic entry by entry, in the same
+order, so every entry is bitwise equal to ``iou`` / ``scaled_distance``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -64,6 +69,25 @@ def scaled_distance(a: BoundingBox, b: BoundingBox) -> float:
     return math.sqrt(dx * dx / w_bar + dy * dy / h_bar)
 
 
+def _box_array(boxes: Sequence[BoundingBox]) -> np.ndarray:
+    return np.array([(b.cx, b.cy, b.w, b.h) for b in boxes], dtype=float).reshape(-1, 4)
+
+
+def scaled_distance_matrix(boxes: Sequence[BoundingBox]) -> np.ndarray:
+    """``scaled_distance`` between every pair of ``boxes``, bitwise equal to it.
+
+    Each entry repeats the scalar function's operations in the same order and
+    nothing is reduced across entries, so an entry does not depend on the other
+    boxes; the matrix is exactly symmetric with a zero diagonal.
+    """
+    cx, cy, w, h = _box_array(boxes).T
+    w_bar = np.maximum(np.minimum(w[:, None], w[None, :]), MIN_BOX_SIZE)
+    h_bar = np.maximum(np.minimum(h[:, None], h[None, :]), MIN_BOX_SIZE)
+    dx = cx[:, None] - cx[None, :]
+    dy = cy[:, None] - cy[None, :]
+    return np.sqrt(dx * dx / w_bar + dy * dy / h_bar)
+
+
 def _corners(box: BoundingBox) -> tuple[float, float, float, float]:
     return (
         box.cx - box.w / 2.0,
@@ -84,6 +108,22 @@ def iou(a: BoundingBox, b: BoundingBox) -> float:
     union = a.w * a.h + b.w * b.h - inter
     # corner arithmetic can overshoot by rounding; IoU is <= 1 by definition
     return min(inter / union, 1.0)
+
+
+def iou_matrix(a_boxes: Sequence[BoundingBox], b_boxes: Sequence[BoundingBox]) -> np.ndarray:
+    """``iou(a, b)`` for every a in ``a_boxes`` (rows) and b in ``b_boxes``
+    (columns), bitwise equal to the scalar function entry by entry."""
+    acx, acy, aw, ah = _box_array(a_boxes).T
+    bcx, bcy, bw, bh = _box_array(b_boxes).T
+    ax1, ay1, ax2, ay2 = acx - aw / 2.0, acy - ah / 2.0, acx + aw / 2.0, acy + ah / 2.0
+    bx1, by1, bx2, by2 = bcx - bw / 2.0, bcy - bh / 2.0, bcx + bw / 2.0, bcy + bh / 2.0
+    iw = np.minimum(ax2[:, None], bx2[None, :]) - np.maximum(ax1[:, None], bx1[None, :])
+    ih = np.minimum(ay2[:, None], by2[None, :]) - np.maximum(ay1[:, None], by1[None, :])
+    overlapping = (iw > 0) & (ih > 0)
+    # Zero the intersection of disjoint pairs so their union stays positive.
+    inter = np.where(overlapping, iw * ih, 0.0)
+    union = (aw * ah)[:, None] + (bw * bh)[None, :] - inter
+    return np.where(overlapping, np.minimum(inter / union, 1.0), 0.0)
 
 
 def giou(a: BoundingBox, b: BoundingBox) -> float:

@@ -6,18 +6,27 @@ maximum total IoU, restricted to pairs with IoU >= alpha; exact ties are
 canonicalized toward ascending (gt id, pred id). HOTA uses this per-frame
 matching at every localization threshold alpha and reports the detection /
 association split, with HOTA_alpha = sqrt(DetA_alpha * AssA_alpha).
+
+A (gt, prediction) pair is checked once, and each frame's IoU is computed
+once, as one ``iou_matrix`` shared by every threshold and metric. Each
+distinct alpha is matched once per frame: CLEAR MOT, MT/ML and HOTA's 0.5
+entry share the alpha = 0.5 matching, and IDF1 counts ``IoU >= alpha`` from
+the same matrices.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .geometry import BoundingBox, iou
+# ``iou`` is unused here but stays a name of this module: benchmarks/layers.py
+# wraps ``metrics.iou``.
+from .geometry import BoundingBox, iou, iou_matrix  # noqa: F401
 
 FramePairs = Sequence[tuple[int, BoundingBox]]
 TrackFrames = Sequence[FramePairs]
@@ -39,24 +48,32 @@ class FrameMatching:
     fn: int
 
 
-def match_frame(gt: FramePairs, pred: FramePairs, alpha: float) -> FrameMatching:
-    """Optimal IoU matching among pairs with IoU >= alpha."""
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie strictly in (0, 1)")
+@dataclass(frozen=True)
+class _Frame:
+    gt_ids: list[int]  # ascending
+    pred_ids: list[int]  # ascending
+    overlap: np.ndarray  # IoU, gt rows by pred columns
+
+
+def _frame(gt: FramePairs, pred: FramePairs) -> _Frame:
     gt = sorted(gt, key=lambda p: p[0])
     pred = sorted(pred, key=lambda p: p[0])
     gt_ids = [g for g, _ in gt]
     pred_ids = [p for p, _ in pred]
     if len(set(gt_ids)) != len(gt_ids) or len(set(pred_ids)) != len(pred_ids):
         raise ValueError("duplicate ids within one frame")
+    return _Frame(gt_ids, pred_ids, iou_matrix([b for _, b in gt], [b for _, b in pred]))
 
-    if not gt or not pred:
-        return FrameMatching([], {}, 0, len(pred), len(gt))
 
-    overlap = np.zeros((len(gt), len(pred)))
-    for a, (_, gbox) in enumerate(gt):
-        for b, (_, pbox) in enumerate(pred):
-            overlap[a, b] = iou(gbox, pbox)
+def _check_alpha(alpha: float) -> None:
+    if not 0.0 < alpha < 1.0:
+        raise ValueError("alpha must lie strictly in (0, 1)")
+
+
+def _match(frame: _Frame, alpha: float) -> FrameMatching:
+    gt_ids, pred_ids, overlap = frame.gt_ids, frame.pred_ids, frame.overlap
+    if not gt_ids or not pred_ids:
+        return FrameMatching([], {}, 0, len(pred_ids), len(gt_ids))
     eligible = overlap >= alpha
     score = np.where(eligible, _CARDINALITY_BONUS + overlap, 0.0)
     rows, cols = linear_sum_assignment(score, maximize=True)
@@ -66,7 +83,13 @@ def match_frame(gt: FramePairs, pred: FramePairs, alpha: float) -> FrameMatching
     matches = sorted((gt_ids[a], pred_ids[b]) for a, b in chosen)
     ious = {(gt_ids[a], pred_ids[b]): float(overlap[a, b]) for a, b in chosen}
     tp = len(matches)
-    return FrameMatching(matches, ious, tp, len(pred) - tp, len(gt) - tp)
+    return FrameMatching(matches, ious, tp, len(pred_ids) - tp, len(gt_ids) - tp)
+
+
+def match_frame(gt: FramePairs, pred: FramePairs, alpha: float) -> FrameMatching:
+    """Optimal IoU matching among pairs with IoU >= alpha."""
+    _check_alpha(alpha)
+    return _match(_frame(gt, pred), alpha)
 
 
 def _canonicalize(
@@ -99,59 +122,6 @@ class ClearMotResult:
     fn: int
 
 
-def _check_sequences(gt_seq: TrackFrames, pred_seq: TrackFrames) -> int:
-    if len(gt_seq) != len(pred_seq):
-        raise ValueError(f"sequences differ in length: {len(gt_seq)} vs {len(pred_seq)}")
-    total_gt = sum(len(f) for f in gt_seq)
-    if total_gt == 0:
-        raise ValueError("no ground-truth boxes; metrics undefined")
-    return total_gt
-
-
-def clear_mot(gt_seq: TrackFrames, pred_seq: TrackFrames, alpha: float = 0.5) -> ClearMotResult:
-    """CLEAR MOT: MOTA from error counts, MOTP as mean matched IoU."""
-    total_gt = _check_sequences(gt_seq, pred_seq)
-    tp = fp = fn = idsw = 0
-    matched_ious: list[float] = []
-    last_pred: dict[int, int] = {}
-    for gt_frame, pred_frame in zip(gt_seq, pred_seq):
-        matching = match_frame(gt_frame, pred_frame, alpha)
-        tp += matching.tp
-        fp += matching.fp
-        fn += matching.fn
-        for g, p in matching.matches:
-            if g in last_pred and last_pred[g] != p:
-                idsw += 1
-            last_pred[g] = p
-            matched_ious.append(matching.ious[(g, p)])
-    mota = 1.0 - (fn + fp + idsw) / total_gt
-    motp = math.fsum(matched_ious) / len(matched_ious) if matched_ious else None
-    return ClearMotResult(mota, motp, idsw, tp, fp, fn)
-
-
-def idf1(gt_seq: TrackFrames, pred_seq: TrackFrames, alpha: float = 0.5) -> float:
-    """F1 of identity-consistent matches under the best global id mapping."""
-    total_gt = _check_sequences(gt_seq, pred_seq)
-    total_pred = sum(len(f) for f in pred_seq)
-    gt_ids = sorted({g for frame in gt_seq for g, _ in frame})
-    pred_ids = sorted({p for frame in pred_seq for p, _ in frame})
-    if not pred_ids:
-        return 0.0
-    gt_index = {g: k for k, g in enumerate(gt_ids)}
-    pred_index = {p: k for k, p in enumerate(pred_ids)}
-    overlap_frames = np.zeros((len(gt_ids), len(pred_ids)))
-    for gt_frame, pred_frame in zip(gt_seq, pred_seq):
-        for g, gbox in gt_frame:
-            for p, pbox in pred_frame:
-                if iou(gbox, pbox) >= alpha:
-                    overlap_frames[gt_index[g], pred_index[p]] += 1
-    rows, cols = linear_sum_assignment(overlap_frames, maximize=True)
-    idtp = int(overlap_frames[rows, cols].sum())
-    idfn = total_gt - idtp
-    idfp = total_pred - idtp
-    return 2.0 * idtp / (2.0 * idtp + idfp + idfn)
-
-
 @dataclass
 class HotaResult:
     alphas: tuple[float, ...]
@@ -161,72 +131,136 @@ class HotaResult:
     final: float
 
 
+def _check_sequences(gt_seq: TrackFrames, pred_seq: TrackFrames) -> int:
+    if len(gt_seq) != len(pred_seq):
+        raise ValueError(f"sequences differ in length: {len(gt_seq)} vs {len(pred_seq)}")
+    total_gt = sum(len(f) for f in gt_seq)
+    if total_gt == 0:
+        raise ValueError("no ground-truth boxes; metrics undefined")
+    return total_gt
+
+
+class _Scoring:
+    """A checked (gt, prediction) pair with every frame's IoU matrix.
+
+    Frame matchings are computed once per distinct alpha and shared by all
+    the metrics asked of this pair.
+    """
+
+    def __init__(self, gt_seq: TrackFrames, pred_seq: TrackFrames):
+        self.total_gt = _check_sequences(gt_seq, pred_seq)
+        self.total_pred = sum(len(f) for f in pred_seq)
+        self.frames = [_frame(g, p) for g, p in zip(gt_seq, pred_seq)]
+        self.gt_count = Counter(g for f in self.frames for g in f.gt_ids)
+        self.pred_count = Counter(p for f in self.frames for p in f.pred_ids)
+        self._matchings: dict[float, list[FrameMatching]] = {}
+
+    def matchings(self, alpha: float) -> list[FrameMatching]:
+        if alpha not in self._matchings:
+            _check_alpha(alpha)
+            self._matchings[alpha] = [_match(f, alpha) for f in self.frames]
+        return self._matchings[alpha]
+
+    def clear_mot(self, alpha: float) -> ClearMotResult:
+        tp = fp = fn = idsw = 0
+        matched_ious: list[float] = []
+        last_pred: dict[int, int] = {}
+        for matching in self.matchings(alpha):
+            tp += matching.tp
+            fp += matching.fp
+            fn += matching.fn
+            for g, p in matching.matches:
+                if g in last_pred and last_pred[g] != p:
+                    idsw += 1
+                last_pred[g] = p
+                matched_ious.append(matching.ious[(g, p)])
+        mota = 1.0 - (fn + fp + idsw) / self.total_gt
+        motp = math.fsum(matched_ious) / len(matched_ious) if matched_ious else None
+        return ClearMotResult(mota, motp, idsw, tp, fp, fn)
+
+    def idf1(self, alpha: float) -> float:
+        if not self.total_pred:
+            return 0.0
+        gt_index = {g: k for k, g in enumerate(sorted(self.gt_count))}
+        pred_index = {p: k for k, p in enumerate(sorted(self.pred_count))}
+        overlap_frames = np.zeros((len(gt_index), len(pred_index)))
+        for f in self.frames:
+            rows, cols = np.nonzero(f.overlap >= alpha)
+            # ids are unique within a frame, so no (row, col) pair repeats
+            gt_rows = np.array([gt_index[g] for g in f.gt_ids], dtype=int)
+            pred_cols = np.array([pred_index[p] for p in f.pred_ids], dtype=int)
+            overlap_frames[gt_rows[rows], pred_cols[cols]] += 1
+        rows, cols = linear_sum_assignment(overlap_frames, maximize=True)
+        idtp = int(overlap_frames[rows, cols].sum())
+        idfn = self.total_gt - idtp
+        idfp = self.total_pred - idtp
+        return 2.0 * idtp / (2.0 * idtp + idfp + idfn)
+
+    def hota(self, alphas: Sequence[float]) -> HotaResult:
+        alphas = tuple(alphas)
+        if not alphas:
+            raise ValueError("no localization thresholds (alphas) given")
+        deta_list: list[float] = []
+        assa_list: list[float] = []
+        hota_list: list[float] = []
+        for alpha in alphas:
+            pair_matches: dict[tuple[int, int], int] = {}
+            tp = 0
+            for matching in self.matchings(alpha):
+                tp += matching.tp
+                for pair in matching.matches:
+                    pair_matches[pair] = pair_matches.get(pair, 0) + 1
+            if tp == 0:
+                deta_list.append(0.0)
+                assa_list.append(0.0)
+                hota_list.append(0.0)
+                continue
+            deta = tp / (self.total_gt + self.total_pred - tp)
+            ass_terms: list[float] = []
+            for (g, p), tpa in sorted(pair_matches.items()):
+                fna = self.gt_count[g] - tpa
+                fpa = self.pred_count[p] - tpa
+                ass_terms.extend([tpa / (tpa + fna + fpa)] * tpa)
+            assa = math.fsum(ass_terms) / tp
+            deta_list.append(deta)
+            assa_list.append(assa)
+            hota_list.append(math.sqrt(deta * assa))
+        return HotaResult(alphas, deta_list, assa_list, hota_list, math.fsum(hota_list) / len(hota_list))
+
+    def mt_ml(self, alpha: float) -> tuple[float, float]:
+        covered = Counter(g for matching in self.matchings(alpha) for g, _ in matching.matches)
+        mt = ml = 0
+        for g, n in self.gt_count.items():
+            coverage = covered[g] / n
+            if coverage >= 0.8:
+                mt += 1
+            if coverage <= 0.2:
+                ml += 1
+        return mt / len(self.gt_count), ml / len(self.gt_count)
+
+
+def clear_mot(gt_seq: TrackFrames, pred_seq: TrackFrames, alpha: float = 0.5) -> ClearMotResult:
+    """CLEAR MOT: MOTA from error counts, MOTP as mean matched IoU."""
+    return _Scoring(gt_seq, pred_seq).clear_mot(alpha)
+
+
+def idf1(gt_seq: TrackFrames, pred_seq: TrackFrames, alpha: float = 0.5) -> float:
+    """F1 of identity-consistent matches under the best global id mapping."""
+    return _Scoring(gt_seq, pred_seq).idf1(alpha)
+
+
 def hota(
     gt_seq: TrackFrames, pred_seq: TrackFrames, alphas: Sequence[float] = DEFAULT_ALPHAS
 ) -> HotaResult:
     """Detection/association accuracies and HOTA per localization threshold."""
-    total_gt = _check_sequences(gt_seq, pred_seq)
-    total_pred = sum(len(f) for f in pred_seq)
-    gt_count: dict[int, int] = {}
-    pred_count: dict[int, int] = {}
-    for frame in gt_seq:
-        for g, _ in frame:
-            gt_count[g] = gt_count.get(g, 0) + 1
-    for frame in pred_seq:
-        for p, _ in frame:
-            pred_count[p] = pred_count.get(p, 0) + 1
-
-    deta_list: list[float] = []
-    assa_list: list[float] = []
-    hota_list: list[float] = []
-    for alpha in alphas:
-        pair_matches: dict[tuple[int, int], int] = {}
-        tp = 0
-        for gt_frame, pred_frame in zip(gt_seq, pred_seq):
-            matching = match_frame(gt_frame, pred_frame, alpha)
-            tp += matching.tp
-            for pair in matching.matches:
-                pair_matches[pair] = pair_matches.get(pair, 0) + 1
-        if tp == 0:
-            deta_list.append(0.0)
-            assa_list.append(0.0)
-            hota_list.append(0.0)
-            continue
-        deta = tp / (total_gt + total_pred - tp)
-        ass_terms: list[float] = []
-        for (g, p), tpa in sorted(pair_matches.items()):
-            fna = gt_count[g] - tpa
-            fpa = pred_count[p] - tpa
-            ass_terms.extend([tpa / (tpa + fna + fpa)] * tpa)
-        assa = math.fsum(ass_terms) / tp
-        deta_list.append(deta)
-        assa_list.append(assa)
-        hota_list.append(math.sqrt(deta * assa))
-    return HotaResult(tuple(alphas), deta_list, assa_list, hota_list, math.fsum(hota_list) / len(hota_list))
+    return _Scoring(gt_seq, pred_seq).hota(alphas)
 
 
 def mt_ml(
     gt_seq: TrackFrames, pred_seq: TrackFrames, alpha: float = 0.5
 ) -> tuple[float, float]:
     """Fractions of gt identities tracked >= 80% (MT) and <= 20% (ML)."""
-    present: dict[int, int] = {}
-    covered: dict[int, int] = {}
-    for gt_frame, pred_frame in zip(gt_seq, pred_seq):
-        for g, _ in gt_frame:
-            present[g] = present.get(g, 0) + 1
-        matching = match_frame(gt_frame, pred_frame, alpha)
-        for g, _ in matching.matches:
-            covered[g] = covered.get(g, 0) + 1
-    if not present:
-        return 0.0, 0.0
-    mt = ml = 0
-    for g, n in present.items():
-        coverage = covered.get(g, 0) / n
-        if coverage >= 0.8:
-            mt += 1
-        if coverage <= 0.2:
-            ml += 1
-    return mt / len(present), ml / len(present)
+    return _Scoring(gt_seq, pred_seq).mt_ml(alpha)
 
 
 @dataclass
@@ -251,13 +285,14 @@ def evaluate(
     pred_seq: TrackFrames,
     alphas: Sequence[float] = DEFAULT_ALPHAS,
 ) -> MetricsReport:
-    cm = clear_mot(gt_seq, pred_seq)
-    h = hota(gt_seq, pred_seq, alphas)
-    mt, ml = mt_ml(gt_seq, pred_seq)
+    scoring = _Scoring(gt_seq, pred_seq)
+    h = scoring.hota(alphas)
+    cm = scoring.clear_mot(0.5)
+    mt, ml = scoring.mt_ml(0.5)
     return MetricsReport(
         mota=cm.mota,
         motp=cm.motp,
-        idf1=idf1(gt_seq, pred_seq),
+        idf1=scoring.idf1(0.5),
         mt=mt,
         ml=ml,
         id_switches=cm.id_switches,

@@ -15,7 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
-from .geometry import BoundingBox, scaled_distance
+import numpy as np
+
+from .geometry import BoundingBox, scaled_distance_matrix
 
 
 @dataclass(frozen=True)
@@ -53,15 +55,17 @@ class SpatioTemporalGraph:
 
 def _build_frame(nodes: Mapping[int, BoundingBox], d_th: float) -> GraphFrame:
     ids = tuple(sorted(nodes))
+    dist = scaled_distance_matrix([nodes[i] for i in ids])
+    rows, cols = np.nonzero(dist <= d_th)
+    upper = rows < cols
+    rows, cols = rows[upper], cols[upper]
     neighbors: dict[int, list[int]] = {i: [] for i in ids}
     edge_distance: dict[tuple[int, int], float] = {}
-    for a_pos, i in enumerate(ids):
-        for j in ids[a_pos + 1 :]:
-            d = scaled_distance(nodes[i], nodes[j])
-            if d <= d_th:
-                neighbors[i].append(j)
-                neighbors[j].append(i)
-                edge_distance[(i, j)] = d
+    for a, b, d in zip(rows.tolist(), cols.tolist(), dist[rows, cols].tolist()):
+        i, j = ids[a], ids[b]
+        neighbors[i].append(j)
+        neighbors[j].append(i)
+        edge_distance[(i, j)] = d
     return GraphFrame(
         ids=ids,
         boxes=dict(nodes),

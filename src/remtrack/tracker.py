@@ -28,7 +28,9 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import ParameterStore, Tensor, adam_step, backward
-from .geometry import BoundingBox, clamped_box, giou_loss, iou
+# ``iou`` is unused here but stays a name of this module: benchmarks/layers.py
+# wraps ``tracker.iou``.
+from .geometry import BoundingBox, clamped_box, giou_loss, iou, iou_matrix  # noqa: F401
 from .rem import SIGMA_SLOPE, RemParameters, RemState, rem_step
 from .simulator import (
     DEFAULT_OCCLUSION_CUTOFF,
@@ -180,13 +182,12 @@ def _greedy_associate(
     tracks: dict[int, _Track], detections: Sequence[Detection], min_iou: float
 ) -> dict[int, int]:
     """Greedy best-IoU matching; returns track id -> detection index."""
-    candidates = []
-    for tid, track in tracks.items():
-        for k, det in enumerate(detections):
-            overlap = iou(det.box, track.box)
-            if overlap >= min_iou:
-                candidates.append((-overlap, tid, k))
-    candidates.sort()
+    tids = list(tracks)
+    overlap = iou_matrix([det.box for det in detections], [tracks[tid].box for tid in tids])
+    ks, cols = np.nonzero(overlap >= min_iou)
+    candidates = sorted(
+        zip((-overlap[ks, cols]).tolist(), [tids[c] for c in cols.tolist()], ks.tolist())
+    )
     matched: dict[int, int] = {}
     used: set[int] = set()
     for _, tid, k in candidates:

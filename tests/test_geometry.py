@@ -15,12 +15,35 @@ from remtrack.geometry import (
     giou,
     giou_loss,
     iou,
+    iou_matrix,
     scaled_distance,
+    scaled_distance_matrix,
 )
 
 coords = st.floats(-50.0, 50.0, allow_nan=False)
 sizes = st.floats(0.1, 20.0, allow_nan=False)
 boxes = st.builds(BoundingBox, coords, coords, sizes, sizes)
+
+
+@st.composite
+def grid_boxes(draw, max_size=8):
+    """Boxes on a coarse grid, so edges touch and boxes repeat or nest. A step
+    of 0.1 is inexact in binary and brings rounding into the corners; off the
+    grid (step None) any order change in the arithmetic shows."""
+    step = draw(st.sampled_from((0.5, 0.1, None)))
+    if step is None:
+        return draw(st.lists(boxes, max_size=max_size))
+    coord = st.integers(-6, 6).map(lambda k: k * step)
+    size = st.integers(1, 6).map(lambda k: k * step)
+    return draw(st.lists(st.builds(BoundingBox, coord, coord, size, size), max_size=max_size))
+
+
+def scalar_table(f, rows, cols) -> np.ndarray:
+    return np.array([[f(a, b) for b in cols] for a in rows], dtype=float).reshape(len(rows), len(cols))
+
+
+def same_bits(x: np.ndarray, y: np.ndarray) -> bool:
+    return x.shape == y.shape and x.dtype == y.dtype and x.tobytes() == y.tobytes()
 
 
 class TestBoundingBox:
@@ -83,6 +106,33 @@ class TestScaledDistance:
         assert np.array_equal(dm, dm.T)
         assert np.all(np.diag(dm) == 0.0)
         assert np.all(dm >= 0.0)
+
+
+class TestMatrices:
+    """The all-pairs forms equal the scalar functions bit for bit."""
+
+    @given(grid_boxes(), grid_boxes())
+    @settings(max_examples=150)
+    def test_iou_matrix_bitwise(self, rows, cols):
+        assert same_bits(iou_matrix(rows, cols), scalar_table(iou, rows, cols))
+
+    @given(grid_boxes())
+    @settings(max_examples=150)
+    def test_scaled_distance_matrix_bitwise_and_symmetric(self, bs):
+        dm = scaled_distance_matrix(bs)
+        assert same_bits(dm, scalar_table(scaled_distance, bs, bs))
+        assert same_bits(dm, dm.T.copy())
+
+    def test_empty_inputs(self):
+        b = BoundingBox(0.0, 0.0, 1.0, 1.0)
+        assert iou_matrix([], [b, b]).shape == (0, 2)
+        assert iou_matrix([b], []).shape == (1, 0)
+        assert scaled_distance_matrix([]).shape == (0, 0)
+
+    def test_touching_edges_zero(self):
+        a = BoundingBox.from_corner(0, 0, 1, 1)
+        b = BoundingBox.from_corner(1, 0, 1, 1)
+        assert iou_matrix([a], [b])[0, 0] == 0.0 == iou(a, b)
 
 
 def edges(boxes, d_th):

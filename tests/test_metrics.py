@@ -6,6 +6,7 @@ from oracles import brute_hota_single, brute_idf1, brute_match, brute_mota
 from remtrack.geometry import BoundingBox
 from remtrack.metrics import (
     DEFAULT_ALPHAS,
+    MetricsReport,
     clear_mot,
     evaluate,
     hota,
@@ -34,6 +35,18 @@ def random_scenario(rng, n_objects=3, n_frames=4, drop=0.2, noise=0.6):
                 pred_frame.append((i + 100, box(center[0] + jitter[0], center[1] + jitter[1], 2.05, 1.95)))
         gt.append(gt_frame)
         pred.append(pred_frame)
+    return gt, pred
+
+
+def grid_scenario(rng, n_objects=5, n_frames=4):
+    """Random (gt, pred) pair on a coarse grid, so IoU ties are common."""
+    gt, pred = [], []
+    for _ in range(n_frames):
+        gt.append([(i, box(*rng.integers(0, 4, 2).tolist())) for i in range(n_objects) if rng.random() < 0.8])
+        pids = rng.permutation(n_objects)[: int(rng.integers(0, n_objects + 1))].tolist()
+        pred.append([(p + 100, box(*rng.integers(0, 4, 2).tolist(), 2.0, 2.0 + 2 * (p % 2))) for p in pids])
+    if not any(gt):
+        gt[0].append((0, box(1, 1)))
     return gt, pred
 
 
@@ -156,6 +169,11 @@ class TestIdf1:
                 continue
             assert idf1(gt, pred) == brute_idf1(gt, pred)
 
+    def test_duplicate_ids_rejected(self):
+        b = box(1, 1)
+        with pytest.raises(ValueError, match="duplicate ids within one frame"):
+            idf1([[(0, b)]], [[(5, b), (5, b)]])
+
 
 class TestHota:
     def test_perfect_tracking_all_ones(self):
@@ -201,6 +219,13 @@ class TestHota:
             deta, assa, hv = brute_hota_single(gt, pred, alpha)
             assert h.deta[k] == deta and h.assa[k] == assa and h.hota[k] == hv
 
+    def test_empty_alpha_grid_rejected(self):
+        gt = [[(0, box(1, 1))]]
+        with pytest.raises(ValueError, match="alphas"):
+            hota(gt, gt, alphas=())
+        with pytest.raises(ValueError, match="alphas"):
+            evaluate(gt, gt, alphas=())
+
     def test_matches_brute_force_random(self, rng):
         for _ in range(10):
             gt, pred = random_scenario(rng, n_objects=int(rng.integers(1, 4)), n_frames=int(rng.integers(1, 5)))
@@ -221,6 +246,15 @@ class TestMtMl:
         gt = [[(0, box(1, 1))] for _ in range(10)]
         pred = [[(5, box(1, 1))] if t < 5 else [] for t in range(10)]
         assert mt_ml(gt, pred) == (0.0, 0.0)
+
+    def test_length_mismatch_rejected(self):
+        gt = [[(0, box(1, 1))], [(0, box(1, 1))]]
+        with pytest.raises(ValueError, match="differ in length"):
+            mt_ml(gt, [[(5, box(1, 1))]])
+
+    def test_zero_ground_truth_rejected(self):
+        with pytest.raises(ValueError, match="ground-truth"):
+            mt_ml([[], []], [[], []])
 
     def test_mixed_hand_counts(self):
         # object 0 covered 100%, object 1 covered 10%, object 2 covered 50%
@@ -256,3 +290,50 @@ class TestInvariancesAndReport:
         assert report.hota_final == hota(gt, pred).final
         mt, ml = mt_ml(gt, pred)
         assert (report.mt, report.ml) == (mt, ml)
+
+
+class TestSharedPass:
+    """``evaluate`` shares IoU matrices and matchings across metrics; every
+    field equals what the separate public functions compute."""
+
+    @pytest.mark.parametrize("alphas", [DEFAULT_ALPHAS, (0.3,), (0.5, 0.3, 0.5, 0.75)])
+    @pytest.mark.parametrize("scenario", [random_scenario, grid_scenario])
+    def test_evaluate_equals_public_functions(self, rng, alphas, scenario):
+        for _ in range(8):
+            gt, pred = scenario(rng)
+            if sum(len(f) for f in gt) == 0:
+                continue
+            cm = clear_mot(gt, pred)
+            h = hota(gt, pred, alphas)
+            mt, ml = mt_ml(gt, pred)
+            expected = MetricsReport(
+                mota=cm.mota,
+                motp=cm.motp,
+                idf1=idf1(gt, pred),
+                mt=mt,
+                ml=ml,
+                id_switches=cm.id_switches,
+                alphas=tuple(alphas),
+                deta=h.deta,
+                assa=h.assa,
+                hota=h.hota,
+                hota_final=h.final,
+            )
+            assert evaluate(gt, pred, alphas) == expected
+
+    def test_repeated_alpha_gives_repeated_entries(self, rng):
+        gt, pred = grid_scenario(rng)
+        h = hota(gt, pred, (0.5, 0.3, 0.5))
+        assert h.alphas == (0.5, 0.3, 0.5)
+        assert (h.deta[0], h.assa[0], h.hota[0]) == (h.deta[2], h.assa[2], h.hota[2])
+        single = hota(gt, pred, (0.5,))
+        assert (single.deta[0], single.assa[0]) == (h.deta[0], h.assa[0])
+
+    def test_tied_grid_matches_brute_force(self, rng):
+        for _ in range(15):
+            gt, pred = grid_scenario(rng)
+            assert clear_mot(gt, pred).mota == brute_mota(gt, pred)
+            assert idf1(gt, pred) == brute_idf1(gt, pred)
+            h = hota(gt, pred, alphas=(0.1, 0.3, 0.5, 0.7))
+            for k, alpha in enumerate(h.alphas):
+                assert (h.deta[k], h.assa[k], h.hota[k]) == brute_hota_single(gt, pred, alpha)

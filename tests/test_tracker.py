@@ -12,6 +12,8 @@ from remtrack.simulator import Detection, ScenarioConfig, detect_sequence, gener
 from remtrack.tracker import (
     TrackStats,
     TrainConfig,
+    _greedy_associate,
+    _Track,
     appearance_feature,
     regress_baseline,
     regress_from_relations,
@@ -135,6 +137,38 @@ class TestRegressionHeads:
             return ad.add(ad.add(ad.dot(a, a), ad.dot(b, b)), ad.dot(c, c))
 
         assert gradient_check(loss, store, epsilon=1e-5) < 1e-4
+
+
+def scalar_greedy_associate(tracks, detections, min_iou):
+    """The association rule written as a loop over scalar ``iou`` calls."""
+    candidates = []
+    for tid, track in tracks.items():
+        for k, det in enumerate(detections):
+            overlap = iou(det.box, track.box)
+            if overlap >= min_iou:
+                candidates.append((-overlap, tid, k))
+    matched, used = {}, set()
+    for _, tid, k in sorted(candidates):
+        if tid not in matched and k not in used:
+            matched[tid] = k
+            used.add(k)
+    return matched
+
+
+class TestGreedyAssociate:
+    def test_equals_scalar_loop_with_ties(self, rng):
+        for _ in range(200):
+            # grid boxes: equal overlaps and repeated boxes are frequent
+            tids = rng.permutation(50)[: int(rng.integers(1, 8))]
+            tracks = {
+                int(tid): _Track(int(tid), box(*rng.integers(0, 5, 2) * 0.5), box(0, 0), np.zeros(4))
+                for tid in tids
+            }
+            dets = [Detection(box(*rng.integers(0, 5, 2) * 0.5)) for _ in range(int(rng.integers(0, 8)))]
+            min_iou = float(rng.choice([0.1, 0.3, 1.0 / 3.0, 0.5]))
+            got = _greedy_associate(tracks, dets, min_iou)
+            assert got == scalar_greedy_associate(tracks, dets, min_iou)
+            assert all(type(tid) is int and type(k) is int for tid, k in got.items())
 
 
 class TestTrackSequence:
