@@ -7,6 +7,14 @@ in the same order give the same bits. Results may depend on the order of
 summed terms, so callers that need order independence fix the order
 themselves (the relation module sorts each receiver's neighbors by content).
 
+Weight gradients are formed as row factors, not as dense outer products. A
+backward closure returns the gradient of a weight as ``_Rows(u, v)``, which
+stands for ``u.T @ v`` (a 1-D ``u`` or ``v`` is one row). ``backward``
+collects the factors of each leaf parameter over the whole sweep and reduces
+them with one matrix product per parameter at the end, so a weight used by a
+hundred calls costs one product instead of a hundred dense temporaries. The
+reduction order is fixed by the tape, so gradients still repeat bit for bit.
+
 Also provides parameter management (stores with Xavier-initialized matrices,
 Adam, JSON-checkpoint-ready state) and a central finite-difference gradient
 checker. ``no_grad`` switches tape recording off for the whole process.
@@ -16,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -91,6 +99,18 @@ class Tensor:
 
 def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
+
+
+class _Rows(NamedTuple):
+    """Gradient ``u.T @ v`` of a 2-D parent held as row factors; a 1-D ``u``
+    or ``v`` is a single row."""
+
+    u: np.ndarray
+    v: np.ndarray
+
+
+def _reduce_rows(us: list[np.ndarray], vs: list[np.ndarray]) -> np.ndarray:
+    return np.vstack(us).T @ np.vstack(vs)
 
 
 def _make(data: np.ndarray, parents: tuple[Tensor, ...], backward_fn) -> Tensor:
@@ -189,13 +209,13 @@ def affine(w: Tensor, x: Tensor, b: Tensor | None = None) -> Tensor:
         parents = (w, x, b)
 
         def bw(g):
-            return (g[:, None] * x_data, w_data.T @ g, g)
+            return (_Rows(g, x_data), w_data.T @ g, g)
 
     else:
         parents = (w, x)
 
         def bw(g):
-            return (g[:, None] * x_data, w_data.T @ g)
+            return (_Rows(g, x_data), w_data.T @ g)
 
     return _make(data, parents, bw)
 
@@ -365,7 +385,10 @@ def backward(loss: Tensor) -> None:
     loss.grad = np.ones((), dtype=np.float64)
     # Reversed topological order: a node's grad is complete before its
     # backward runs, so the first contribution may alias the source buffer
-    # as long as accumulation stays out-of-place.
+    # as long as accumulation stays out-of-place. Row factors for a leaf wait
+    # until the sweep ends; an inner node needs its gradient before its own
+    # closure runs, so its factors are multiplied out at once.
+    rows: dict[Tensor, tuple[list[np.ndarray], list[np.ndarray]]] = {}
     for node in reversed(topo):
         if node._backward is None or node.grad is None:
             continue
@@ -373,10 +396,20 @@ def backward(loss: Tensor) -> None:
         for parent, contrib in zip(node._parents, contribs):
             if contrib is None or not parent.requires_grad:
                 continue
+            if isinstance(contrib, _Rows):
+                if parent._backward is None:
+                    us, vs = rows.setdefault(parent, ([], []))
+                    us.append(contrib.u)
+                    vs.append(contrib.v)
+                    continue
+                contrib = _reduce_rows([contrib.u], [contrib.v])
             if parent.grad is None:
                 parent.grad = np.asarray(contrib, dtype=np.float64)
             else:
                 parent.grad = parent.grad + contrib
+    for parent, (us, vs) in rows.items():
+        total = _reduce_rows(us, vs)
+        parent.grad = total if parent.grad is None else parent.grad + total
 
 
 # ---------------------------------------------------------------------------
@@ -458,13 +491,22 @@ def adam_step(
         v = store._adam_v[name]
         store._adam_t[name] += 1
         t = store._adam_t[name]
+        # Two work arrays per parameter instead of a temporary per
+        # operation, in the operation order of lr * m_hat / (sqrt(v_hat) + eps).
+        step = np.multiply(g, 1.0 - beta1)
         m *= beta1
-        m += (1.0 - beta1) * g
+        m += step
+        np.multiply(g, 1.0 - beta2, out=step)
+        step *= g
         v *= beta2
-        v += (1.0 - beta2) * g * g
-        m_hat = m / (1.0 - beta1**t)
-        v_hat = v / (1.0 - beta2**t)
-        param.data -= lr * m_hat / (np.sqrt(v_hat) + eps)
+        v += step
+        denom = np.divide(v, 1.0 - beta2**t)
+        np.sqrt(denom, out=denom)
+        denom += eps
+        np.divide(m, 1.0 - beta1**t, out=step)
+        step *= lr
+        step /= denom
+        param.data -= step
     store.clear_grads()
 
 
@@ -533,7 +575,10 @@ def gru_cell(params: GruCellParams, x: Tensor, h_prev: Tensor) -> Tensor:
     """Standard GRU update: h = (1-z)*h_prev + z*h_cand.
 
     Fused into one tape node: the whole cell would otherwise dominate the
-    graph with a dozen small nodes per call.
+    graph with a dozen small nodes per call. Each gate weight's gradient is
+    returned as one row factor (the gate's pre-activation gradient times the
+    input or state it multiplied), which ``backward`` reduces together with
+    every other call's row in one product per weight.
     """
     _check_vector(x, "gru input")
     _check_vector(h_prev, "gru hidden")
@@ -558,14 +603,14 @@ def gru_cell(params: GruCellParams, x: Tensor, h_prev: Tensor) -> Tensor:
         dx = p.w_z.data.T @ daz + p.w_r.data.T @ dar + p.w_h.data.T @ dah
         dh = g * (1.0 - z) + p.u_z.data.T @ daz + p.u_r.data.T @ dar + drh * r
         return (
-            daz[:, None] * xd,  # w_z
-            daz[:, None] * hd,  # u_z
+            _Rows(daz, xd),  # w_z
+            _Rows(daz, hd),  # u_z
             daz,  # b_z
-            dar[:, None] * xd,  # w_r
-            dar[:, None] * hd,  # u_r
+            _Rows(dar, xd),  # w_r
+            _Rows(dar, hd),  # u_r
             dar,  # b_r
-            dah[:, None] * xd,  # w_h
-            dah[:, None] * rh,  # u_h
+            _Rows(dah, xd),  # w_h
+            _Rows(dah, rh),  # u_h
             dah,  # b_h
             dx,
             dh,

@@ -128,8 +128,6 @@ def _load_training_sequences(args) -> list:
 
 
 def _cmd_train(args) -> int:
-    sequences = _load_training_sequences(args)
-    store, rem_params, trk_params = _build_model(args.dim, args.app_dim, args.seed)
     cfg = TrainConfig(
         window=args.window,
         epochs=args.epochs,
@@ -140,6 +138,8 @@ def _cmd_train(args) -> int:
         det_size_std=args.det_size_std,
         occlusion_cutoff=args.occlusion_cutoff,
     )
+    sequences = _load_training_sequences(args)
+    store, rem_params, trk_params = _build_model(args.dim, args.app_dim, args.seed)
     result = train(store, trk_params, rem_params, sequences, cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -201,8 +201,10 @@ def _attend(
 
     The maths of ``message`` and ``attention_coefficients`` followed by the
     weighted sum, with the k senders stacked as rows X = [v_i || v_j || d_ij]:
-    every per-sender product is one k-row matrix product, and so is every
-    weight gradient in the backward closure.
+    every per-sender product is one k-row matrix product. The backward
+    closure returns each weight gradient as row factors (k rows for the
+    message weights, one row for the attention weights), which
+    ``ad.backward`` reduces together with every other receiver's rows.
     """
     p, f = params, params.dim
     x = np.empty((len(senders), 2 * f + 1))
@@ -232,12 +234,12 @@ def _attend(
         d_x = d_a1 @ p.w_m1.data
         d_senders = d_x[:, f : 2 * f] + np.outer(d_scores, query @ p.w_a2.data)
         return (
-            d_a1.T @ x,  # w_m1
+            ad._Rows(d_a1, x),  # w_m1
             d_a1.sum(axis=0),  # b_m1
-            d_a2.T @ hidden,  # w_m2
+            ad._Rows(d_a2, hidden),  # w_m2
             d_a2.sum(axis=0),  # b_m2
-            np.outer(d_query, v_i.data),  # w_a1
-            np.outer(query, d_scores @ v_n),  # w_a2
+            ad._Rows(d_query, v_i.data),  # w_a1
+            ad._Rows(query, d_scores @ v_n),  # w_a2
             d_x[:, :f].sum(axis=0) + p.w_a1.data.T @ d_query,  # v_i
             *d_senders,
         )
@@ -314,6 +316,11 @@ def _phi(a: np.ndarray, b: np.ndarray) -> float:
     return 1.0 - min(c * c, 1.0)
 
 
+def _check_window(window: int) -> None:
+    if window < 1:
+        raise ValueError(f"relation importance window must be >= 1, got {window}")
+
+
 def _window_node_features(
     params: RemParameters, graph: SpatioTemporalGraph, t: int, window: int
 ) -> list[dict[int, Tensor]]:
@@ -365,6 +372,7 @@ def relation_importance(
     trailing window so the two sides are directly comparable. Asymmetric in
     general.
     """
+    _check_window(window)
     if i == j:
         raise ValueError("relation importance needs two distinct instances")
     frame = graph.frames[t]
@@ -386,6 +394,7 @@ def relation_importance_records(
     frames: Sequence[int] | None = None,
 ) -> list[tuple[int, int, int, float]]:
     """(t, i, j, R) for every ordered pair within the gate at each frame."""
+    _check_window(window)
     records: list[tuple[int, int, int, float]] = []
     frame_ids = range(graph.n_frames) if frames is None else frames
     with ad.no_grad():

@@ -37,6 +37,10 @@ class SpatioTemporalGraph:
     d_th: float
     frames: list[GraphFrame] = field(default_factory=list)
 
+    def __post_init__(self):
+        if not self.d_th > 0:
+            raise ValueError(f"d_th must be positive, got {self.d_th}")
+
     @property
     def n_frames(self) -> int:
         return len(self.frames)
@@ -78,8 +82,6 @@ def build_graph(
     frames: Sequence[Iterable[tuple[int, BoundingBox]]], d_th: float
 ) -> SpatioTemporalGraph:
     """Build the full graph from per-frame (instance id, box) sets."""
-    if d_th <= 0:
-        raise ValueError("d_th must be positive")
     graph = SpatioTemporalGraph(d_th=d_th)
     for t, frame in enumerate(frames):
         nodes: dict[int, BoundingBox] = {}

@@ -84,6 +84,8 @@ class TrackerParameters:
         rng: np.random.Generator | None = None,
         prefix: str = "trk",
     ) -> "TrackerParameters":
+        if app_dim < 1:
+            raise ValueError(f"appearance dimension must be >= 1, got {app_dim}")
         rng = rng if rng is not None else np.random.default_rng(0)
         params = cls(
             enc_w=store.matrix(f"{prefix}.enc_w", app_dim, APPEARANCE_INPUTS, rng),
@@ -313,6 +315,19 @@ class TrainConfig:
     det_size_std: float = 0.05
     occlusion_cutoff: float = DEFAULT_OCCLUSION_CUTOFF
     seed: int = 0
+
+    def __post_init__(self):
+        if self.window < 1:
+            raise ValueError(f"training window must be >= 1, got {self.window}")
+        if self.epochs < 1:
+            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
+        if not (math.isfinite(self.lr) and self.lr >= 0.0):
+            raise ValueError(f"learning rate must be finite and >= 0, got {self.lr}")
+        for name in ("beta1", "beta2"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ValueError(f"Adam {name} must lie in [0, 1), got {getattr(self, name)}")
+        if not self.eps > 0.0:
+            raise ValueError(f"Adam eps must be > 0, got {self.eps}")
 
 
 @dataclass

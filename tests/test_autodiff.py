@@ -151,6 +151,21 @@ class TestAdam:
         with pytest.raises(ValueError, match="'beta'"):
             adam_step(store)
 
+    def test_matches_textbook_update_bitwise(self):
+        rng = np.random.default_rng(55)
+        store = ParameterStore()
+        p = store.register("p", Tensor(rng.normal(size=(5, 3))))
+        data, m, v = p.data.copy(), np.zeros((5, 3)), np.zeros((5, 3))
+        lr, beta1, beta2, eps = 3e-3, 0.9, 0.999, 1e-8
+        for t in range(1, 6):
+            g = rng.normal(size=(5, 3)) * 10.0 ** rng.integers(-6, 3)
+            p.grad = g.copy()
+            adam_step(store, lr=lr, beta1=beta1, beta2=beta2, eps=eps)
+            m = beta1 * m + (1.0 - beta1) * g
+            v = beta2 * v + (1.0 - beta2) * g * g
+            data = data - lr * (m / (1.0 - beta1**t)) / (np.sqrt(v / (1.0 - beta2**t)) + eps)
+            assert np.array_equal(p.data, data)
+
     def test_gradients_cleared_after_step(self):
         store = ParameterStore()
         p = store.register("p", Tensor(np.ones(2)))
@@ -281,3 +296,108 @@ class TestDeterminismAndInvariants:
         store.register("p", Tensor(np.zeros(1)))
         with pytest.raises(ValueError, match="already registered"):
             store.register("p", Tensor(np.zeros(1)))
+
+
+def assert_close_rel(got, expected, rtol=1e-12):
+    assert got.shape == expected.shape
+    assert np.max(np.abs(got - expected)) <= rtol * np.max(np.abs(expected))
+
+
+def dense_gru_grads(cell, xs, h0, g_out):
+    """Gradients of dot(h_T, g_out) through a chain of GRU steps, each weight
+    gradient summed as one dense outer product per step."""
+    sig = lambda a: 1.0 / (1.0 + np.exp(-a))  # noqa: E731
+    steps, h = [], h0
+    for x in xs:
+        z = sig(cell.w_z.data @ x + cell.b_z.data + cell.u_z.data @ h)
+        r = sig(cell.w_r.data @ x + cell.b_r.data + cell.u_r.data @ h)
+        cand = np.tanh(cell.w_h.data @ x + cell.b_h.data + cell.u_h.data @ (r * h))
+        steps.append((x, h, z, r, cand))
+        h = h + z * (cand - h)
+    grads = {name: np.zeros_like(getattr(cell, name).data) for name in
+             ("w_z", "u_z", "b_z", "w_r", "u_r", "b_r", "w_h", "u_h", "b_h")}
+    g = g_out
+    for x, h, z, r, cand in reversed(steps):
+        daz = g * (cand - h) * z * (1.0 - z)
+        dah = g * z * (1.0 - cand * cand)
+        drh = cell.u_h.data.T @ dah
+        dar = drh * h * r * (1.0 - r)
+        for gate, d, rec in (("z", daz, h), ("r", dar, h), ("h", dah, r * h)):
+            grads[f"w_{gate}"] += np.outer(d, x)
+            grads[f"u_{gate}"] += np.outer(d, rec)
+            grads[f"b_{gate}"] += d
+        g = g * (1.0 - z) + cell.u_z.data.T @ daz + cell.u_r.data.T @ dar + drh * r
+    return grads
+
+
+class TestFactoredWeightGradients:
+    """Weight gradients travel as row factors and are reduced once per sweep."""
+
+    def test_affine_weight_gradient_equals_outer_product_sum(self):
+        rng = np.random.default_rng(50)
+        store = ParameterStore()
+        w = store.register("w", Tensor(rng.normal(size=(4, 3))))
+        b = store.register("b", Tensor(rng.normal(size=4)))
+        xs = [rng.normal(size=3) for _ in range(5)]
+        cs = [rng.normal(size=4) for _ in range(5)]
+        loss = ad.dot(ad.affine(w, Tensor(xs[0]), b), Tensor(cs[0]))
+        for x, c in zip(xs[1:], cs[1:]):
+            loss = loss + ad.dot(ad.affine(w, Tensor(x)), Tensor(c))
+        backward(loss)
+        assert_close_rel(w.grad, sum(np.outer(c, x) for x, c in zip(xs, cs)))
+        assert np.array_equal(b.grad, cs[0])
+
+    def test_gru_weight_gradients_equal_outer_product_sums(self):
+        rng = np.random.default_rng(51)
+        store = ParameterStore()
+        cell = GruCellParams.create(store, "g", 6, 6, rng)
+        for name in ("b_z", "b_r", "b_h"):
+            getattr(cell, name).data[:] = rng.normal(size=6)
+        xs = [rng.normal(size=6) for _ in range(4)]
+        h0, g_out = rng.normal(size=6), rng.normal(size=6)
+        h = Tensor(h0)
+        for x in xs:
+            h = gru_cell(cell, Tensor(x), h)
+        backward(ad.dot(h, Tensor(g_out)))
+        for name, expected in dense_gru_grads(cell, xs, h0, g_out).items():
+            assert_close_rel(getattr(cell, name).grad, expected)
+
+    def test_weight_that_is_not_a_leaf_passes_gradient_check(self):
+        # tanh(w) is an inner node, so its factors are multiplied out before
+        # its own closure runs
+        rng = np.random.default_rng(52)
+        store = ParameterStore()
+        w = store.register("w", Tensor(rng.normal(size=(3, 4))))
+        x1, x2 = Tensor(rng.normal(size=4)), Tensor(rng.normal(size=4))
+        c = Tensor(rng.normal(size=3))
+
+        def loss():
+            tw = ad.tanh(w)
+            return ad.dot(ad.affine(tw, x1), c) + ad.dot(ad.tanh(ad.affine(tw, x2)), c)
+
+        assert gradient_check(loss, store, epsilon=1e-5) < 1e-4
+
+    def test_factor_and_dense_contributions_add(self):
+        rng = np.random.default_rng(53)
+        store = ParameterStore()
+        p = store.register("p", Tensor(rng.normal(size=(3, 4))))
+        x1, x2 = rng.normal(size=4), rng.normal(size=4)
+        c1, c2 = rng.normal(size=3), rng.normal(size=3)
+        loss = ad.dot(ad.affine(p, Tensor(x1)), Tensor(c1)) + ad.dot(
+            ad.affine(ad.tanh(p), Tensor(x2)), Tensor(c2)
+        )
+        backward(loss)
+        t = np.tanh(p.data)
+        assert_close_rel(p.grad, np.outer(c1, x1) + (1.0 - t * t) * np.outer(c2, x2))
+
+    def test_backward_adds_to_existing_grad(self):
+        rng = np.random.default_rng(54)
+        store = ParameterStore()
+        w = store.register("w", Tensor(rng.normal(size=(2, 3))))
+        b = store.register("b", Tensor(rng.normal(size=2)))
+        x, c = rng.normal(size=3), rng.normal(size=2)
+        w0, b0 = rng.normal(size=(2, 3)), rng.normal(size=2)
+        w.grad, b.grad = w0.copy(), b0.copy()
+        backward(ad.dot(ad.affine(w, Tensor(x), b), Tensor(c)))
+        assert_close_rel(w.grad, w0 + np.outer(c, x))
+        assert np.array_equal(b.grad, b0 + c)

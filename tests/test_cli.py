@@ -288,6 +288,53 @@ class TestErrors:
         assert code == 1
         assert "dims must be a JSON object" in self.one_line_error(capsys)
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["train", "--epochs", "0"], "epochs must be >= 1, got 0"),
+            (["train", "--window", "0"], "training window must be >= 1, got 0"),
+            (["train", "--window", "-2"], "training window must be >= 1, got -2"),
+            (["train", "--lr", "nan"], "learning rate must be finite and >= 0, got nan"),
+            (["train", "--app-dim", "0", "--gen-sequences", "1"], "appearance dimension must be >= 1, got 0"),
+            (["ablate", "--epochs", "0", "--gen-sequences", "1"], "epochs must be >= 1, got 0"),
+        ],
+        ids=["train-epochs-0", "train-window-0", "train-window-negative", "train-lr-nan", "train-app-dim-0",
+             "ablate-epochs-0"],
+    )
+    def test_bad_training_setting(self, tmp_path, capsys, argv, message):
+        code = run(argv + ["--out", str(tmp_path / "out")])
+        assert code == 1
+        assert message in self.one_line_error(capsys)
+        assert not (tmp_path / "out").exists()
+
+    def test_gradcheck_empty_appearance_encoder(self, capsys):
+        code = run(["gradcheck", "--dim", "3", "--app-dim", "0"])
+        assert code == 1
+        assert "appearance dimension must be >= 1, got 0" in self.one_line_error(capsys)
+
+    @pytest.mark.parametrize(
+        "command, extra, message",
+        [
+            ("track", ["--d-th", "-5"], "d_th must be positive, got -5.0"),
+            ("track", ["--d-th", "0"], "d_th must be positive, got 0.0"),
+            ("relations", ["--d-th", "-5"], "d_th must be positive, got -5.0"),
+            ("relations", ["--window", "0"], "window must be >= 1, got 0"),
+        ],
+        ids=["track-d-th-negative", "track-d-th-zero", "relations-d-th-negative", "relations-window-0"],
+    )
+    def test_bad_graph_setting(self, tmp_path, capsys, command, extra, message):
+        from remtrack.cli import _build_model, _model_dims
+
+        scenario, _ = write_scenario(tmp_path)
+        store, rem_params, trk_params = _build_model(4, 3, seed=0)
+        ckpt = tmp_path / "ckpt.json"
+        ckpt.write_text(rio.checkpoint_to_json(store, _model_dims(rem_params, trk_params)))
+        out = tmp_path / "out"
+        code = run([command, "--scenario", str(scenario), "--checkpoint", str(ckpt), "--out", str(out), *extra])
+        assert code == 1
+        assert message in self.one_line_error(capsys)
+        assert not out.exists()
+
     def test_no_arguments_is_usage_error(self, capsys):
         assert run([]) == 2
 

@@ -202,6 +202,88 @@ class TestFusedReceiver:
 
         assert gradient_check(loss, store, epsilon=1e-5) < 1e-4
 
+    @pytest.mark.parametrize("k", [1, 2, 7])
+    def test_weight_gradients_equal_outer_product_sums(self, k):
+        # two receivers share the weights, so each gradient reduces rows from
+        # both calls
+        store, params = make_rem(dim=6, seed=46 + k)
+        rng = np.random.default_rng(47 + k)
+        calls = [
+            (rng.normal(size=6), [rng.normal(size=6) for _ in range(k)], rng.uniform(0.0, 5.0, size=k),
+             rng.normal(size=6))
+            for _ in range(2)
+        ]
+        loss = None
+        for v_i, senders, distances, g in calls:
+            out = _attend(params, Tensor(v_i), [Tensor(v) for v in senders], distances)
+            term = ad.dot(out, Tensor(g))
+            loss = term if loss is None else loss + term
+        ad.backward(loss)
+        expected = {name: np.zeros_like(store[f"rem.{name}"].data) for name in ("w_m1", "w_m2", "w_a1", "w_a2")}
+        for call in calls:
+            for name, grad in dense_attend_weight_grads(params, *call).items():
+                expected[name] += grad
+        for name, grad in expected.items():
+            assert_close_rel(store[f"rem.{name}"].grad, grad)
+
+
+def dense_attend_weight_grads(params, v_i, senders, distances, g):
+    """Weight gradients of dot(sum_j alpha_ij m_ij, g), one sender at a time,
+    each a sum of dense outer products."""
+    leaky = lambda a, s: np.where(a >= 0, a, s * a)  # noqa: E731
+    slope = lambda a, s: np.where(a >= 0, 1.0, s)  # noqa: E731
+    p = params
+    query = p.w_a1.data @ v_i
+    per_sender = []
+    for v_j, d in zip(senders, distances):
+        x = np.concatenate([v_i, v_j, [d]])
+        a1 = p.w_m1.data @ x + p.b_m1.data
+        a2 = p.w_m2.data @ leaky(a1, 0.1) + p.b_m2.data
+        score = (p.w_a2.data @ v_j) @ query
+        per_sender.append((x, a1, a2, leaky(a2, 0.1), score))
+    logits = np.array([leaky(s, 0.2) for *_, s in per_sender])
+    alphas = np.exp(logits - logits.max()) / np.exp(logits - logits.max()).sum()
+    d_alphas = np.array([m @ g for *_, m, _ in per_sender])
+    inner = alphas @ d_alphas
+    grads = {name: np.zeros_like(getattr(p, name).data) for name in ("w_m1", "w_m2", "w_a1", "w_a2")}
+    for alpha, d_alpha, v_j, (x, a1, a2, _, score) in zip(alphas, d_alphas, senders, per_sender):
+        d_a2 = alpha * g * slope(a2, 0.1)
+        d_a1 = (p.w_m2.data.T @ d_a2) * slope(a1, 0.1)
+        d_score = alpha * (d_alpha - inner) * slope(score, 0.2)
+        grads["w_m1"] += np.outer(d_a1, x)
+        grads["w_m2"] += np.outer(d_a2, leaky(a1, 0.1))
+        grads["w_a1"] += d_score * np.outer(p.w_a2.data @ v_j, v_i)
+        grads["w_a2"] += d_score * np.outer(query, v_j)
+    return grads
+
+
+class TestFactoredBackward:
+    def test_no_closure_returns_a_dense_weight_gradient(self):
+        # every 2-D parent on the training tape (REM, GRUs, tracker heads)
+        # gets its gradient as row factors
+        from remtrack.cli import gradcheck_loss_builder
+
+        store, loss_fn = gradcheck_loss_builder(seed=3, dim=4, app_dim=3)
+        loss = loss_fn()
+        nodes, todo, seen = [], [loss], set()
+        while todo:
+            node = todo.pop()
+            if id(node) in seen:
+                continue
+            seen.add(id(node))
+            nodes.append(node)
+            todo.extend(node._parents)
+        covered = set()
+        for node in nodes:
+            if node._backward is None:
+                continue
+            contribs = node._backward(np.ones_like(node.data))
+            for parent, contrib in zip(node._parents, contribs):
+                if parent.requires_grad and parent.data.ndim == 2:
+                    assert isinstance(contrib, ad._Rows), (node, parent)
+                    covered.add(id(parent))
+        assert covered == {id(store[name]) for name in store.names() if store[name].data.ndim == 2}
+
 
 class TestSpatiotemporalUpdate:
     def test_zero_weights_halve_relation_state(self):
@@ -351,6 +433,14 @@ class TestRelationImportance:
         graph = build_graph(frames, d_th=5.0)
         assert all(graph.spatial_edges(t) == () for t in range(3))
         assert relation_importance(params, graph, 2, 0, 1) == 0.0
+
+    def test_window_below_one_rejected(self):
+        store, params = make_rem(dim=4, seed=27)
+        graph = build_graph([[(0, box(0, 0)), (1, box(1, 0))]], d_th=5.0)
+        with pytest.raises(ValueError, match="window must be >= 1, got 0"):
+            relation_importance(params, graph, 0, 0, 1, window=0)
+        with pytest.raises(ValueError, match="window must be >= 1, got -3"):
+            relation_importance_records(params, graph, window=-3)
 
     def test_phi_identical_zero_orthogonal_one(self):
         from remtrack.rem import _phi

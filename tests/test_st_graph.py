@@ -1,7 +1,7 @@
 import pytest
 
 from remtrack.geometry import BoundingBox, scaled_distance
-from remtrack.st_graph import build_graph, update_graph
+from remtrack.st_graph import SpatioTemporalGraph, build_graph, update_graph
 
 
 def box(cx, cy, w=2.0, h=2.0):
@@ -61,6 +61,14 @@ class TestBuildGraph:
             g = build_graph(frames, d_th=4.0)
             for t, frame in enumerate(frames):
                 assert set(g.spatial_edges(t)) == brute_force_edges(frame, 4.0)
+
+    @pytest.mark.parametrize("d_th", [0.0, -5.0, float("nan")])
+    def test_non_positive_threshold_rejected(self, d_th):
+        # checked where every graph is made, incremental graphs included
+        with pytest.raises(ValueError, match="d_th must be positive"):
+            SpatioTemporalGraph(d_th=d_th)
+        with pytest.raises(ValueError, match="d_th must be positive"):
+            build_graph([[(0, box(1, 1))]], d_th=d_th)
 
     def test_duplicate_instance_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):

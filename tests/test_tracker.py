@@ -298,6 +298,36 @@ class TestDefaults:
         assert sig.parameters["assoc_iou"].default == 0.3
 
 
+class TestTrainConfig:
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"epochs": -1}, "epochs must be >= 1"),
+            ({"lr": float("inf")}, "learning rate must be finite"),
+            ({"lr": -1e-4}, "learning rate must be finite and >= 0"),
+            ({"beta1": 1.0}, "beta1 must lie in"),
+            ({"beta1": -0.1}, "beta1 must lie in"),
+            ({"beta2": 1.0}, "beta2 must lie in"),
+            ({"beta2": float("nan")}, "beta2 must lie in"),
+            ({"eps": 0.0}, "eps must be > 0"),
+            ({"eps": float("nan")}, "eps must be > 0"),
+        ],
+    )
+    def test_rejects_out_of_range_fields(self, fields, message):
+        with pytest.raises(ValueError, match=message):
+            TrainConfig(**fields)
+
+    def test_boundary_values_accepted(self):
+        TrainConfig(window=1, epochs=1, lr=0.0, beta1=0.0, beta2=0.0, eps=1e-300)
+
+
+class TestTrackerParameters:
+    @pytest.mark.parametrize("app_dim", [0, -1])
+    def test_rejects_empty_appearance_encoder(self, app_dim):
+        with pytest.raises(ValueError, match="appearance dimension must be >= 1"):
+            make_model(dim=4, app_dim=app_dim)
+
+
 class TestTrain:
     def small_data(self, n=2, seed0=30):
         return [
