@@ -109,8 +109,13 @@ class _Rows(NamedTuple):
     v: np.ndarray
 
 
+def _stack_rows(parts: list[np.ndarray]) -> np.ndarray:
+    # one array filled with every row in order, without a 2-D view per row
+    return np.concatenate(parts, axis=None).reshape(-1, parts[0].shape[-1])
+
+
 def _reduce_rows(us: list[np.ndarray], vs: list[np.ndarray]) -> np.ndarray:
-    return np.vstack(us).T @ np.vstack(vs)
+    return _stack_rows(us).T @ _stack_rows(vs)
 
 
 def _make(data: np.ndarray, parents: tuple[Tensor, ...], backward_fn) -> Tensor:
@@ -621,6 +626,16 @@ def gru_cell(params: GruCellParams, x: Tensor, h_prev: Tensor) -> Tensor:
         (p.w_z, p.u_z, p.b_z, p.w_r, p.u_r, p.b_r, p.w_h, p.u_h, p.b_h, x, h_prev),
         bw,
     )
+
+
+def _gru_rows(params: GruCellParams, x: np.ndarray, h_prev: np.ndarray) -> np.ndarray:
+    """``gru_cell``'s forward for every row of ``x`` and ``h_prev`` at once,
+    without a tape."""
+    p = params
+    z = _sigmoid_stable(x @ p.w_z.data.T + p.b_z.data + h_prev @ p.u_z.data.T)
+    r = _sigmoid_stable(x @ p.w_r.data.T + p.b_r.data + h_prev @ p.u_r.data.T)
+    cand = np.tanh(x @ p.w_h.data.T + p.b_h.data + (r * h_prev) @ p.u_h.data.T)
+    return h_prev + z * (cand - h_prev)
 
 
 # ---------------------------------------------------------------------------

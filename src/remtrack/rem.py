@@ -15,12 +15,19 @@ equal in all of these give identical rows. Node-level work (``node_feature``,
 on how many other nodes share its frame. Together these make relabeling
 instances permute the outputs bitwise, and leave an isolated instance's
 embedding bitwise independent of the rest of the scene.
+
+Relation importance replays each receiver's trailing window once. Node
+features never depend on relation embeddings, so a receiver's message block
+at each step is computed once and shared by the full replay and all of its
+leave-one-out drops; each drop only re-weights the block without its row.
+The drops run as one batch whose rows follow the receiver's canonical
+neighbor order, so their values too permute bitwise under relabeling.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -194,36 +201,64 @@ def _leaky(x: np.ndarray, slope: float) -> np.ndarray:
     return np.where(x >= 0, x, slope * x)
 
 
+class _Block(NamedTuple):
+    """Receiver i's messages and attention logits, one row per sender."""
+
+    x: np.ndarray  # rows [v_i || v_j || d_ij]
+    a1: np.ndarray
+    hidden: np.ndarray
+    a2: np.ndarray
+    msgs: np.ndarray
+    query: np.ndarray
+    keys: np.ndarray
+    scores: np.ndarray
+    logits: np.ndarray
+
+
+def _message_block(
+    params: RemParameters, v_i: np.ndarray, senders: Sequence[np.ndarray], distances: np.ndarray
+) -> _Block:
+    """The maths of ``message`` and ``attention_coefficients`` for k senders,
+    each per-sender product done as one k-row matrix product."""
+    p, f = params, params.dim
+    x = np.empty((len(senders), 2 * f + 1))
+    x[:, :f] = v_i
+    for row, v_j in enumerate(senders):
+        x[row, f : 2 * f] = v_j
+    x[:, 2 * f] = distances
+    a1 = x @ p.w_m1.data.T + p.b_m1.data
+    hidden = _leaky(a1, SIGMA_SLOPE)
+    a2 = hidden @ p.w_m2.data.T + p.b_m2.data
+    msgs = _leaky(a2, SIGMA_SLOPE)
+    query = p.w_a1.data @ v_i
+    keys = x[:, f : 2 * f] @ p.w_a2.data.T
+    scores = keys @ query
+    return _Block(x, a1, hidden, a2, msgs, query, keys, scores, _leaky(scores, ATTENTION_SLOPE))
+
+
+def _softmax_sum(logits: np.ndarray, msgs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Attention weights over the rows of a block and the weighted sum."""
+    exps = np.exp(logits - np.max(logits))
+    alphas = exps / np.sum(exps)
+    return alphas, alphas @ msgs
+
+
 def _attend(
     params: RemParameters, v_i: Tensor, senders: Sequence[Tensor], distances: np.ndarray
 ) -> Tensor:
     """sum_j alpha_ij m_ij over receiver i's k senders, as one tape node.
 
-    The maths of ``message`` and ``attention_coefficients`` followed by the
-    weighted sum, with the k senders stacked as rows X = [v_i || v_j || d_ij]:
-    every per-sender product is one k-row matrix product. The backward
-    closure returns each weight gradient as row factors (k rows for the
-    message weights, one row for the attention weights), which
+    The forward is ``_message_block`` followed by ``_softmax_sum``. The
+    backward closure returns each weight gradient as row factors (k rows for
+    the message weights, one row for the attention weights), which
     ``ad.backward`` reduces together with every other receiver's rows.
     """
     p, f = params, params.dim
-    x = np.empty((len(senders), 2 * f + 1))
-    x[:, :f] = v_i.data
-    for row, v_j in enumerate(senders):
-        x[row, f : 2 * f] = v_j.data
-    x[:, 2 * f] = distances
+    x, a1, hidden, a2, msgs, query, keys, scores, logits = _message_block(
+        params, v_i.data, [v_j.data for v_j in senders], distances
+    )
     v_n = x[:, f : 2 * f]
-    a1 = x @ p.w_m1.data.T + p.b_m1.data
-    hidden = _leaky(a1, SIGMA_SLOPE)
-    a2 = hidden @ p.w_m2.data.T + p.b_m2.data
-    msgs = _leaky(a2, SIGMA_SLOPE)
-    query = p.w_a1.data @ v_i.data
-    keys = v_n @ p.w_a2.data.T
-    scores = keys @ query
-    logits = _leaky(scores, ATTENTION_SLOPE)
-    exps = np.exp(logits - np.max(logits))
-    alphas = exps / np.sum(exps)
-    out = alphas @ msgs
+    alphas, out = _softmax_sum(logits, msgs)
 
     def bw(g):
         d_alphas = msgs @ g
@@ -247,28 +282,31 @@ def _attend(
     return ad._make(out, (p.w_m1, p.b_m1, p.w_m2, p.b_m2, p.w_a1, p.w_a2, v_i, *senders), bw)
 
 
+def _canonical_senders(
+    frame: GraphFrame, v: Mapping[int, Tensor], i: int
+) -> tuple[list[int], np.ndarray]:
+    """i's spatial neighbors in the canonical order (distance, box, node
+    feature), and their distances to i."""
+    keyed = []
+    for j in frame.neighbors[i]:
+        b = frame.boxes[j]
+        keyed.append(((frame.distance(i, j), b.cx, b.cy, b.w, b.h, v[j].data.tobytes()), j))
+    keyed.sort(key=lambda pair: pair[0])
+    return [j for _, j in keyed], np.array([key[0] for key, _ in keyed])
+
+
 def _relation_update(
     params: RemParameters,
     frame: GraphFrame,
     v: Mapping[int, Tensor],
     i: int,
     r_prev: Tensor | None,
-    exclude: int | None = None,
 ) -> Tensor:
     """Relation embedding of instance i: attention over messages from its
-    spatial neighbors, less ``exclude``, then the spatiotemporal update.
-
-    Neighbors enter in the canonical order (distance, box, node feature)."""
-    keyed = []
-    for j in frame.neighbors[i]:
-        if j != exclude:
-            b = frame.boxes[j]
-            keyed.append(((frame.distance(i, j), b.cx, b.cy, b.w, b.h, v[j].data.tobytes()), j))
-    if keyed:
-        keyed.sort(key=lambda pair: pair[0])
-        aggregated = _attend(
-            params, v[i], [v[j] for _, j in keyed], np.array([key[0] for key, _ in keyed])
-        )
+    spatial neighbors, then the spatiotemporal update."""
+    senders, distances = _canonical_senders(frame, v, i)
+    if senders:
+        aggregated = _attend(params, v[i], [v[j] for j in senders], distances)
     else:
         aggregated = Tensor(np.zeros(params.dim))
     return spatiotemporal_update(params, v[i], aggregated, r_prev)
@@ -333,28 +371,84 @@ def _window_node_features(
     return out
 
 
-def _replay_relation(
+def _masked_sums(logits: np.ndarray, msgs: np.ndarray, rows: Sequence[int]) -> np.ndarray:
+    """``_softmax_sum``'s weighted sum once per entry of ``rows``, each with
+    that row of the block left out; zeros where no row is left."""
+    if len(logits) == 1:
+        return np.zeros((len(rows), msgs.shape[1]))
+    masked = np.repeat(logits[None, :], len(rows), axis=0)
+    masked[np.arange(len(rows)), rows] = -np.inf
+    exps = np.exp(masked - np.max(masked, axis=1, keepdims=True))
+    return (exps / np.sum(exps, axis=1, keepdims=True)) @ msgs
+
+
+def _update_rows(
+    params: RemParameters, v_i: np.ndarray, aggregated: np.ndarray, r_prev: np.ndarray
+) -> np.ndarray:
+    """``spatiotemporal_update`` for each row of ``aggregated`` and ``r_prev``
+    at once, without a tape."""
+    f = params.dim
+    x = np.empty((len(aggregated), 2 * f))
+    x[:, :f] = v_i
+    x[:, f:] = aggregated
+    u = _leaky(x @ params.w_u.data.T + params.b_u.data, SIGMA_SLOPE)
+    return ad._gru_rows(params.gru_rel, u, r_prev)
+
+
+def _leave_one_out(
     params: RemParameters,
     graph: SpatioTemporalGraph,
     t: int,
     window: int,
-    instance: int,
+    i: int,
     feats: list[dict[int, Tensor]],
-    exclude: int | None,
-) -> np.ndarray:
-    """Relation embedding of ``instance`` at t from a window replay, with
-    ``exclude`` removed from its neighbor set at every step."""
+) -> tuple[np.ndarray, dict[int, np.ndarray]]:
+    """Relation embedding of ``i`` at t from a window replay, and for each
+    neighbor j of i at t the embedding with j removed at every step.
+
+    At each step i's message block is computed once. The full row takes
+    ``_attend``'s aggregate through ``spatiotemporal_update``, exactly as
+    ``rem_step`` does. A drop equals the full row until the first step where
+    its j is i's neighbor; from there it aggregates the block without j's row
+    and is updated in one batch with every other diverged drop, its rows in
+    i's canonical order at t, so relabeling ids cannot change its bits. An
+    absence of i resets the full row and every drop.
+    """
     t0 = max(0, t - window + 1)
+    drops, _ = _canonical_senders(graph.frames[t], feats[-1], i)
+    slot = {j: d for d, j in enumerate(drops)}
+    f = params.dim
     r: Tensor | None = None
+    r_drops = np.zeros((len(drops), f))
+    diverged = np.zeros(len(drops), dtype=bool)
     for s in range(t0, t + 1):
-        frame = graph.frames[s]
-        if instance in frame.boxes:
-            r = _relation_update(params, frame, feats[s - t0], instance, r, exclude)
-        else:
+        frame, v = graph.frames[s], feats[s - t0]
+        if i not in frame.boxes:
             r = None  # absence breaks the recurrence
-    if r is None:
-        raise ValueError(f"instance {instance} not present at frame {t}")
-    return r.data
+            diverged[:] = False
+            continue
+        senders, distances = _canonical_senders(frame, v, i)
+        if senders:
+            block = _message_block(params, v[i].data, [v[j].data for j in senders], distances)
+            full = _softmax_sum(block.logits, block.msgs)[1]
+        else:
+            full = np.zeros(f)
+        r_prev = r.data if r is not None else np.zeros(f)
+        r = spatiotemporal_update(params, v[i], Tensor(full), r)
+        present = sorted((slot[j], row) for row, j in enumerate(senders) if j in slot)
+        for d, _ in present:
+            if not diverged[d]:
+                r_drops[d] = r_prev
+                diverged[d] = True
+        if not diverged.any():
+            continue
+        aggregated = np.tile(full, (len(drops), 1))
+        if present:
+            at = [d for d, _ in present]
+            aggregated[at] = _masked_sums(block.logits, block.msgs, [row for _, row in present])
+        rows = np.flatnonzero(diverged)
+        r_drops[rows] = _update_rows(params, v[i].data, aggregated[rows], r_drops[rows])
+    return r.data, dict(zip(drops, r_drops))
 
 
 def relation_importance(
@@ -382,9 +476,8 @@ def relation_importance(
         return 0.0
     with ad.no_grad():
         feats = _window_node_features(params, graph, t, window)
-        r_full = _replay_relation(params, graph, t, window, i, feats, exclude=None)
-        r_drop = _replay_relation(params, graph, t, window, i, feats, exclude=j)
-    return _phi(r_full, r_drop)
+        r_full, r_drops = _leave_one_out(params, graph, t, window, i, feats)
+    return _phi(r_full, r_drops[j])
 
 
 def relation_importance_records(
@@ -404,8 +497,7 @@ def relation_importance_records(
             for i in frame.ids:
                 if not frame.neighbors[i]:
                     continue
-                r_full = _replay_relation(params, graph, t, window, i, feats, exclude=None)
+                r_full, r_drops = _leave_one_out(params, graph, t, window, i, feats)
                 for j in frame.neighbors[i]:
-                    r_drop = _replay_relation(params, graph, t, window, i, feats, exclude=j)
-                    records.append((t, i, j, _phi(r_full, r_drop)))
+                    records.append((t, i, j, _phi(r_full, r_drops[j])))
     return records

@@ -102,8 +102,12 @@ class ScenarioConfig:
             raise ValueError("frame and group counts must be non-negative")
         if self.group_size_min < 1 or self.group_size_max < self.group_size_min:
             raise ValueError("invalid group size range")
-        if self.jitter_std < 0 or self.det_center_std < 0 or self.det_size_std < 0:
-            raise ValueError("noise levels must be non-negative")
+        for name in ("jitter_std", "det_center_std", "det_size_std"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"noise levels must be finite and non-negative, got {name}={value}")
+        if not 0.0 <= self.occlusion_cutoff <= 1.0:
+            raise ValueError(f"occlusion cutoff must lie in [0, 1], got {self.occlusion_cutoff}")
         if self.occlusion_min < 1 or self.occlusion_max < self.occlusion_min:
             raise ValueError("occlusion durations must be >= 1 and ordered")
         if not 0.0 <= self.occlusion_vis[0] <= self.occlusion_vis[1] <= 1.0:

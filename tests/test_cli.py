@@ -297,9 +297,12 @@ class TestErrors:
             (["train", "--lr", "nan"], "learning rate must be finite and >= 0, got nan"),
             (["train", "--app-dim", "0", "--gen-sequences", "1"], "appearance dimension must be >= 1, got 0"),
             (["ablate", "--epochs", "0", "--gen-sequences", "1"], "epochs must be >= 1, got 0"),
+            (["train", "--det-center-std", "nan", "--gen-sequences", "1"],
+             "noise levels must be finite and non-negative, got det_center_std=nan"),
+            (["train", "--occlusion-cutoff", "nan", "--gen-sequences", "1"], "occlusion cutoff must lie in [0, 1], got nan"),
         ],
         ids=["train-epochs-0", "train-window-0", "train-window-negative", "train-lr-nan", "train-app-dim-0",
-             "ablate-epochs-0"],
+             "ablate-epochs-0", "train-det-center-std-nan", "train-occlusion-cutoff-nan"],
     )
     def test_bad_training_setting(self, tmp_path, capsys, argv, message):
         code = run(argv + ["--out", str(tmp_path / "out")])

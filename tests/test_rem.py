@@ -5,14 +5,13 @@ from hypothesis import strategies as st
 
 from oracles import scalar_rem_transcription
 from remtrack import autodiff as ad
+from remtrack import rem as rem_module
 from remtrack.autodiff import Tensor, gradient_check
 from remtrack.geometry import BoundingBox, scaled_distance
 from remtrack.rem import (
     RemState,
     _attend,
-    _node_features,
-    _relation_update,
-    _replay_relation,
+    _leave_one_out,
     _window_node_features,
     attention_coefficients,
     message,
@@ -159,6 +158,32 @@ def assert_close_rel(got, expected, rtol=1e-12):
     assert np.max(np.abs(got - expected)) <= rtol * np.max(np.abs(expected))
 
 
+def leave_one_out(params, graph, t, window, i):
+    with ad.no_grad():
+        return _leave_one_out(params, graph, t, window, i, _window_node_features(params, graph, t, window))
+
+
+def reference_replay(params, graph, t, window, i, exclude=None):
+    """i's relation embedding at t replayed over the window with ``exclude``
+    left out at every step, from the public per-sender functions."""
+    t0 = max(0, t - window + 1)
+    feats = _window_node_features(params, graph, t, window)
+    r = None
+    for s in range(t0, t + 1):
+        frame, v = graph.frames[s], feats[s - t0]
+        if i not in frame.boxes:
+            r = None
+            continue
+        nbrs = [j for j in frame.neighbors[i] if j != exclude]
+        aggregated = np.zeros(params.dim)
+        if nbrs:
+            aggregated = reference_aggregate(
+                params, v[i], [v[j] for j in nbrs], [frame.distance(i, j) for j in nbrs]
+            )
+        r = spatiotemporal_update(params, v[i], Tensor(aggregated), r)
+    return r.data
+
+
 class TestFusedReceiver:
     @pytest.mark.parametrize("k", [1, 2, 7])
     def test_matches_reference_composition(self, k):
@@ -172,21 +197,17 @@ class TestFusedReceiver:
 
     @pytest.mark.parametrize("exclude", [None, 0, 3])
     def test_relation_update_matches_reference(self, exclude):
+        # the second of two steps: the full row, and the rows without 0 and 3
         store, params = make_rem(dim=5, seed=42)
         rng = np.random.default_rng(43)
         nodes = [(i, box(rng.uniform(0, 4), rng.uniform(0, 4))) for i in range(8)]
-        frame = build_graph([nodes], d_th=50.0).frames[0]
-        v = _node_features(params, frame, {}, {})
-        r_prev = Tensor(rng.normal(size=5))
+        moved = [(i, box(b.cx + 0.3, b.cy - 0.2)) for i, b in nodes]
+        graph = build_graph([nodes, moved], d_th=50.0)
         i = 5
-        assert len(frame.neighbors[i]) == 7
-        nbrs = [j for j in frame.neighbors[i] if j != exclude]
-        aggregated = reference_aggregate(
-            params, v[i], [v[j] for j in nbrs], [frame.distance(i, j) for j in nbrs]
-        )
-        expected = spatiotemporal_update(params, v[i], Tensor(aggregated), r_prev).data
-        got = _relation_update(params, frame, v, i, r_prev, exclude).data
-        assert_close_rel(got, expected)
+        assert len(graph.frames[1].neighbors[i]) == 7
+        full, drops = leave_one_out(params, graph, 1, 2, i)
+        got = full if exclude is None else drops[exclude]
+        assert_close_rel(got, reference_replay(params, graph, 1, 2, i, exclude))
 
     def test_gradient_through_one_receiver(self):
         # inputs registered as parameters, so their gradients are checked too
@@ -494,12 +515,10 @@ class TestRelationImportance:
         graph = random_graph(rng, n_frames=6, n_instances=5, spread=6.0, d_th=6.0, p_present=0.7)
         stepped, _ = run_rem(params, graph)
         window = graph.n_frames
-        with ad.no_grad():
-            for t in range(window):
-                feats = _window_node_features(params, graph, t, window)
-                for i in graph.frames[t].ids:
-                    replayed = _replay_relation(params, graph, t, window, i, feats, exclude=None)
-                    assert np.array_equal(replayed, stepped[t][i])
+        for t in range(window):
+            for i in graph.frames[t].ids:
+                replayed, _ = leave_one_out(params, graph, t, window, i)
+                assert np.array_equal(replayed, stepped[t][i])
 
     def test_records_equal_pairwise_importance_bitwise(self):
         store, params = make_rem(dim=8, seed=34)
@@ -509,6 +528,89 @@ class TestRelationImportance:
         assert records
         for t, i, j, value in records:
             assert value == relation_importance(params, graph, t, i, j, window=4)
+
+    @given(st.integers(0, 2**32 - 1), st.randoms(use_true_random=False))
+    @settings(max_examples=25, deadline=None)
+    def test_relabel_permutes_records_bitwise(self, seed, random):
+        store, params = make_rem(dim=8, seed=35)
+        graph = random_graph(
+            np.random.default_rng(seed), n_frames=5, n_instances=6, spread=6.0, d_th=6.0, p_present=0.8
+        )
+        perm = dict(zip(range(6), random.sample(range(1000), 6)))
+        relabeled = build_graph(
+            [[(perm[i], frame.boxes[i]) for i in frame.ids] for frame in graph.frames], d_th=6.0
+        )
+        frames = range(1, 5)
+        before = relation_importance_records(params, graph, window=3, frames=frames)
+        after = relation_importance_records(params, relabeled, window=3, frames=frames)
+        back = {new: old for old, new in perm.items()}
+        restored = [(t, back[i], back[j], r.hex()) for t, i, j, r in after]
+        assert sorted(restored) == sorted((t, i, j, r.hex()) for t, i, j, r in before)
+
+
+class TestLeaveOneOut:
+    """Each drop row against a replay without j from the public functions."""
+
+    def assert_drops_match_reference(self, params, graph, t, window, i):
+        full, drops = leave_one_out(params, graph, t, window, i)
+        assert sorted(drops) == list(graph.frames[t].neighbors[i])
+        for j, row in drops.items():
+            assert_close_rel(row, reference_replay(params, graph, t, window, i, exclude=j))
+        return full, drops
+
+    def test_neighbor_joining_mid_window(self, monkeypatch):
+        # j reaches i at frame 3; q is i's neighbor throughout. Until frame 3
+        # j's drop is the full row itself, and there it starts from i's full
+        # embedding at frame 2, bit for bit.
+        store, params = make_rem(dim=6, seed=50)
+        frames = [
+            [(0, box(2.0, 2.0 + 0.2 * t)), (1, box(x, 2.0)), (2, box(3.5, 1.0))]
+            for t, x in enumerate([20.0, 15.0, 10.0, 3.0, 2.5, 2.0])
+        ]
+        graph = build_graph(frames, d_th=3.0)
+        assert [1 in graph.frames[t].neighbors[0] for t in range(6)] == [False] * 3 + [True] * 3
+        assert all(2 in graph.frames[t].neighbors[0] for t in range(6))
+        stepped, _ = run_rem(params, graph)
+        batches = []
+        update_rows = rem_module._update_rows
+
+        def spy(params, v_i, aggregated, r_prev):
+            batches.append(r_prev.copy())
+            return update_rows(params, v_i, aggregated, r_prev)
+
+        monkeypatch.setattr(rem_module, "_update_rows", spy)
+        full, _ = self.assert_drops_match_reference(params, graph, 5, 6, 0)
+        assert np.array_equal(full, stepped[5][0])
+        assert [len(b) for b in batches] == [1, 1, 1, 2, 2, 2]
+        assert any(np.array_equal(row, stepped[2][0]) for row in batches[3])
+
+    def test_receiver_leaving_and_returning(self):
+        store, params = make_rem(dim=6, seed=51)
+        rng = np.random.default_rng(52)
+        frames = [
+            [(k, box(rng.uniform(0, 4), rng.uniform(0, 4))) for k in range(5) if k != 0 or t not in (2, 3)]
+            for t in range(7)
+        ]
+        graph = build_graph(frames, d_th=10.0)
+        stepped, _ = run_rem(params, graph)
+        full, _ = self.assert_drops_match_reference(params, graph, 6, 7, 0)
+        assert np.array_equal(full, stepped[6][0])
+
+    def test_single_neighbor_leaves_none(self):
+        store, params = make_rem(dim=6, seed=53)
+        frames = [[(0, box(1.0, 1.0 + 0.1 * t)), (1, box(2.0, 1.5))] for t in range(4)]
+        graph = build_graph(frames, d_th=5.0)
+        _, drops = self.assert_drops_match_reference(params, graph, 3, 4, 0)
+        assert len(drops) == 1
+
+    def test_many_neighbors(self):
+        # 11 drop rows and 11 message rows: products with 10 or more rows run
+        # another BLAS kernel than smaller ones
+        store, params = make_rem(dim=6, seed=54)
+        rng = np.random.default_rng(55)
+        graph = random_graph(rng, n_frames=4, n_instances=12, spread=5.0, d_th=50.0)
+        assert len(graph.frames[3].neighbors[0]) == 11
+        self.assert_drops_match_reference(params, graph, 3, 4, 0)
 
 
 class TestZeroNormCosine:

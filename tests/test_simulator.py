@@ -145,6 +145,13 @@ class TestGenerate:
             ScenarioConfig(occlusion_min=5, occlusion_max=3)
         with pytest.raises(ValueError):
             ScenarioConfig(jitter_std=-0.1)
+        for name in ("jitter_std", "det_center_std", "det_size_std"):
+            for bad in (float("nan"), float("inf")):
+                with pytest.raises(ValueError, match=f"finite and non-negative, got {name}="):
+                    ScenarioConfig(**{name: bad})
+        for bad in (float("nan"), float("inf"), -0.1, 1.5):
+            with pytest.raises(ValueError, match="occlusion cutoff must lie in"):
+                ScenarioConfig(occlusion_cutoff=bad)
         with pytest.raises(ValueError):
             ScenarioConfig(occlusion_vis=(0.4, 0.2))
 
