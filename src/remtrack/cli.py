@@ -19,10 +19,19 @@ from . import io as rio
 from .autodiff import ParameterStore, Tensor, gradient_check
 from .geometry import BoundingBox, giou_loss
 from .metrics import DEFAULT_ALPHAS, evaluate
-from .rem import DEFAULT_INPUT_SCALE, RemParameters, RemState, relation_importance_records, rem_step
-from .simulator import ScenarioConfig, detect_sequence, generate
+from .rem import (
+    DEFAULT_DIM,
+    DEFAULT_WINDOW,
+    INPUT_SCALE,
+    RemParameters,
+    RemState,
+    relation_importance_records,
+    rem_step,
+)
+from .simulator import DEFAULT_OCCLUSION_CUTOFF, ScenarioConfig, detect_sequence, generate
 from .st_graph import build_graph
 from .tracker import (
+    DEFAULT_APPEARANCE_DIM,
     TRACK_MODES,
     TrackerParameters,
     TrainConfig,
@@ -38,27 +47,27 @@ GRADCHECK_TOLERANCE = 1e-4
 ABLATION_GRID = (5.0, 10.0, 20.0, 30.0, 40.0)
 
 
-def _build_model(
-    dim: int, app_dim: int, seed: int, input_scale: float = DEFAULT_INPUT_SCALE
-) -> tuple[ParameterStore, RemParameters, TrackerParameters]:
+def _build_model(dim: int, app_dim: int, seed: int) -> tuple[ParameterStore, RemParameters, TrackerParameters]:
     store = ParameterStore()
     rng = np.random.default_rng(seed)
-    rem_params = RemParameters.create(store, dim=dim, rng=rng, input_scale=input_scale)
+    rem_params = RemParameters.create(store, dim=dim, rng=rng)
     trk_params = TrackerParameters.create(store, rel_dim=dim, app_dim=app_dim, rng=rng)
     return store, rem_params, trk_params
 
 
 def _model_dims(rem_params: RemParameters, trk_params: TrackerParameters) -> dict:
-    return {"F": rem_params.dim, "F_a": trk_params.app_dim, "input_scale": rem_params.input_scale}
+    return {"F": rem_params.dim, "F_a": trk_params.app_dim}
 
 
 def _load_model(path: Path) -> tuple[ParameterStore, RemParameters, TrackerParameters]:
     dims, params = rio.load_checkpoint_json(path.read_text())
     if "F" not in dims or "F_a" not in dims:
         raise ValueError(f"checkpoint dims must declare F and F_a, got {sorted(dims)}")
-    store, rem_params, trk_params = _build_model(
-        int(dims["F"]), int(dims["F_a"]), seed=0, input_scale=float(dims.get("input_scale", DEFAULT_INPUT_SCALE))
-    )
+    # Older checkpoints record the fixed input scale; any other value was
+    # trained for a model this version cannot build.
+    if dims.get("input_scale", INPUT_SCALE) != INPUT_SCALE:
+        raise ValueError(f"checkpoint input_scale must be {INPUT_SCALE}, got {dims['input_scale']}")
+    store, rem_params, trk_params = _build_model(int(dims["F"]), int(dims["F_a"]), seed=0)
     rio.restore_store(store, params)
     return store, rem_params, trk_params
 
@@ -306,6 +315,18 @@ def build_parser() -> argparse.ArgumentParser:
         if checkpoint:
             p.add_argument("--checkpoint", required=True, help="model checkpoint JSON")
 
+    def training(p):
+        p.add_argument("--dim", type=int, default=DEFAULT_DIM, help="relation embedding dimension")
+        p.add_argument("--app-dim", type=int, default=DEFAULT_APPEARANCE_DIM)
+        p.add_argument("--window", type=int, default=TrainConfig.window)
+        p.add_argument("--lr", type=float, default=TrainConfig.lr)
+        p.add_argument("--epochs", type=int, default=TrainConfig.epochs)
+
+    def detection(p):
+        p.add_argument("--det-center-std", type=float, default=TrainConfig.det_center_std)
+        p.add_argument("--det-size-std", type=float, default=TrainConfig.det_size_std)
+        p.add_argument("--occlusion-cutoff", type=float, default=DEFAULT_OCCLUSION_CUTOFF)
+
     p = sub.add_parser("gen", help="generate a synthetic scenario")
     common(p)
     p.add_argument("--config", help="scenario config JSON file")
@@ -317,25 +338,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="scenario config JSON for generated data")
     p.add_argument("--gen-sequences", type=int, default=64, help="sequences to generate if no --scenario")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--dim", type=int, default=128, help="relation embedding dimension")
-    p.add_argument("--app-dim", type=int, default=32)
-    p.add_argument("--window", type=int, default=10)
-    p.add_argument("--lr", type=float, default=1e-4)
-    p.add_argument("--epochs", type=int, default=50)
-    p.add_argument("--d-th", type=float, default=15.0)
-    p.add_argument("--det-center-std", type=float, default=0.15)
-    p.add_argument("--det-size-std", type=float, default=0.05)
-    p.add_argument("--occlusion-cutoff", type=float, default=0.3)
+    training(p)
+    p.add_argument("--d-th", type=float, default=TrainConfig.d_th)
+    detection(p)
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("track", help="track a scenario with a trained model")
     common(p, checkpoint=True, scenario=True)
     p.add_argument("--mode", choices=TRACK_MODES, default="relation_aware")
     p.add_argument("--out", required=True, help="results CSV path")
-    p.add_argument("--d-th", type=float, default=15.0)
-    p.add_argument("--det-center-std", type=float, default=0.15)
-    p.add_argument("--det-size-std", type=float, default=0.05)
-    p.add_argument("--occlusion-cutoff", type=float, default=0.3)
+    p.add_argument("--d-th", type=float, default=TrainConfig.d_th)
+    detection(p)
     p.set_defaults(func=_cmd_track)
 
     p = sub.add_parser("eval", help="evaluate predictions against ground truth")
@@ -349,8 +362,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("relations", help="dump relation-importance time series")
     common(p, checkpoint=True, scenario=True)
     p.add_argument("--out", required=True, help="output JSONL path")
-    p.add_argument("--d-th", type=float, default=15.0)
-    p.add_argument("--window", type=int, default=10)
+    p.add_argument("--d-th", type=float, default=TrainConfig.d_th)
+    p.add_argument("--window", type=int, default=DEFAULT_WINDOW)
     p.set_defaults(func=_cmd_relations)
 
     p = sub.add_parser("ablate", help="sweep the graph distance threshold")
@@ -358,11 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="scenario config JSON for generated data")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--gen-sequences", type=int, default=8)
-    p.add_argument("--dim", type=int, default=128)
-    p.add_argument("--app-dim", type=int, default=32)
-    p.add_argument("--window", type=int, default=10)
-    p.add_argument("--lr", type=float, default=1e-4)
-    p.add_argument("--epochs", type=int, default=50)
+    training(p)
     p.set_defaults(func=_cmd_ablate)
 
     p = sub.add_parser("gradcheck", help="finite-difference check of all gradients")

@@ -177,9 +177,6 @@ def read_scenario_jsonl(text: str) -> GroundTruthSequence:
     seq = GroundTruthSequence(frames=[[] for _ in range(n_frames)])
     for rec in sorted(records, key=lambda r: (r.t, r.instance)):
         seq.frames[rec.t].append(rec)
-        seq.birth.setdefault(rec.instance, rec.t)
-        seq.death[rec.instance] = rec.t
-        seq.group_of[rec.instance] = rec.group
     return seq
 
 

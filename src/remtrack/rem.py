@@ -47,7 +47,7 @@ BOX_FEATURES = 8  # box (4) concatenated with its one-step offset (4)
 
 # Box coordinates are divided by this before entering the input affine so the
 # recurrent gates stay in their sensitive range for scene-sized coordinates.
-DEFAULT_INPUT_SCALE = 10.0
+INPUT_SCALE = 10.0
 
 
 @dataclass
@@ -67,7 +67,6 @@ class RemParameters:
     b_u: Tensor
     gru_rel: GruCellParams
     dim: int = DEFAULT_DIM
-    input_scale: float = DEFAULT_INPUT_SCALE
 
     @classmethod
     def create(
@@ -75,40 +74,35 @@ class RemParameters:
         store: ParameterStore,
         dim: int = DEFAULT_DIM,
         rng: np.random.Generator | None = None,
-        prefix: str = "rem",
-        input_scale: float = DEFAULT_INPUT_SCALE,
     ) -> "RemParameters":
         if dim < 1:
             raise ValueError("embedding dimension must be >= 1")
-        if input_scale <= 0:
-            raise ValueError("input scale must be positive")
         rng = rng if rng is not None else np.random.default_rng(0)
         return cls(
-            w_in=store.matrix(f"{prefix}.w_in", dim, BOX_FEATURES, rng),
-            b_in=store.zeros(f"{prefix}.b_in", dim),
-            gru_in=GruCellParams.create(store, f"{prefix}.gru_in", dim, dim, rng),
-            w_m1=store.matrix(f"{prefix}.w_m1", dim, 2 * dim + 1, rng),
-            b_m1=store.zeros(f"{prefix}.b_m1", dim),
-            w_m2=store.matrix(f"{prefix}.w_m2", dim, dim, rng),
-            b_m2=store.zeros(f"{prefix}.b_m2", dim),
-            w_a1=store.matrix(f"{prefix}.w_a1", dim, dim, rng),
-            w_a2=store.matrix(f"{prefix}.w_a2", dim, dim, rng),
-            w_u=store.matrix(f"{prefix}.w_u", dim, 2 * dim, rng),
-            b_u=store.zeros(f"{prefix}.b_u", dim),
-            gru_rel=GruCellParams.create(store, f"{prefix}.gru_rel", dim, dim, rng),
+            w_in=store.matrix("rem.w_in", dim, BOX_FEATURES, rng),
+            b_in=store.zeros("rem.b_in", dim),
+            gru_in=GruCellParams.create(store, "rem.gru_in", dim, dim, rng),
+            w_m1=store.matrix("rem.w_m1", dim, 2 * dim + 1, rng),
+            b_m1=store.zeros("rem.b_m1", dim),
+            w_m2=store.matrix("rem.w_m2", dim, dim, rng),
+            b_m2=store.zeros("rem.b_m2", dim),
+            w_a1=store.matrix("rem.w_a1", dim, dim, rng),
+            w_a2=store.matrix("rem.w_a2", dim, dim, rng),
+            w_u=store.matrix("rem.w_u", dim, 2 * dim, rng),
+            b_u=store.zeros("rem.b_u", dim),
+            gru_rel=GruCellParams.create(store, "rem.gru_rel", dim, dim, rng),
             dim=dim,
-            input_scale=input_scale,
         )
 
 
 @dataclass
 class RemState:
-    """Recurrent per-instance state: node hidden v, relation embedding r,
-    and the box from the previous frame. Keys are exactly the live ids."""
+    """Recurrent per-instance state: node hidden v and relation embedding r.
+    Keys are exactly the ids of the last frame stepped through; that frame's
+    boxes are read from the graph, not kept here."""
 
     v: dict[int, Tensor] = field(default_factory=dict)
     r: dict[int, Tensor] = field(default_factory=dict)
-    prev_box: dict[int, BoundingBox] = field(default_factory=dict)
 
     def live(self) -> set[int]:
         return set(self.v)
@@ -130,11 +124,11 @@ def node_feature(
     """Input feature: GRU over sigma(W_in [box || box - prev_box] + b_in).
 
     At an instance's first frame the offset is zero and the hidden state
-    starts at zeros. Coordinates enter divided by ``params.input_scale``.
+    starts at zeros. Coordinates enter divided by ``INPUT_SCALE``.
     """
     p = box.as_array()
     offset = p - prev_box.as_array() if prev_box is not None else np.zeros(4)
-    scaled = np.concatenate([p, offset]) / params.input_scale
+    scaled = np.concatenate([p, offset]) / INPUT_SCALE
     x = ad.leaky_relu(ad.affine(params.w_in, Tensor(scaled), params.b_in), SIGMA_SLOPE)
     if v_prev is None:
         v_prev = Tensor(np.zeros(params.dim))
@@ -321,20 +315,20 @@ def rem_step(
     """Advance the module through frame t of the graph.
 
     New instances start from zero hidden states; departed instances are
-    dropped. The state must hold exactly the instances of frame t-1.
+    dropped. The state must hold exactly the instances of frame t-1, whose
+    boxes give each continuing instance's offset.
     """
     frame = graph.frames[t]
-    prev_ids = set(graph.frames[t - 1].ids) if t > 0 else set()
-    if state.live() != prev_ids:
+    prev_boxes = graph.frames[t - 1].boxes if t > 0 else {}
+    if state.live() != prev_boxes.keys():
         raise ValueError(
             f"state instances {sorted(state.live())} do not match frame {t - 1} "
-            f"instances {sorted(prev_ids)}"
+            f"instances {sorted(prev_boxes)}"
         )
-    v = _node_features(params, frame, state.prev_box, state.v)
+    v = _node_features(params, frame, prev_boxes, state.v)
     r = {i: _relation_update(params, frame, v, i, state.r.get(i)) for i in frame.ids}
     state.v = v
     state.r = r
-    state.prev_box = dict(frame.boxes)
     return [RelationEmbedding(i, t, r[i].data.copy()) for i in frame.ids]
 
 

@@ -14,7 +14,7 @@ rigid bit-for-bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -130,19 +130,21 @@ class GtRecord:
 
 @dataclass
 class GroundTruthSequence:
-    """Per-frame ground-truth records plus per-instance lifespans."""
+    """Per-frame ground-truth records, the one record of the scene; which
+    instances exist and their groups are read from them."""
 
     frames: list[list[GtRecord]]
-    birth: dict[int, int] = field(default_factory=dict)
-    death: dict[int, int] = field(default_factory=dict)
-    group_of: dict[int, int] = field(default_factory=dict)
 
     @property
     def n_frames(self) -> int:
         return len(self.frames)
 
+    @property
+    def group_of(self) -> dict[int, int]:
+        return {rec.instance: rec.group for frame in self.frames for rec in frame}
+
     def instances(self) -> list[int]:
-        return sorted(self.birth)
+        return sorted({rec.instance for frame in self.frames for rec in frame})
 
     def record(self, t: int, instance: int) -> GtRecord | None:
         for rec in self.frames[t]:
@@ -157,7 +159,6 @@ class GroundTruthSequence:
 @dataclass(frozen=True)
 class Detection:
     box: BoundingBox
-    visible: bool = True
     gt_id: int | None = None  # carried for training; trackers must not match on it
 
 
@@ -171,7 +172,6 @@ def generate(config: ScenarioConfig) -> GroundTruthSequence:
         raise ValueError(f"cannot pack {total} objects into a {config.scene_w}x{config.scene_h} scene")
 
     frames: list[list[GtRecord]] = [[] for _ in range(config.n_frames)]
-    seq = GroundTruthSequence(frames=frames)
     instance = 0
     for g, size in enumerate(sizes):
         if config.headings is not None:
@@ -206,9 +206,6 @@ def generate(config: ScenarioConfig) -> GroundTruthSequence:
             bw = _snap(float(rng.uniform(*config.box_w_range)))
             bh = _snap(float(rng.uniform(*config.box_h_range)))
             members.append((instance, ox, oy, bw, bh))
-            seq.birth[instance] = 0
-            seq.death[instance] = config.n_frames - 1
-            seq.group_of[instance] = g
             instance += 1
 
         for inst, ox, oy, bw, bh in members:
@@ -236,7 +233,7 @@ def generate(config: ScenarioConfig) -> GroundTruthSequence:
 
     for frame in frames:
         frame.sort(key=lambda rec: rec.instance)
-    return seq
+    return GroundTruthSequence(frames=frames)
 
 
 def detect(
@@ -252,7 +249,7 @@ def detect(
         dc = rng.normal(0.0, config.det_center_std, size=2) if config.det_center_std > 0 else np.zeros(2)
         ds = rng.normal(0.0, config.det_size_std, size=2) if config.det_size_std > 0 else np.zeros(2)
         box = clamped_box(rec.box.cx + dc[0], rec.box.cy + dc[1], rec.box.w + ds[0], rec.box.h + ds[1])
-        out.append(Detection(box=box, visible=True, gt_id=rec.instance))
+        out.append(Detection(box=box, gt_id=rec.instance))
     return out
 
 

@@ -6,8 +6,11 @@ link the *same* instance across *consecutive* frames only. An instance that
 disappears and later re-enters gets no edge across the gap, and downstream
 recurrent state is reset on re-entry.
 
-Graphs grow frame by frame (single writer); a completed graph is treated as
-immutable and is safe to share for read-only traversal.
+The graph is the one record of which instances exist at each frame and
+where their boxes are; callers read presence and previous boxes from it
+rather than keeping copies. Graphs grow frame by frame (single writer); a
+completed graph is treated as immutable and is safe to share for read-only
+traversal.
 """
 
 from __future__ import annotations
@@ -96,27 +99,13 @@ def build_graph(
 def update_graph(
     graph: SpatioTemporalGraph,
     t: int,
-    entered: set[int],
-    left: set[int],
     boxes: Mapping[int, BoundingBox],
 ) -> SpatioTemporalGraph:
-    """Append frame t: previous instances minus ``left`` plus ``entered``.
+    """Append frame t, which holds exactly the instances keyed in ``boxes``.
 
-    ``boxes`` must provide a box for every instance present at t. Entered
-    instances start with no incoming temporal edge.
+    An instance absent from frame t-1 starts with no incoming temporal edge.
     """
     if t != graph.n_frames:
         raise ValueError(f"can only update the latest frame {graph.n_frames}, got t={t}")
-    if entered & left:
-        raise ValueError(f"instances both entering and leaving: {sorted(entered & left)}")
-    prev_ids = set(graph.frames[-1].ids) if graph.frames else set()
-    if not left <= prev_ids:
-        raise ValueError(f"instances leaving but not present: {sorted(left - prev_ids)}")
-    if entered & prev_ids:
-        raise ValueError(f"instances entering but already present: {sorted(entered & prev_ids)}")
-    current = (prev_ids - left) | entered
-    missing = current - set(boxes)
-    if missing:
-        raise ValueError(f"missing boxes for instances {sorted(missing)}")
-    graph.frames.append(_build_frame({i: boxes[i] for i in current}, graph.d_th))
+    graph.frames.append(_build_frame(boxes, graph.d_th))
     return graph

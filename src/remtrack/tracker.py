@@ -82,26 +82,25 @@ class TrackerParameters:
         rel_dim: int = 128,
         app_dim: int = DEFAULT_APPEARANCE_DIM,
         rng: np.random.Generator | None = None,
-        prefix: str = "trk",
     ) -> "TrackerParameters":
         if app_dim < 1:
             raise ValueError(f"appearance dimension must be >= 1, got {app_dim}")
         rng = rng if rng is not None else np.random.default_rng(0)
         params = cls(
-            enc_w=store.matrix(f"{prefix}.enc_w", app_dim, APPEARANCE_INPUTS, rng),
-            enc_b=store.zeros(f"{prefix}.enc_b", app_dim),
-            base_w1=store.matrix(f"{prefix}.base_w1", HEAD_HIDDEN, app_dim, rng),
-            base_b1=store.zeros(f"{prefix}.base_b1", HEAD_HIDDEN),
-            base_w2=store.matrix(f"{prefix}.base_w2", 4, HEAD_HIDDEN, rng),
-            base_b2=store.zeros(f"{prefix}.base_b2", 4),
-            rel_w1=store.matrix(f"{prefix}.rel_w1", HEAD_HIDDEN, app_dim + rel_dim, rng),
-            rel_b1=store.zeros(f"{prefix}.rel_b1", HEAD_HIDDEN),
-            rel_w2=store.matrix(f"{prefix}.rel_w2", 4, HEAD_HIDDEN, rng),
-            rel_b2=store.zeros(f"{prefix}.rel_b2", 4),
-            occ_w1=store.matrix(f"{prefix}.occ_w1", HEAD_HIDDEN, rel_dim, rng),
-            occ_b1=store.zeros(f"{prefix}.occ_b1", HEAD_HIDDEN),
-            occ_w2=store.matrix(f"{prefix}.occ_w2", 4, HEAD_HIDDEN, rng),
-            occ_b2=store.zeros(f"{prefix}.occ_b2", 4),
+            enc_w=store.matrix("trk.enc_w", app_dim, APPEARANCE_INPUTS, rng),
+            enc_b=store.zeros("trk.enc_b", app_dim),
+            base_w1=store.matrix("trk.base_w1", HEAD_HIDDEN, app_dim, rng),
+            base_b1=store.zeros("trk.base_b1", HEAD_HIDDEN),
+            base_w2=store.matrix("trk.base_w2", 4, HEAD_HIDDEN, rng),
+            base_b2=store.zeros("trk.base_b2", 4),
+            rel_w1=store.matrix("trk.rel_w1", HEAD_HIDDEN, app_dim + rel_dim, rng),
+            rel_b1=store.zeros("trk.rel_b1", HEAD_HIDDEN),
+            rel_w2=store.matrix("trk.rel_w2", 4, HEAD_HIDDEN, rng),
+            rel_b2=store.zeros("trk.rel_b2", 4),
+            occ_w1=store.matrix("trk.occ_w1", HEAD_HIDDEN, rel_dim, rng),
+            occ_b1=store.zeros("trk.occ_b1", HEAD_HIDDEN),
+            occ_w2=store.matrix("trk.occ_w2", 4, HEAD_HIDDEN, rng),
+            occ_b2=store.zeros("trk.occ_b2", 4),
             app_dim=app_dim,
             rel_dim=rel_dim,
         )
@@ -164,12 +163,10 @@ def _tensor_to_box(t: Tensor) -> BoundingBox:
 
 @dataclass
 class _Track:
-    track_id: int
     box: BoundingBox
     graph_box: BoundingBox  # last visible detection; REM input while occluded
     last_offset: np.ndarray
     missed: int = 0
-    age: int = 0
 
 
 @dataclass
@@ -237,7 +234,6 @@ def track_sequence(
             terminated: set[int] = set()
             for tid in sorted(tracks):
                 track = tracks[tid]
-                track.age += 1
                 if tid in matched:
                     det = dets[matched[tid]]
                     prev = track.box
@@ -269,28 +265,14 @@ def track_sequence(
             for tid in terminated:
                 del tracks[tid]
 
-            entered: set[int] = set()
             used = set(matched.values())
             for k, det in enumerate(dets):
                 if k in used:
                     continue
-                tracks[next_id] = _Track(
-                    track_id=next_id,
-                    box=det.box,
-                    graph_box=det.box,
-                    last_offset=np.zeros(4),
-                    missed=0,
-                )
-                entered.add(next_id)
+                tracks[next_id] = _Track(box=det.box, graph_box=det.box, last_offset=np.zeros(4))
                 next_id += 1
 
-            update_graph(
-                graph,
-                t,
-                entered=entered,
-                left=terminated,
-                boxes={tid: tr.graph_box for tid, tr in tracks.items()},
-            )
+            update_graph(graph, t, {tid: tr.graph_box for tid, tr in tracks.items()})
             rem_step(rem_params, state, graph, t)
             outputs.append([(tid, tracks[tid].box) for tid in sorted(tracks)])
     return outputs
@@ -345,13 +327,15 @@ class TrainResult:
 
 @dataclass
 class WindowSample:
-    """One training window: frozen graph inputs, detections, visibility."""
+    """One training window: frozen graph inputs and detections.
+
+    ``det_boxes`` is keyed (frame, instance) for exactly the visible
+    instances, so an instance is visible at t iff ``(t, inst)`` is a key."""
 
     seq: GroundTruthSequence
     start: int
     graph: SpatioTemporalGraph
     det_boxes: dict[tuple[int, int], BoundingBox]
-    visible: dict[tuple[int, int], bool]
 
 
 def prepare_window(
@@ -374,7 +358,6 @@ def prepare_window(
     )
     node_frames: list[list[tuple[int, BoundingBox]]] = []
     det_boxes: dict[tuple[int, int], BoundingBox] = {}
-    visible: dict[tuple[int, int], bool] = {}
     frozen: dict[int, BoundingBox] = {}
     for t in range(start, start + cfg.window + 1):
         nodes: list[tuple[int, BoundingBox]] = []
@@ -382,7 +365,6 @@ def prepare_window(
         for rec in seq.frames[t]:
             inst = rec.instance
             det = dets.get(inst)
-            visible[(t, inst)] = det is not None
             if det is not None:
                 det_boxes[(t, inst)] = det.box
                 frozen[inst] = det.box
@@ -398,7 +380,7 @@ def prepare_window(
                 nodes.append((inst, frozen[inst]))
         node_frames.append(nodes)
     graph = build_graph(node_frames[: cfg.window], cfg.d_th)
-    return WindowSample(seq=seq, start=start, graph=graph, det_boxes=det_boxes, visible=visible)
+    return WindowSample(seq=seq, start=start, graph=graph, det_boxes=det_boxes)
 
 
 def window_loss(
@@ -427,7 +409,7 @@ def window_loss(
         t_abs = start + k
         for rec in seq.frames[t_abs]:
             inst = rec.instance
-            if sample.visible[(t_abs, inst)] or inst not in r_hist[k - 1]:
+            if (t_abs, inst) in sample.det_boxes or inst not in r_hist[k - 1]:
                 continue
             pred = regress_from_relations(trk, r_hist[k - 1][inst])
             losses.append(giou_loss(pred, rec.box))
@@ -437,7 +419,7 @@ def window_loss(
     prev_frame = {rec.instance: rec for rec in seq.frames[t_abs - 1]}
     for rec in seq.frames[t_abs]:
         inst = rec.instance
-        if not sample.visible[(t_abs, inst)] or inst not in prev_frame or inst not in r_hist[w - 1]:
+        if (t_abs, inst) not in sample.det_boxes or inst not in prev_frame or inst not in r_hist[w - 1]:
             continue
         det_box = sample.det_boxes[(t_abs, inst)]
         prev_box = prev_frame[inst].box

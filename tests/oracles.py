@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 
 from remtrack.geometry import BoundingBox, iou
+from remtrack.rem import INPUT_SCALE
 
 
 # ---------------------------------------------------------------------------
@@ -58,7 +59,7 @@ def scalar_rem_transcription(params, frames, d_th, slope=0.1, att_slope=0.2):
     gru_in = _gru_weights(params.gru_in)
     gru_rel = _gru_weights(params.gru_rel)
     dim = params.dim
-    scale = params.input_scale
+    scale = INPUT_SCALE
 
     def scaled_dist(a: BoundingBox, b: BoundingBox) -> float:
         wbar = min(a.w, b.w)

@@ -61,7 +61,7 @@ class TestTrainTrackEval:
         ckpt = train_tiny(tmp_path, scenario)
         assert ckpt.exists()
         dims, _ = rio.load_checkpoint_json(ckpt.read_text())
-        assert dims["F"] == 6 and dims["F_a"] == 4
+        assert dims == {"F": 6, "F_a": 4}
         curve = (ckpt.parent / "loss_curve.csv").read_text().splitlines()
         assert curve[0] == "epoch,loss" and len(curve) == 3
 
@@ -337,6 +337,26 @@ class TestErrors:
         assert code == 1
         assert message in self.one_line_error(capsys)
         assert not out.exists()
+
+    @pytest.mark.parametrize("scale", [10.0, 10, 5.0, 0.0], ids=["float-10", "int-10", "5", "0"])
+    def test_checkpoint_input_scale(self, tmp_path, capsys, scale):
+        # checkpoints no longer write the fixed input scale; one that declares
+        # it loads only if it declares the scale this model uses
+        from remtrack.cli import _build_model, _model_dims
+
+        scenario, _ = write_scenario(tmp_path)
+        store, rem_params, trk_params = _build_model(4, 3, seed=0)
+        assert set(_model_dims(rem_params, trk_params)) == {"F", "F_a"}
+        ckpt = tmp_path / "ckpt.json"
+        ckpt.write_text(rio.checkpoint_to_json(store, {**_model_dims(rem_params, trk_params), "input_scale": scale}))
+        out = tmp_path / "out.csv"
+        code = run(["track", "--scenario", str(scenario), "--checkpoint", str(ckpt), "--out", str(out)])
+        if scale == 10.0:
+            assert code == 0 and out.exists()
+        else:
+            assert code == 1
+            assert f"checkpoint input_scale must be 10.0, got {scale}" in self.one_line_error(capsys)
+            assert not out.exists()
 
     def test_no_arguments_is_usage_error(self, capsys):
         assert run([]) == 2

@@ -97,7 +97,7 @@ class TestScenarioJsonl:
         back = rio.read_scenario_jsonl(text)
         assert back.frames == seq.frames
         assert back.group_of == seq.group_of
-        assert back.birth == seq.birth and back.death == seq.death
+        assert back.instances() == seq.instances()
 
     def test_large_round_trip_bitwise(self):
         seq = generate(

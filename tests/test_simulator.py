@@ -191,7 +191,7 @@ class TestDetect:
             dets = detect(seq.frames[t], cfg, rng)
             assert len(dets) == 1
             assert dets[0].box == seq.frames[t][0].box
-            assert dets[0].gt_id == 0 and dets[0].visible
+            assert dets[0].gt_id == 0
 
     def test_fully_occluded_object_absent(self):
         cfg = ScenarioConfig(
@@ -244,4 +244,4 @@ class TestDetect:
     def test_detection_is_frozen_dataclass(self):
         d = Detection(box=generate(single_track_config()).frames[0][0].box)
         with pytest.raises(AttributeError):
-            d.visible = False
+            d.gt_id = 1

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from remtrack.geometry import BoundingBox, scaled_distance
 from remtrack.st_graph import SpatioTemporalGraph, build_graph, update_graph
@@ -83,17 +85,37 @@ class TestBuildGraph:
             assert set(g.temporal_edges(t)) == here & there
 
 
+@st.composite
+def presence_schedules(draw):
+    """Per-frame (id, box) lists over a few instances, each present or not at
+    every frame independently, so instances leave and return; ids come in a
+    random order within a frame."""
+    n_instances = draw(st.integers(1, 5))
+    coord = st.integers(0, 16).map(lambda k: 0.5 * k)
+    size = st.integers(1, 6).map(lambda k: 0.5 * k)
+    frames = []
+    for _ in range(draw(st.integers(1, 8))):
+        present = draw(st.lists(st.booleans(), min_size=n_instances, max_size=n_instances))
+        frame = [
+            (i, box(draw(coord), draw(coord), draw(size), draw(size)))
+            for i in range(n_instances)
+            if present[i]
+        ]
+        frames.append(draw(st.permutations(frame)))
+    return frames
+
+
 class TestUpdateGraph:
     def test_incremental_equals_batch_no_changes(self):
         b0, b1 = box(1, 1), box(2, 1)
         batch = build_graph([[(0, b0)], [(0, b1)]], d_th=15)
         inc = build_graph([[(0, b0)]], d_th=15)
-        update_graph(inc, 1, entered=set(), left=set(), boxes={0: b1})
+        update_graph(inc, 1, {0: b1})
         assert inc == batch
 
     def test_leaving_instance_has_no_node(self):
         g = build_graph([[(0, box(1, 1)), (1, box(2, 1))]], d_th=15)
-        update_graph(g, 1, entered=set(), left={1}, boxes={0: box(1.2, 1)})
+        update_graph(g, 1, {0: box(1.2, 1)})
         assert g.frames[1].ids == (0,)
 
     def test_random_schedule_matches_batch(self, rng):
@@ -101,35 +123,29 @@ class TestUpdateGraph:
             frames = random_frames(rng, n_frames=10, n_instances=6, p_present=0.7)
             batch = build_graph(frames, d_th=4.0)
             inc = build_graph([], d_th=4.0)
-            prev_ids = set()
             for t, frame in enumerate(frames):
-                ids = {i for i, _ in frame}
-                update_graph(
-                    inc,
-                    t,
-                    entered=ids - prev_ids,
-                    left=prev_ids - ids,
-                    boxes=dict(frame),
-                )
-                prev_ids = ids
+                update_graph(inc, t, dict(frame))
             assert inc == batch
+
+    @given(presence_schedules())
+    @example([[(0, box(1, 1)), (1, box(2, 1))], [(0, box(1, 1))], [(1, box(2, 1)), (0, box(1, 1))]])
+    @settings(max_examples=100)
+    def test_appending_equals_batch_and_links_only_consecutive_presence(self, frames):
+        inc = SpatioTemporalGraph(d_th=4.0)
+        for t, frame in enumerate(frames):
+            assert update_graph(inc, t, dict(frame)) is inc
+        assert inc == build_graph(frames, d_th=4.0)
+        ids = [{i for i, _ in frame} for frame in frames]
+        for t in range(len(frames)):
+            linked = ids[t] & ids[t + 1] if t + 1 < len(frames) else set()
+            assert inc.temporal_edges(t) == tuple(sorted(linked))
 
     def test_rejects_non_latest_frame(self):
         g = build_graph([[(0, box(1, 1))]], d_th=15)
         with pytest.raises(ValueError, match="latest"):
-            update_graph(g, 0, entered=set(), left=set(), boxes={0: box(1, 1)})
+            update_graph(g, 0, {0: box(1, 1)})
         with pytest.raises(ValueError, match="latest"):
-            update_graph(g, 5, entered=set(), left=set(), boxes={0: box(1, 1)})
-
-    def test_rejects_enter_leave_overlap(self):
-        g = build_graph([[(0, box(1, 1))]], d_th=15)
-        with pytest.raises(ValueError, match="entering and leaving"):
-            update_graph(g, 1, entered={0}, left={0}, boxes={0: box(1, 1)})
-
-    def test_rejects_missing_boxes(self):
-        g = build_graph([[(0, box(1, 1))]], d_th=15)
-        with pytest.raises(ValueError, match="missing boxes"):
-            update_graph(g, 1, entered={1}, left=set(), boxes={0: box(1, 1)})
+            update_graph(g, 5, {0: box(1, 1)})
 
 
 class TestNeighbors:

@@ -161,7 +161,7 @@ class TestGreedyAssociate:
             # grid boxes: equal overlaps and repeated boxes are frequent
             tids = rng.permutation(50)[: int(rng.integers(1, 8))]
             tracks = {
-                int(tid): _Track(int(tid), box(*rng.integers(0, 5, 2) * 0.5), box(0, 0), np.zeros(4))
+                int(tid): _Track(box(*rng.integers(0, 5, 2) * 0.5), box(0, 0), np.zeros(4))
                 for tid in tids
             }
             dets = [Detection(box(*rng.integers(0, 5, 2) * 0.5)) for _ in range(int(rng.integers(0, 8)))]
