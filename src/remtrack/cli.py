@@ -391,8 +391,10 @@ def run(argv) -> int:
         return int(exc.code) if exc.code is not None else 0
     try:
         return args.func(args)
-    except FileNotFoundError as exc:
-        print(f"error: missing input file: {exc}", file=sys.stderr)
+    except OSError as exc:
+        # the same wording for a path read or written: "Is a directory: out/"
+        message = f"{exc.strerror}: {exc.filename}" if exc.filename else str(exc)
+        print(f"error: {message}", file=sys.stderr)
         return 1
     except (ValueError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -7,21 +7,30 @@ into a per-instance relation embedding through a second GRU. Temporal edges
 are realized by the GRU recurrences; attention only ever runs over spatial
 neighbors.
 
-Each receiver's messages, attention and aggregation run as one fused tape
-node over its k neighbors, taken in a canonical order that depends only on
-content (distance, box, then node feature), never on instance ids; neighbors
-equal in all of these give identical rows. Node-level work (``node_feature``,
-``spatiotemporal_update``) stays per node, so a node's numbers never depend
-on how many other nodes share its frame. Together these make relabeling
-instances permute the outputs bitwise, and leave an isolated instance's
-embedding bitwise independent of the rest of the scene.
+Work that belongs to one node is done once per frame, straight after its node
+feature: every node with a spatial neighbor is projected onto its share of
+the message and attention layers (its receiver and sender parts of the first
+message layer, its query and its key) by single matrix-vector products, and
+is given a content rank that orders nodes by box, then by the bytes of the
+node feature, equal content sharing a rank. Each receiver's messages,
+attention and aggregation then run as one fused tape node over its k
+neighbors: the block gathers the senders' projections, and only the second
+message layer is a k-row product. Neighbors come in a canonical order,
+distance then content rank, that never depends on instance ids; neighbors
+equal in both give identical rows. Node-level work (``node_feature``, the
+projections, ``spatiotemporal_update``) stays per node, so a node's numbers
+never depend on how many other nodes share its frame. Together these make
+relabeling instances permute the outputs bitwise, and leave an isolated
+instance's embedding bitwise independent of the rest of the scene.
 
 Relation importance replays each receiver's trailing window once. Node
-features never depend on relation embeddings, so a receiver's message block
-at each step is computed once and shared by the full replay and all of its
-leave-one-out drops; each drop only re-weights the block without its row.
-The drops run as one batch whose rows follow the receiver's canonical
-neighbor order, so their values too permute bitwise under relabeling.
+features never depend on relation embeddings, so each window frame's node
+features, projections and ranks are computed once and shared by every
+receiver, and a receiver's message block at each step is computed once and
+shared by the full replay and all of its leave-one-out drops; each drop only
+re-weights the block without its row. The drops run as one batch whose rows
+follow the receiver's canonical neighbor order, so their values too permute
+bitwise under relabeling.
 """
 
 from __future__ import annotations
@@ -175,30 +184,89 @@ def spatiotemporal_update(
     return ad.gru_cell(params.gru_rel, u, r_prev)
 
 
+class _Nodes(NamedTuple):
+    """One frame's node features and what every receiver reads from them.
+
+    ``proj`` and ``rank`` hold one row per node with a spatial neighbor, at
+    ``row[i]``; isolated nodes are neither senders nor receivers. A row of
+    ``proj`` is ``[w_m1[:, :f] v + b_m1, w_a1 v, w_m1[:, f:2f] v, w_a2 v]``:
+    the node's share of the message and attention layers as a receiver (first
+    two) and as a sender (last two).
+    """
+
+    v: dict[int, Tensor]
+    row: dict[int, int]
+    proj: np.ndarray  # (n, 4, f)
+    rank: np.ndarray  # (n,) content rank
+
+
+def _projections(params: RemParameters, vectors: Sequence[np.ndarray]) -> np.ndarray:
+    """``_Nodes.proj`` rows of ``vectors``, one matrix-vector product each, so
+    a node's row never depends on which other nodes are projected with it."""
+    f = params.dim
+    w = params.w_m1.data
+    stacked = np.concatenate([w[:, :f], params.w_a1.data, w[:, f : 2 * f], params.w_a2.data])
+    proj = np.empty((len(vectors), 4, f))
+    for out, v in zip(proj.reshape(len(vectors), 4 * f), vectors):
+        np.matmul(stacked, v, out=out)
+    proj[:, 0] += params.b_m1.data
+    return proj
+
+
+def _content_rank(frame: GraphFrame, v: Mapping[int, Tensor], ids: Sequence[int]) -> np.ndarray:
+    """Rank of each of ``ids`` by (cx, cy, w, h, bytes of its node feature);
+    nodes equal in all of these share a rank."""
+    keys = []
+    for i in ids:
+        b = frame.boxes[i]
+        keys.append((b.cx, b.cy, b.w, b.h, v[i].data.tobytes()))
+    rank = np.empty(len(ids), dtype=np.intp)
+    prev, r = None, -1
+    for n in sorted(range(len(ids)), key=keys.__getitem__):
+        if keys[n] != prev:
+            prev, r = keys[n], r + 1
+        rank[n] = r
+    return rank
+
+
+def _frame_nodes(params: RemParameters, frame: GraphFrame, v: dict[int, Tensor]) -> _Nodes:
+    """``v`` with the projections and content ranks of its nodes that have a
+    spatial neighbor in ``frame``."""
+    ids = [i for i in frame.ids if frame.neighbors[i]]
+    return _Nodes(
+        v=v,
+        row={i: n for n, i in enumerate(ids)},
+        proj=_projections(params, [v[i].data for i in ids]),
+        rank=_content_rank(frame, v, ids),
+    )
+
+
 def _node_features(
     params: RemParameters,
     frame: GraphFrame,
     prev_boxes: Mapping[int, BoundingBox],
     prev_v: Mapping[int, Tensor],
-) -> dict[int, Tensor]:
-    """Node features of every instance in ``frame``; an instance continues its
-    recurrence only if it has a hidden state in ``prev_v``."""
-    return {
+) -> _Nodes:
+    """Node features of every instance in ``frame``, with the projections and
+    ranks of ``_frame_nodes``; an instance continues its recurrence only if it
+    has a hidden state in ``prev_v``."""
+    v = {
         i: node_feature(params, frame.boxes[i], prev_boxes[i], prev_v[i])
         if i in prev_v
         else node_feature(params, frame.boxes[i], None, None)
         for i in frame.ids
     }
+    return _frame_nodes(params, frame, v)
 
 
 def _leaky(x: np.ndarray, slope: float) -> np.ndarray:
-    return np.where(x >= 0, x, slope * x)
+    # for 0 < slope < 1 the same bits as np.where(x >= 0, x, slope * x)
+    return np.maximum(x, slope * x)
 
 
 class _Block(NamedTuple):
     """Receiver i's messages and attention logits, one row per sender."""
 
-    x: np.ndarray  # rows [v_i || v_j || d_ij]
     a1: np.ndarray
     hidden: np.ndarray
     a2: np.ndarray
@@ -210,24 +278,20 @@ class _Block(NamedTuple):
 
 
 def _message_block(
-    params: RemParameters, v_i: np.ndarray, senders: Sequence[np.ndarray], distances: np.ndarray
+    params: RemParameters, receiver: np.ndarray, projected: np.ndarray, distances: np.ndarray
 ) -> _Block:
     """The maths of ``message`` and ``attention_coefficients`` for k senders,
-    each per-sender product done as one k-row matrix product."""
+    from the receiver's two ``_Nodes.proj`` parts and the senders' two (k
+    rows); only the second message layer is a k-row matrix product."""
     p, f = params, params.dim
-    x = np.empty((len(senders), 2 * f + 1))
-    x[:, :f] = v_i
-    for row, v_j in enumerate(senders):
-        x[row, f : 2 * f] = v_j
-    x[:, 2 * f] = distances
-    a1 = x @ p.w_m1.data.T + p.b_m1.data
+    a1 = projected[:, 0] + receiver[0]
+    a1 += distances[:, None] * p.w_m1.data[:, 2 * f]
     hidden = _leaky(a1, SIGMA_SLOPE)
     a2 = hidden @ p.w_m2.data.T + p.b_m2.data
     msgs = _leaky(a2, SIGMA_SLOPE)
-    query = p.w_a1.data @ v_i
-    keys = x[:, f : 2 * f] @ p.w_a2.data.T
+    query, keys = receiver[1], projected[:, 1]
     scores = keys @ query
-    return _Block(x, a1, hidden, a2, msgs, query, keys, scores, _leaky(scores, ATTENTION_SLOPE))
+    return _Block(a1, hidden, a2, msgs, query, keys, scores, _leaky(scores, ATTENTION_SLOPE))
 
 
 def _softmax_sum(logits: np.ndarray, msgs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -238,23 +302,33 @@ def _softmax_sum(logits: np.ndarray, msgs: np.ndarray) -> tuple[np.ndarray, np.n
 
 
 def _attend(
-    params: RemParameters, v_i: Tensor, senders: Sequence[Tensor], distances: np.ndarray
+    params: RemParameters,
+    v_i: Tensor,
+    senders: Sequence[Tensor],
+    distances: np.ndarray,
+    receiver: np.ndarray,
+    projected: np.ndarray,
 ) -> Tensor:
     """sum_j alpha_ij m_ij over receiver i's k senders, as one tape node.
 
-    The forward is ``_message_block`` followed by ``_softmax_sum``. The
-    backward closure returns each weight gradient as row factors (k rows for
-    the message weights, one row for the attention weights), which
-    ``ad.backward`` reduces together with every other receiver's rows.
+    The forward is ``_message_block`` on i's ``receiver`` projections and
+    the senders' ``projected`` ones, followed by ``_softmax_sum``. The
+    backward closure builds the rows ``[v_i || v_j || d_ij]`` and returns
+    each weight gradient as row factors (k rows for the message weights, one
+    row for the attention weights), which ``ad.backward`` reduces together
+    with every other receiver's rows.
     """
     p, f = params, params.dim
-    x, a1, hidden, a2, msgs, query, keys, scores, logits = _message_block(
-        params, v_i.data, [v_j.data for v_j in senders], distances
-    )
-    v_n = x[:, f : 2 * f]
+    a1, hidden, a2, msgs, query, keys, scores, logits = _message_block(params, receiver, projected, distances)
     alphas, out = _softmax_sum(logits, msgs)
 
     def bw(g):
+        x = np.empty((len(senders), 2 * f + 1))
+        x[:, :f] = v_i.data
+        for row, v_j in enumerate(senders):
+            x[row, f : 2 * f] = v_j.data
+        x[:, 2 * f] = distances
+        v_n = x[:, f : 2 * f]
         d_alphas = msgs @ g
         d_scores = alphas * (d_alphas - alphas @ d_alphas) * np.where(scores >= 0, 1.0, ATTENTION_SLOPE)
         d_query = d_scores @ keys
@@ -277,30 +351,32 @@ def _attend(
 
 
 def _canonical_senders(
-    frame: GraphFrame, v: Mapping[int, Tensor], i: int
-) -> tuple[list[int], np.ndarray]:
-    """i's spatial neighbors in the canonical order (distance, box, node
-    feature), and their distances to i."""
-    keyed = []
-    for j in frame.neighbors[i]:
-        b = frame.boxes[j]
-        keyed.append(((frame.distance(i, j), b.cx, b.cy, b.w, b.h, v[j].data.tobytes()), j))
-    keyed.sort(key=lambda pair: pair[0])
-    return [j for _, j in keyed], np.array([key[0] for key, _ in keyed])
+    frame: GraphFrame, nodes: _Nodes, i: int
+) -> tuple[list[int], np.ndarray, np.ndarray]:
+    """i's spatial neighbors in the canonical order (distance, then content
+    rank), their distances to i and their sender projections (k, 2, f)."""
+    nbrs = frame.neighbors[i]
+    rows = np.array([nodes.row[j] for j in nbrs], dtype=np.intp)
+    distances = np.array([frame.distance(i, j) for j in nbrs])
+    order = np.lexsort((nodes.rank[rows], distances))
+    rows = rows[order]
+    return [nbrs[n] for n in order.tolist()], distances[order], nodes.proj[rows, 2:]
 
 
 def _relation_update(
     params: RemParameters,
     frame: GraphFrame,
-    v: Mapping[int, Tensor],
+    nodes: _Nodes,
     i: int,
     r_prev: Tensor | None,
 ) -> Tensor:
     """Relation embedding of instance i: attention over messages from its
     spatial neighbors, then the spatiotemporal update."""
-    senders, distances = _canonical_senders(frame, v, i)
+    v = nodes.v
+    senders, distances, projected = _canonical_senders(frame, nodes, i)
     if senders:
-        aggregated = _attend(params, v[i], [v[j] for j in senders], distances)
+        receiver = nodes.proj[nodes.row[i], :2]
+        aggregated = _attend(params, v[i], [v[j] for j in senders], distances, receiver, projected)
     else:
         aggregated = Tensor(np.zeros(params.dim))
     return spatiotemporal_update(params, v[i], aggregated, r_prev)
@@ -325,9 +401,9 @@ def rem_step(
             f"state instances {sorted(state.live())} do not match frame {t - 1} "
             f"instances {sorted(prev_boxes)}"
         )
-    v = _node_features(params, frame, prev_boxes, state.v)
-    r = {i: _relation_update(params, frame, v, i, state.r.get(i)) for i in frame.ids}
-    state.v = v
+    nodes = _node_features(params, frame, prev_boxes, state.v)
+    r = {i: _relation_update(params, frame, nodes, i, state.r.get(i)) for i in frame.ids}
+    state.v = nodes.v
     state.r = r
     return [RelationEmbedding(i, t, r[i].data.copy()) for i in frame.ids]
 
@@ -355,13 +431,13 @@ def _check_window(window: int) -> None:
 
 def _window_node_features(
     params: RemParameters, graph: SpatioTemporalGraph, t: int, window: int
-) -> list[dict[int, Tensor]]:
+) -> list[_Nodes]:
     """Node features for frames [t-window+1, t], zero states at window start."""
     t0 = max(0, t - window + 1)
-    out: list[dict[int, Tensor]] = []
+    out: list[_Nodes] = []
     for s in range(t0, t + 1):
         prev_boxes = graph.frames[s - 1].boxes if s > t0 else {}
-        out.append(_node_features(params, graph.frames[s], prev_boxes, out[-1] if out else {}))
+        out.append(_node_features(params, graph.frames[s], prev_boxes, out[-1].v if out else {}))
     return out
 
 
@@ -395,7 +471,7 @@ def _leave_one_out(
     t: int,
     window: int,
     i: int,
-    feats: list[dict[int, Tensor]],
+    feats: list[_Nodes],
 ) -> tuple[np.ndarray, dict[int, np.ndarray]]:
     """Relation embedding of ``i`` at t from a window replay, and for each
     neighbor j of i at t the embedding with j removed at every step.
@@ -409,26 +485,27 @@ def _leave_one_out(
     absence of i resets the full row and every drop.
     """
     t0 = max(0, t - window + 1)
-    drops, _ = _canonical_senders(graph.frames[t], feats[-1], i)
+    drops = _canonical_senders(graph.frames[t], feats[-1], i)[0]
     slot = {j: d for d, j in enumerate(drops)}
     f = params.dim
     r: Tensor | None = None
     r_drops = np.zeros((len(drops), f))
     diverged = np.zeros(len(drops), dtype=bool)
     for s in range(t0, t + 1):
-        frame, v = graph.frames[s], feats[s - t0]
+        frame, nodes = graph.frames[s], feats[s - t0]
         if i not in frame.boxes:
             r = None  # absence breaks the recurrence
             diverged[:] = False
             continue
-        senders, distances = _canonical_senders(frame, v, i)
+        senders, distances, projected = _canonical_senders(frame, nodes, i)
         if senders:
-            block = _message_block(params, v[i].data, [v[j].data for j in senders], distances)
+            block = _message_block(params, nodes.proj[nodes.row[i], :2], projected, distances)
             full = _softmax_sum(block.logits, block.msgs)[1]
         else:
             full = np.zeros(f)
+        v_i = nodes.v[i]
         r_prev = r.data if r is not None else np.zeros(f)
-        r = spatiotemporal_update(params, v[i], Tensor(full), r)
+        r = spatiotemporal_update(params, v_i, Tensor(full), r)
         present = sorted((slot[j], row) for row, j in enumerate(senders) if j in slot)
         for d, _ in present:
             if not diverged[d]:
@@ -441,7 +518,7 @@ def _leave_one_out(
             at = [d for d, _ in present]
             aggregated[at] = _masked_sums(block.logits, block.msgs, [row for _, row in present])
         rows = np.flatnonzero(diverged)
-        r_drops[rows] = _update_rows(params, v[i].data, aggregated[rows], r_drops[rows])
+        r_drops[rows] = _update_rows(params, v_i.data, aggregated[rows], r_drops[rows])
     return r.data, dict(zip(drops, r_drops))
 
 

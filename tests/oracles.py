@@ -120,6 +120,17 @@ def scalar_rem_transcription(params, frames, d_th, slope=0.1, att_slope=0.2):
     return results
 
 
+def canonical_sender_order(frame, v, i):
+    """i's spatial neighbors sorted by the tuple (distance, cx, cy, w, h,
+    bytes of the node feature), equal tuples kept in neighbor-list order."""
+    keyed = []
+    for j in frame.neighbors[i]:
+        b = frame.boxes[j]
+        keyed.append(((frame.distance(i, j), b.cx, b.cy, b.w, b.h, v[j].data.tobytes()), j))
+    keyed.sort(key=lambda pair: pair[0])
+    return [j for _, j in keyed]
+
+
 # ---------------------------------------------------------------------------
 # exhaustive matching and metrics
 

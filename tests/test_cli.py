@@ -21,6 +21,15 @@ def write_scenario(tmp_path, name="scene.jsonl", **overrides):
     return path, seq
 
 
+def write_checkpoint(tmp_path):
+    from remtrack.cli import _build_model, _model_dims
+
+    store, rem_params, trk_params = _build_model(4, 3, seed=0)
+    ckpt = tmp_path / "ckpt.json"
+    ckpt.write_text(rio.checkpoint_to_json(store, _model_dims(rem_params, trk_params)))
+    return ckpt
+
+
 def train_tiny(tmp_path, scenario):
     out = tmp_path / "model"
     code = run(
@@ -229,6 +238,41 @@ class TestErrors:
         )
         assert code == 1
         assert "absent.jsonl" in capsys.readouterr().err
+
+    @staticmethod
+    def file_args(tmp_path, command) -> dict:
+        scenario, _ = write_scenario(tmp_path)
+        ckpt = write_checkpoint(tmp_path)
+        return {
+            "gen": {"--out": tmp_path / "g.jsonl"},
+            "track": {"--scenario": scenario, "--checkpoint": ckpt, "--out": tmp_path / "r.csv"},
+            "eval": {"--gt": scenario, "--pred": scenario, "--out": tmp_path / "e"},
+            "relations": {"--scenario": scenario, "--checkpoint": ckpt, "--out": tmp_path / "rel.jsonl"},
+        }[command]
+
+    @pytest.mark.parametrize(
+        "command, flag",
+        [("gen", "--config"), ("gen", "--out"), ("track", "--scenario"), ("eval", "--pred"),
+         ("relations", "--checkpoint")],
+        ids=["gen-config", "gen-out", "track-scenario", "eval-pred", "relations-checkpoint"],
+    )
+    def test_directory_given_for_a_file(self, tmp_path, capsys, command, flag):
+        args = self.file_args(tmp_path, command)
+        args[flag] = tmp_path / "folder"
+        args[flag].mkdir()
+        code = run([command, *[str(a) for pair in args.items() for a in pair]])
+        assert code == 1
+        assert f"Is a directory: {args[flag]}" in self.one_line_error(capsys)
+
+    @pytest.mark.parametrize("command", ["gen", "track", "relations"])
+    def test_output_in_missing_directory(self, tmp_path, capsys, command):
+        args = self.file_args(tmp_path, command)
+        args["--out"] = tmp_path / "absent" / "out"
+        code = run([command, *[str(a) for pair in args.items() for a in pair]])
+        assert code == 1
+        err = self.one_line_error(capsys)
+        assert f"No such file or directory: {args['--out']}" in err
+        assert "input" not in err
 
     @staticmethod
     def one_line_error(capsys) -> str:

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import scalar_rem_transcription
+from oracles import canonical_sender_order, scalar_rem_transcription
 from remtrack import autodiff as ad
 from remtrack import rem as rem_module
 from remtrack.autodiff import Tensor, gradient_check
@@ -11,7 +11,10 @@ from remtrack.geometry import BoundingBox, scaled_distance
 from remtrack.rem import (
     RemState,
     _attend,
+    _canonical_senders,
+    _frame_nodes,
     _leave_one_out,
+    _projections,
     _window_node_features,
     attention_coefficients,
     message,
@@ -154,6 +157,12 @@ def reference_aggregate(params, v_i, senders, distances):
     return sum(a * m.data for a, m in zip(alphas.data, msgs))
 
 
+def attend(params, v_i, senders, distances):
+    """``_attend`` on projections made for just these vectors."""
+    proj = _projections(params, [v_i.data] + [v.data for v in senders])
+    return _attend(params, v_i, senders, distances, proj[0, :2], proj[1:, 2:])
+
+
 def assert_close_rel(got, expected, rtol=1e-12):
     assert np.max(np.abs(got - expected)) <= rtol * np.max(np.abs(expected))
 
@@ -170,7 +179,7 @@ def reference_replay(params, graph, t, window, i, exclude=None):
     feats = _window_node_features(params, graph, t, window)
     r = None
     for s in range(t0, t + 1):
-        frame, v = graph.frames[s], feats[s - t0]
+        frame, v = graph.frames[s], feats[s - t0].v
         if i not in frame.boxes:
             r = None
             continue
@@ -185,14 +194,14 @@ def reference_replay(params, graph, t, window, i, exclude=None):
 
 
 class TestFusedReceiver:
-    @pytest.mark.parametrize("k", [1, 2, 7])
+    @pytest.mark.parametrize("k", [1, 2, 7, 49])
     def test_matches_reference_composition(self, k):
         store, params = make_rem(dim=6, seed=40 + k)
         rng = np.random.default_rng(41 + k)
         v_i = Tensor(rng.normal(size=6))
         senders = [Tensor(rng.normal(size=6)) for _ in range(k)]
         distances = rng.uniform(0.0, 5.0, size=k)
-        got = _attend(params, v_i, senders, distances).data
+        got = attend(params, v_i, senders, distances).data
         assert_close_rel(got, reference_aggregate(params, v_i, senders, distances))
 
     @pytest.mark.parametrize("exclude", [None, 0, 3])
@@ -218,7 +227,7 @@ class TestFusedReceiver:
         distances = np.array([0.5, 1.5, 2.5])
 
         def loss():
-            out = _attend(params, v_i, senders, distances)
+            out = attend(params, v_i, senders, distances)
             return ad.dot(out, out)
 
         assert gradient_check(loss, store, epsilon=1e-5) < 1e-4
@@ -236,7 +245,7 @@ class TestFusedReceiver:
         ]
         loss = None
         for v_i, senders, distances, g in calls:
-            out = _attend(params, Tensor(v_i), [Tensor(v) for v in senders], distances)
+            out = attend(params, Tensor(v_i), [Tensor(v) for v in senders], distances)
             term = ad.dot(out, Tensor(g))
             loss = term if loss is None else loss + term
         ad.backward(loss)
@@ -304,6 +313,59 @@ class TestFactoredBackward:
                     assert isinstance(contrib, ad._Rows), (node, parent)
                     covered.add(id(parent))
         assert covered == {id(store[name]) for name in store.names() if store[name].data.ndim == 2}
+
+
+class TestCanonicalSenders:
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from([0.0, 1.0, 1.5, 3.0]),
+                st.sampled_from([0.0, 1.0, 3.0]),
+                st.sampled_from([(2.0, 2.0), (1.5, 2.5)]),
+                st.integers(0, 2),
+            ),
+            min_size=2,
+            max_size=10,
+        )
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_rank_order_equals_tuple_key(self, nodes):
+        # few positions, sizes and features, so neighbors share distances,
+        # boxes and bitwise-identical node features; two features differ
+        # only in their last bit
+        features = [
+            np.array([1.0, 2.0, 3.0]),
+            np.array([1.0, 2.0, np.nextafter(3.0, 4.0)]),
+            np.array([-1.0, 0.5, 0.0]),
+        ]
+        graph = build_graph([[(i, box(x, y, *size)) for i, (x, y, size, _) in enumerate(nodes)]], d_th=6.0)
+        frame = graph.frames[0]
+        v = {i: Tensor(features[feature].copy()) for i, (*_, feature) in enumerate(nodes)}
+        _, params = make_rem(dim=3)
+        ranked = _frame_nodes(params, frame, v)
+        for i in frame.ids:
+            assert _canonical_senders(frame, ranked, i)[0] == canonical_sender_order(frame, v, i)
+
+    def test_rem_step_projects_each_node_with_neighbors_once(self, monkeypatch):
+        store, params = make_rem(dim=8, seed=56)
+        rng = np.random.default_rng(57)
+        crowd = [(i, box(rng.uniform(0, 12), rng.uniform(0, 12))) for i in range(60)]
+        loners = [(100 + i, box(100.0 + 50 * i, 100.0)) for i in range(3)]
+        graph = build_graph([crowd + loners], d_th=6.0)
+        frame = graph.frames[0]
+        projected = []
+        projections = rem_module._projections
+
+        def spy(params, vectors):
+            projected.extend(id(v) for v in vectors)
+            return projections(params, vectors)
+
+        monkeypatch.setattr(rem_module, "_projections", spy)
+        state = RemState()
+        rem_step(params, state, graph, 0)
+        with_neighbors = [i for i in frame.ids if frame.neighbors[i]]
+        assert len(with_neighbors) >= 50 and not any(frame.neighbors[i] for i, _ in loners)
+        assert sorted(projected) == sorted(id(state.v[i].data) for i in with_neighbors)
 
 
 class TestSpatiotemporalUpdate:
