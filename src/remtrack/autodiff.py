@@ -1,11 +1,14 @@
 """Minimal reverse-mode autodiff over dense float64 arrays.
 
-Covers exactly the operations the relation module and its regression heads
-need: affine maps, concatenation, sigmoid/tanh/LeakyReLU/softplus, softmax,
-and elementwise arithmetic. Forward passes are deterministic: the same inputs
-in the same order give the same bits. Results may depend on the order of
-summed terms, so callers that need order independence fix the order
-themselves (the relation module sorts each receiver's neighbors by content).
+Covers exactly the operations the relation module, its regression heads and
+the GIoU loss need: ``add``, ``mul``, ``affine``, ``dot``, ``concat``,
+``stack``, ``get``, ``leaky_relu``, ``softplus``, ``softmax`` and the fused
+``gru_cell``. A fused operation outside this module (the GIoU loss, the
+relation module's attention over one receiver's senders) builds its own tape
+node with ``_make``. Forward passes are deterministic: the same inputs in the
+same order give the same bits. Results may depend on the order of summed
+terms, so callers that need order independence fix the order themselves (the
+relation module sorts each receiver's neighbors by content).
 
 Weight gradients are formed as row factors, not as dense outer products. A
 backward closure returns the gradient of a weight as ``_Rows(u, v)``, which
@@ -81,20 +84,11 @@ class Tensor:
     def __radd__(self, other):
         return add(self, other)
 
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(as_tensor(other), self)
-
     def __mul__(self, other):
         return mul(self, other)
 
     def __rmul__(self, other):
         return mul(self, other)
-
-    def __neg__(self):
-        return neg(self)
 
 
 def as_tensor(x) -> Tensor:
@@ -148,16 +142,6 @@ def add(a, b) -> Tensor:
     return _make(data, (a, b), bw)
 
 
-def sub(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    data = a.data - b.data
-
-    def bw(g):
-        return (_reduce_to(g, a.data.shape), _reduce_to(-g, b.data.shape))
-
-    return _make(data, (a, b), bw)
-
-
 def mul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     data = a.data * b.data
@@ -166,23 +150,6 @@ def mul(a, b) -> Tensor:
         return (_reduce_to(g * b.data, a.data.shape), _reduce_to(g * a.data, b.data.shape))
 
     return _make(data, (a, b), bw)
-
-
-def div(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    data = a.data / b.data
-
-    def bw(g):
-        ga = g / b.data
-        gb = -g * a.data / (b.data * b.data)
-        return (_reduce_to(ga, a.data.shape), _reduce_to(gb, b.data.shape))
-
-    return _make(data, (a, b), bw)
-
-
-def neg(a: Tensor) -> Tensor:
-    a = as_tensor(a)
-    return _make(-a.data, (a,), lambda g: (-g,))
 
 
 def _reduce_to(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -278,26 +245,6 @@ def get(x: Tensor, index: int) -> Tensor:
     return _make(data, (x,), bw)
 
 
-def sigmoid(x: Tensor) -> Tensor:
-    # Stable on both tails.
-    d = x.data
-    out = np.where(d >= 0, 1.0 / (1.0 + np.exp(-np.abs(d))), np.exp(-np.abs(d)) / (1.0 + np.exp(-np.abs(d))))
-
-    def bw(g):
-        return (g * out * (1.0 - out),)
-
-    return _make(out, (x,), bw)
-
-
-def tanh(x: Tensor) -> Tensor:
-    out = np.tanh(x.data)
-
-    def bw(g):
-        return (g * (1.0 - out * out),)
-
-    return _make(out, (x,), bw)
-
-
 def leaky_relu(x: Tensor, slope: float) -> Tensor:
     d = x.data
     out = np.where(d >= 0, d, slope * d)
@@ -315,35 +262,6 @@ def softplus(x: Tensor) -> Tensor:
         return (g / (1.0 + np.exp(-x.data)),)
 
     return _make(out, (x,), bw)
-
-
-def maximum(a, b) -> Tensor:
-    """Elementwise max; on ties the gradient goes to the first argument."""
-    a, b = as_tensor(a), as_tensor(b)
-    take_a = a.data >= b.data
-    data = np.where(take_a, a.data, b.data)
-
-    def bw(g):
-        return (
-            _reduce_to(g * take_a, a.data.shape),
-            _reduce_to(g * ~take_a, b.data.shape),
-        )
-
-    return _make(data, (a, b), bw)
-
-
-def minimum(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    take_a = a.data <= b.data
-    data = np.where(take_a, a.data, b.data)
-
-    def bw(g):
-        return (
-            _reduce_to(g * take_a, a.data.shape),
-            _reduce_to(g * ~take_a, b.data.shape),
-        )
-
-    return _make(data, (a, b), bw)
 
 
 def softmax(logits: Tensor) -> Tensor:

@@ -67,6 +67,10 @@ def _load_model(path: Path) -> tuple[ParameterStore, RemParameters, TrackerParam
     # trained for a model this version cannot build.
     if dims.get("input_scale", INPUT_SCALE) != INPUT_SCALE:
         raise ValueError(f"checkpoint input_scale must be {INPUT_SCALE}, got {dims['input_scale']}")
+    for key in ("F", "F_a"):
+        value = dims[key]
+        if not (value >= 1 and (type(value) is int or value.is_integer())):
+            raise ValueError(f"checkpoint dims {key} must be an integer >= 1, got {value}")
     store, rem_params, trk_params = _build_model(int(dims["F"]), int(dims["F_a"]), seed=0)
     rio.restore_store(store, params)
     return store, rem_params, trk_params

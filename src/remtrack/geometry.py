@@ -10,6 +10,10 @@ mixed units.
 ``iou_matrix`` and ``scaled_distance_matrix`` are the all-pairs forms used on
 hot paths. They repeat the scalar arithmetic entry by entry, in the same
 order, so every entry is bitwise equal to ``iou`` / ``scaled_distance``.
+
+``giou_loss`` is one tape node. Its forward is bitwise the chain of scalar
+``max``/``min`` and arithmetic steps that defines the loss, and its gradient
+equals that chain's gradient in value.
 """
 
 from __future__ import annotations
@@ -145,25 +149,51 @@ def giou_loss(pred: Tensor | BoundingBox, target: BoundingBox) -> Tensor:
 
     ``pred`` is a length-4 tensor (cx, cy, w, h); sizes are clamped to
     MIN_BOX_SIZE so degenerate intermediate boxes stay well-defined.
+
+    The forward runs the scalar chain over the x and y axes at once, in the
+    chain's order. The backward keeps the chain's tie rules: a ``max`` or
+    ``min`` against the target or the size floor passes the gradient to
+    ``pred`` on a tie, and the overlap ``max(span, 0)`` passes it when
+    ``span >= 0``. Each gradient entry sums the chain's terms in its order, so
+    only the sign of a zero may differ from it.
     """
     if isinstance(pred, BoundingBox):
         pred = Tensor(pred.as_array())
     if pred.data.shape != (4,):
         raise ValueError(f"pred must be a length-4 tensor, got shape {pred.data.shape}")
-    cx, cy = ad.get(pred, 0), ad.get(pred, 1)
-    w = ad.maximum(ad.get(pred, 2), MIN_BOX_SIZE)
-    h = ad.maximum(ad.get(pred, 3), MIN_BOX_SIZE)
-    half_w, half_h = ad.mul(w, 0.5), ad.mul(h, 0.5)
-    px1, px2 = ad.sub(cx, half_w), ad.add(cx, half_w)
-    py1, py2 = ad.sub(cy, half_h), ad.add(cy, half_h)
     tx1, ty1, tx2, ty2 = _corners(target)
+    t1, t2 = np.array([tx1, ty1]), np.array([tx2, ty2])
+    center, raw_size = pred.data[:2], pred.data[2:]
+    # Each mask marks where the chain's max/min takes the predicted side.
+    size_kept = raw_size >= MIN_BOX_SIZE
+    size = np.where(size_kept, raw_size, MIN_BOX_SIZE)
+    half = size * 0.5
+    p1, p2 = center - half, center + half
+    inner_lo, inner_hi = p1 >= t1, p2 <= t2
+    span = np.where(inner_hi, p2, t2) - np.where(inner_lo, p1, t1)
+    overlapping = span >= 0.0
+    overlap = np.where(overlapping, span, 0.0)
+    inter = overlap[0] * overlap[1]
+    union = size[0] * size[1] + target.w * target.h - inter
+    outer_lo, outer_hi = p1 <= t1, p2 >= t2
+    extent = np.where(outer_hi, p2, t2) - np.where(outer_lo, p1, t1)
+    enclosing = extent[0] * extent[1]
+    excess = enclosing - union
+    loss = 1.0 - (inter / union - excess / enclosing)
 
-    iw = ad.maximum(ad.sub(ad.minimum(px2, tx2), ad.maximum(px1, tx1)), 0.0)
-    ih = ad.maximum(ad.sub(ad.minimum(py2, ty2), ad.maximum(py1, ty1)), 0.0)
-    inter = ad.mul(iw, ih)
-    union = ad.sub(ad.add(ad.mul(w, h), target.w * target.h), inter)
-    cw = ad.sub(ad.maximum(px2, tx2), ad.minimum(px1, tx1))
-    ch = ad.sub(ad.maximum(py2, ty2), ad.minimum(py1, ty1))
-    enclosing = ad.mul(cw, ch)
-    giou_val = ad.sub(ad.div(inter, union), ad.div(ad.sub(enclosing, union), enclosing))
-    return ad.sub(1.0, giou_val)
+    def bw(g):
+        # loss = 1 - (ratio - penalty), ratio = inter / union, penalty = excess / enclosing
+        g_ratio = -g
+        g_penalty = -g_ratio
+        g_excess = g_penalty / enclosing
+        g_union = -g_ratio * inter / (union * union) - g_excess
+        g_inter = g_ratio / union - g_union
+        g_enclosing = -g_penalty * excess / (enclosing * enclosing) + g_excess
+        g_overlap = np.where(overlapping, g_inter * overlap[::-1], 0.0)
+        g_extent = g_enclosing * extent[::-1]
+        g_p1 = np.where(inner_lo, -g_overlap, 0.0) + np.where(outer_lo, -g_extent, 0.0)
+        g_p2 = np.where(inner_hi, g_overlap, 0.0) + np.where(outer_hi, g_extent, 0.0)
+        g_size = (g_p2 - g_p1) * 0.5 + g_union * size[::-1]
+        return (np.concatenate([g_p1 + g_p2, np.where(size_kept, g_size, 0.0)]),)
+
+    return ad._make(np.asarray(loss), (pred,), bw)

@@ -9,6 +9,7 @@ precision so JSONL round-trips are bit-exact.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -220,7 +221,14 @@ def load_checkpoint_json(text: str) -> tuple[dict[str, int], dict[str, np.ndarra
         shape = tuple(entry["shape"])
         if not all(isinstance(n, int) and not isinstance(n, bool) and n >= 0 for n in shape):
             raise ValueError(f"parameter '{name}': shape {list(shape)} must list non-negative integers")
-        data = np.asarray(entry["data"], dtype=np.float64)
+        data = entry["data"]
+        try:
+            finite = isinstance(data, list) and all(type(v) in (int, float) and math.isfinite(v) for v in data)
+        except OverflowError:  # an integer beyond the float range
+            finite = False
+        if not finite:
+            raise ValueError(f"parameter '{name}': data must be a list of finite numbers")
+        data = np.asarray(data, dtype=np.float64)
         if data.size != int(np.prod(shape, dtype=np.int64)):
             raise ValueError(f"parameter '{name}': data length {data.size} does not match shape {shape}")
         params[name] = data.reshape(shape)

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Literal, Sequence
 
 import numpy as np
@@ -169,14 +169,6 @@ class _Track:
     missed: int = 0
 
 
-@dataclass
-class TrackStats:
-    """Diagnostics: which (track, frame) pairs used the occlusion head."""
-
-    relation_recoveries: list[tuple[int, int]] = field(default_factory=list)
-    coasted: list[tuple[int, int]] = field(default_factory=list)
-
-
 def _greedy_associate(
     tracks: dict[int, _Track], detections: Sequence[Detection], min_iou: float
 ) -> dict[int, int]:
@@ -205,7 +197,6 @@ def track_sequence(
     d_th: float = 15.0,
     assoc_iou: float = 0.3,
     term_after: int = 15,
-    stats: TrackStats | None = None,
 ) -> list[list[tuple[int, BoundingBox]]]:
     """Run the tracker over per-frame detections; ids are the tracker's own.
 
@@ -254,12 +245,8 @@ def track_sequence(
                         continue
                     if mode == "relations_for_occluded":
                         new_box = _tensor_to_box(regress_from_relations(trk, state.r[tid]))
-                        if stats is not None:
-                            stats.relation_recoveries.append((tid, t))
                     else:
                         new_box = clamped_box(*(track.box.as_array() + track.last_offset))
-                        if stats is not None:
-                            stats.coasted.append((tid, t))
                     track.last_offset = new_box.as_array() - track.box.as_array()
                     track.box = new_box
             for tid in terminated:

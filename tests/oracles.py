@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 
-from remtrack.geometry import BoundingBox, iou
+from remtrack.geometry import MIN_BOX_SIZE, BoundingBox, iou
 from remtrack.rem import INPUT_SCALE
 
 
@@ -129,6 +129,70 @@ def canonical_sender_order(frame, v, i):
         keyed.append(((frame.distance(i, j), b.cx, b.cy, b.w, b.h, v[j].data.tobytes()), j))
     keyed.sort(key=lambda pair: pair[0])
     return [j for _, j in keyed]
+
+
+# ---------------------------------------------------------------------------
+# GIoU loss and its gradient (pure Python floats)
+
+
+def scalar_giou_loss_and_grad(pred, target: BoundingBox) -> tuple[float, list[float]]:
+    """1 - GIoU of ``pred`` = (cx, cy, w, h) against ``target``, and its
+    gradient with respect to ``pred``.
+
+    The loss follows the definition step by step: sizes floored at
+    MIN_BOX_SIZE, corners, clipped overlap, union and enclosing box. The
+    gradient is derived by hand from L = 1 - I/U + (E - U) * (1/E), with the
+    product rule for the last term. Every max/min whose sides tie passes the
+    gradient to ``pred``; the overlap max(span, 0) passes it when span >= 0,
+    and the size floor when w >= MIN_BOX_SIZE.
+    """
+    cx, cy, raw_w, raw_h = (float(v) for v in pred)
+    w = raw_w if raw_w >= MIN_BOX_SIZE else MIN_BOX_SIZE
+    h = raw_h if raw_h >= MIN_BOX_SIZE else MIN_BOX_SIZE
+    p_lo = [cx - w * 0.5, cy - h * 0.5]
+    p_hi = [cx + w * 0.5, cy + h * 0.5]
+    t_lo = [target.cx - target.w / 2.0, target.cy - target.h / 2.0]
+    t_hi = [target.cx + target.w / 2.0, target.cy + target.h / 2.0]
+
+    spans, overlap, extent = [], [], []
+    for a in range(2):
+        lo = p_lo[a] if p_lo[a] >= t_lo[a] else t_lo[a]
+        hi = p_hi[a] if p_hi[a] <= t_hi[a] else t_hi[a]
+        span = hi - lo
+        spans.append(span)
+        overlap.append(span if span >= 0.0 else 0.0)
+        outer_hi = p_hi[a] if p_hi[a] >= t_hi[a] else t_hi[a]
+        outer_lo = p_lo[a] if p_lo[a] <= t_lo[a] else t_lo[a]
+        extent.append(outer_hi - outer_lo)
+    inter = overlap[0] * overlap[1]
+    union = w * h + target.w * target.h - inter
+    enclosing = extent[0] * extent[1]
+    loss = 1.0 - (inter / union - (enclosing - union) / enclosing)
+
+    # U = w*h + area(target) - I, so I reaches L directly and through U
+    d_union = inter / union**2 - 1.0 / enclosing
+    d_inter = -1.0 / union - d_union
+    d_enclosing = 1.0 / enclosing - (enclosing - union) / enclosing**2
+    d_center, d_size = [0.0, 0.0], [0.0, 0.0]
+    size = [w, h]
+    for a in range(2):
+        d_lo = d_hi = 0.0
+        if spans[a] >= 0.0:
+            d_span = d_inter * overlap[1 - a]
+            if p_hi[a] <= t_hi[a]:
+                d_hi += d_span
+            if p_lo[a] >= t_lo[a]:
+                d_lo -= d_span
+        d_extent = d_enclosing * extent[1 - a]
+        if p_hi[a] >= t_hi[a]:
+            d_hi += d_extent
+        if p_lo[a] <= t_lo[a]:
+            d_lo -= d_extent
+        d_center[a] = d_lo + d_hi
+        d_size[a] = 0.5 * (d_hi - d_lo) + d_union * size[1 - a]
+    raw = (raw_w, raw_h)
+    grad = d_center + [d_size[a] if raw[a] >= MIN_BOX_SIZE else 0.0 for a in range(2)]
+    return loss, grad
 
 
 # ---------------------------------------------------------------------------

@@ -74,7 +74,7 @@ class TestGruCell:
 
         def loss():
             out = gru_cell(cell, Tensor(x), Tensor(h))
-            diff = ad.sub(out, Tensor(target))
+            diff = ad.add(out, Tensor(-target))
             return ad.dot(diff, diff)
 
         assert gradient_check(loss, store, epsilon=1e-5) < 1e-4
@@ -193,7 +193,7 @@ class TestGradientCheck:
         store.register("theta", Tensor(np.array([0.0])))
 
         def bad():
-            return ad.div(Tensor(np.asarray(1.0)), ad.dot(store["theta"], Tensor(np.ones(1))))
+            return ad.add(ad.dot(store["theta"], Tensor(np.ones(1))), math.inf)
 
         with pytest.raises(ValueError, match="finite"):
             gradient_check(bad, store)
@@ -214,25 +214,24 @@ class TestCompositeGradients:
         b1 = store.register("b1", Tensor(rng.normal(size=5) * 0.1))
         w2 = store.register("w2", Tensor(rng.normal(size=(3, 5)) * 0.5))
         x = Tensor(rng.normal(size=4))
+        shift = Tensor(-rng.uniform(0.5, 1.5, size=3))
 
         def loss():
             h = ad.leaky_relu(ad.affine(w1, x, b1), 0.1)
-            h = ad.tanh(ad.affine(w2, h))
+            h = ad.softplus(ad.affine(w2, h))
             s = ad.softmax(h)
-            m = ad.mul(s, ad.sigmoid(h))
+            m = ad.mul(s, ad.add(h, shift))
             return ad.dot(m, m)
 
         assert gradient_check(loss, store, epsilon=1e-5) < 1e-4
 
-    def test_min_max_div_softplus_gradients(self):
+    def test_softplus_gradients(self):
         rng = np.random.default_rng(11)
         store = ParameterStore()
         p = store.register("p", Tensor(rng.normal(size=4)))
 
         def loss():
-            a = ad.maximum(p, 0.25)
-            b = ad.minimum(p, Tensor(np.array([0.5, 0.1, -0.3, 2.0])))
-            c = ad.softplus(ad.div(a, ad.add(ad.mul(b, b), 1.0)))
+            c = ad.softplus(ad.add(ad.mul(p, p), Tensor(np.array([-0.5, 0.1, -0.3, 2.0]))))
             return ad.dot(c, Tensor(np.ones(4)))
 
         assert gradient_check(loss, store, epsilon=1e-5) < 1e-4
@@ -255,7 +254,7 @@ class TestDeterminismAndInvariants:
         x = Tensor(rng.normal(size=6))
 
         def forward():
-            return ad.softmax(ad.tanh(ad.affine(w, x))).data
+            return ad.softmax(ad.softplus(ad.affine(w, x))).data
 
         assert np.array_equal(forward(), forward())
 
@@ -363,8 +362,8 @@ class TestFactoredWeightGradients:
             assert_close_rel(getattr(cell, name).grad, expected)
 
     def test_weight_that_is_not_a_leaf_passes_gradient_check(self):
-        # tanh(w) is an inner node, so its factors are multiplied out before
-        # its own closure runs
+        # softplus(w) is an inner node, so its factors are multiplied out
+        # before its own closure runs
         rng = np.random.default_rng(52)
         store = ParameterStore()
         w = store.register("w", Tensor(rng.normal(size=(3, 4))))
@@ -372,8 +371,8 @@ class TestFactoredWeightGradients:
         c = Tensor(rng.normal(size=3))
 
         def loss():
-            tw = ad.tanh(w)
-            return ad.dot(ad.affine(tw, x1), c) + ad.dot(ad.tanh(ad.affine(tw, x2)), c)
+            sw = ad.softplus(w)
+            return ad.dot(ad.affine(sw, x1), c) + ad.dot(ad.softplus(ad.affine(sw, x2)), c)
 
         assert gradient_check(loss, store, epsilon=1e-5) < 1e-4
 
@@ -384,11 +383,11 @@ class TestFactoredWeightGradients:
         x1, x2 = rng.normal(size=4), rng.normal(size=4)
         c1, c2 = rng.normal(size=3), rng.normal(size=3)
         loss = ad.dot(ad.affine(p, Tensor(x1)), Tensor(c1)) + ad.dot(
-            ad.affine(ad.tanh(p), Tensor(x2)), Tensor(c2)
+            ad.affine(ad.softplus(p), Tensor(x2)), Tensor(c2)
         )
         backward(loss)
-        t = np.tanh(p.data)
-        assert_close_rel(p.grad, np.outer(c1, x1) + (1.0 - t * t) * np.outer(c2, x2))
+        slope = 1.0 / (1.0 + np.exp(-p.data))
+        assert_close_rel(p.grad, np.outer(c1, x1) + slope * np.outer(c2, x2))
 
     def test_backward_adds_to_existing_grad(self):
         rng = np.random.default_rng(54)

@@ -332,6 +332,32 @@ class TestErrors:
         assert code == 1
         assert "dims must be a JSON object" in self.one_line_error(capsys)
 
+    @pytest.mark.parametrize("command", ["track", "relations"])
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda doc, p: doc["dims"].update(F=float("inf")), "checkpoint dims F must be an integer >= 1, got inf"),
+            (lambda doc, p: doc["dims"].update(F=float("nan")), "checkpoint dims F must be an integer >= 1, got nan"),
+            (lambda doc, p: doc["dims"].update(F=4.5), "checkpoint dims F must be an integer >= 1, got 4.5"),
+            (lambda doc, p: doc["dims"].update(F_a=0), "checkpoint dims F_a must be an integer >= 1, got 0"),
+            (lambda doc, p: doc["params"][p].update(data={"x": 1.0}), "parameter '{name}': data must be a list"),
+            (lambda doc, p: doc["params"][p]["data"].__setitem__(0, float("nan")), "parameter '{name}': data must be a list"),
+        ],
+        ids=["dim-inf", "dim-nan", "dim-fraction", "dim-zero", "data-object", "data-nan"],
+    )
+    def test_malformed_checkpoint_values(self, tmp_path, capsys, command, edit, message):
+        scenario, _ = write_scenario(tmp_path)
+        ckpt = write_checkpoint(tmp_path)
+        doc = json.loads(ckpt.read_text())
+        name = sorted(doc["params"])[0]
+        edit(doc, name)
+        ckpt.write_text(json.dumps(doc))
+        out = tmp_path / "o"
+        code = run([command, "--scenario", str(scenario), "--checkpoint", str(ckpt), "--out", str(out)])
+        assert code == 1
+        assert message.format(name=name) in self.one_line_error(capsys)
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "argv, message",
         [

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import scalar_giou_loss_and_grad
 
 from remtrack import autodiff as ad
 from remtrack.autodiff import ParameterStore, Tensor, gradient_check
@@ -36,6 +37,18 @@ def grid_boxes(draw, max_size=8):
     coord = st.integers(-6, 6).map(lambda k: k * step)
     size = st.integers(1, 6).map(lambda k: k * step)
     return draw(st.lists(st.builds(BoundingBox, coord, coord, size, size), max_size=max_size))
+
+
+half_units = st.integers(-4, 4).map(lambda k: k * 0.5)
+half_unit_sizes = st.integers(1, 4).map(lambda k: k * 0.5)
+floor_sizes = st.sampled_from((MIN_BOX_SIZE, MIN_BOX_SIZE / 2, 0.0, -0.5))
+half_grid_pred = st.tuples(
+    half_units, half_units, half_unit_sizes | floor_sizes, half_unit_sizes | floor_sizes
+)
+half_grid_target = st.builds(
+    BoundingBox, half_units, half_units,
+    half_unit_sizes | st.just(MIN_BOX_SIZE), half_unit_sizes | st.just(MIN_BOX_SIZE),
+)
 
 
 def scalar_table(f, rows, cols) -> np.ndarray:
@@ -255,3 +268,22 @@ class TestGiou:
     def test_rejects_wrong_shape(self):
         with pytest.raises(ValueError, match="length-4"):
             giou_loss(Tensor(np.zeros(3)), BoundingBox(0, 0, 1, 1))
+
+    def test_one_tape_node(self):
+        pred = Tensor(np.array([0.5, 0.0, 2.0, 1.0]), requires_grad=True)
+        loss = giou_loss(pred, BoundingBox(1.0, 0.5, 2.0, 2.0))
+        assert loss.requires_grad and loss._parents == (pred,)
+
+    @given(half_grid_pred, half_grid_target)
+    @settings(max_examples=400)
+    def test_matches_scalar_oracle_on_ties(self, pred, target):
+        # Half-unit boxes touch, share corners, nest and repeat, so every
+        # max/min of the loss meets ties; sizes at or below MIN_BOX_SIZE meet
+        # the size floor.
+        expected, expected_grad = scalar_giou_loss_and_grad(pred, target)
+        p = Tensor(np.array(pred), requires_grad=True)
+        loss = giou_loss(p, target)
+        ad.backward(loss)
+        assert same_bits(loss.data, np.asarray(expected))
+        expected_grad = np.array(expected_grad)
+        assert np.max(np.abs(p.grad - expected_grad)) <= 1e-12 * np.max(np.abs(expected_grad))

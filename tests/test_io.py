@@ -193,6 +193,18 @@ class TestCheckpoints:
         with pytest.raises(ValueError, match=message):
             rio.load_checkpoint_json(json.dumps(doc))
 
+    @pytest.mark.parametrize(
+        "data",
+        [{"x": 1.0}, [1.0, float("nan"), 2.0], [float("inf"), 1.0, 2.0], ["1.5", 1.0, 2.0], [True, 1.0, 2.0],
+         [10**400, 1.0, 2.0], [[1.0], 1.0, 2.0], 1.0],
+        ids=["object", "nan", "inf", "string", "bool", "int-overflow", "nested", "scalar"],
+    )
+    def test_malformed_data_rejected(self, data):
+        doc = json.loads(rio.checkpoint_to_json(self.make_store(), {}))
+        doc["params"]["a.b"]["data"] = data
+        with pytest.raises(ValueError, match=r"parameter 'a.b': data must be a list of finite numbers"):
+            rio.load_checkpoint_json(json.dumps(doc))
+
     def test_corrupt_length_rejected(self):
         doc = json.loads(rio.checkpoint_to_json(self.make_store(), {}))
         doc["params"]["a.b"]["data"] = [1.0]

@@ -7,10 +7,10 @@ import pytest
 from conftest import make_model
 from remtrack import autodiff as ad
 from remtrack.autodiff import Tensor, backward, gradient_check
-from remtrack.geometry import BoundingBox, iou
+from remtrack import tracker
+from remtrack.geometry import BoundingBox, clamped_box, iou
 from remtrack.simulator import Detection, ScenarioConfig, detect_sequence, generate
 from remtrack.tracker import (
-    TrackStats,
     TrainConfig,
     _greedy_associate,
     _Track,
@@ -197,10 +197,10 @@ class TestTrackSequence:
         b = track_sequence(trk, rem_params, shuffled, "relation_aware", d_th=15.0)
         assert a == b
 
-    def test_occluded_branch_activation_exact(self):
+    def test_occluded_branch_activation_exact(self, monkeypatch):
         # A is detected every frame, B only in frames 0..4. The occlusion
         # branch must fire exactly for B's unmatched frames in relations
-        # mode, and never in the other modes.
+        # mode, and never in the other modes, where B coasts.
         store, rem_params, trk = identity_copy_tracker()
         frames = []
         for t in range(12):
@@ -209,20 +209,32 @@ class TestTrackSequence:
                 frame.append(Detection(box=box(12.0, 12.0 + 0.1 * t)))
             frames.append(frame)
 
-        stats = TrackStats()
-        track_sequence(trk, rem_params, frames, "relations_for_occluded", d_th=5.0, term_after=20, stats=stats)
+        recorded = []
+        regress = tracker.regress_from_relations
+
+        def spy(params, relation):
+            out = regress(params, relation)
+            recorded.append(clamped_box(*out.data.tolist()))
+            return out
+
+        monkeypatch.setattr(tracker, "regress_from_relations", spy)
         b_tid = 1  # spawned second at t=0 (canonical order by cx)
-        assert stats.relation_recoveries == [(b_tid, t) for t in range(5, 12)]
-        assert stats.coasted == []
 
-        stats = TrackStats()
-        track_sequence(trk, rem_params, frames, "relation_aware", d_th=5.0, term_after=20, stats=stats)
-        assert stats.relation_recoveries == []
-        assert stats.coasted == [(b_tid, t) for t in range(5, 12)]
+        def b_boxes(mode):
+            tracks = track_sequence(trk, rem_params, frames, mode, d_th=5.0, term_after=20)
+            return [dict(frame)[b_tid] for frame in tracks]
 
-        stats = TrackStats()
-        track_sequence(trk, rem_params, frames, "baseline", d_th=5.0, term_after=20, stats=stats)
-        assert stats.relation_recoveries == []
+        emitted = b_boxes("relations_for_occluded")
+        assert len(recorded) == 7
+        assert emitted[5:12] == recorded
+
+        for mode in ("relation_aware", "baseline"):
+            recorded.clear()
+            emitted = b_boxes(mode)
+            assert recorded == []
+            for t in range(5, 12):
+                prev, before = emitted[t - 1].as_array(), emitted[t - 2].as_array()
+                assert emitted[t] == clamped_box(*(prev + (prev - before)))
 
     def test_all_boxes_valid(self):
         cfg = ScenarioConfig(n_frames=12, n_groups=3, group_size_min=1, group_size_max=3, seed=14)
