@@ -1,14 +1,16 @@
 """Minimal reverse-mode autodiff over dense float64 arrays.
 
 Covers exactly the operations the relation module, its regression heads and
-the GIoU loss need: ``add``, ``mul``, ``affine``, ``dot``, ``concat``,
+the training loss need: ``add``, ``mul``, ``affine``, ``dot``, ``concat``,
 ``stack``, ``get``, ``leaky_relu``, ``softplus``, ``softmax`` and the fused
-``gru_cell``. A fused operation outside this module (the GIoU loss, the
-relation module's attention over one receiver's senders) builds its own tape
-node with ``_make``. Forward passes are deterministic: the same inputs in the
-same order give the same bits. Results may depend on the order of summed
-terms, so callers that need order independence fix the order themselves (the
-relation module sorts each receiver's neighbors by content).
+``gru_cell``. ``Tensor`` has no arithmetic operators: every tape node comes
+from one of these functions by name. A fused operation outside this module
+(the GIoU loss, the relation module's attention over one receiver's senders)
+builds its own tape node with ``_make``. Forward passes are deterministic:
+the same inputs in the same order give the same bits. Results may depend on
+the order of summed terms, so callers that need order independence fix the
+order themselves (the relation module sorts each receiver's neighbors by
+content).
 
 Weight gradients are formed as row factors, not as dense outer products. A
 backward closure returns the gradient of a weight as ``_Rows(u, v)``, which
@@ -76,19 +78,6 @@ class Tensor:
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
-
-    # Convenience arithmetic; the module-level functions are the primitives.
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(self, other)
 
 
 def as_tensor(x) -> Tensor:

@@ -14,20 +14,10 @@ from pathlib import Path
 
 import numpy as np
 
-from . import autodiff as ad
 from . import io as rio
-from .autodiff import ParameterStore, Tensor, gradient_check
-from .geometry import BoundingBox, giou_loss
+from .autodiff import ParameterStore, gradient_check
 from .metrics import DEFAULT_ALPHAS, evaluate
-from .rem import (
-    DEFAULT_DIM,
-    DEFAULT_WINDOW,
-    INPUT_SCALE,
-    RemParameters,
-    RemState,
-    relation_importance_records,
-    rem_step,
-)
+from .rem import DEFAULT_DIM, DEFAULT_WINDOW, INPUT_SCALE, RemParameters, relation_importance_records
 from .simulator import DEFAULT_OCCLUSION_CUTOFF, ScenarioConfig, detect_sequence, generate
 from .st_graph import build_graph
 from .tracker import (
@@ -35,12 +25,10 @@ from .tracker import (
     TRACK_MODES,
     TrackerParameters,
     TrainConfig,
-    appearance_feature,
-    regress_baseline,
-    regress_from_relations,
-    regress_relation_aware,
+    prepare_window,
     track_sequence,
     train,
+    window_loss,
 )
 
 GRADCHECK_TOLERANCE = 1e-4
@@ -67,10 +55,17 @@ def _load_model(path: Path) -> tuple[ParameterStore, RemParameters, TrackerParam
     # trained for a model this version cannot build.
     if dims.get("input_scale", INPUT_SCALE) != INPUT_SCALE:
         raise ValueError(f"checkpoint input_scale must be {INPUT_SCALE}, got {dims['input_scale']}")
-    for key in ("F", "F_a"):
+    # Each dim is checked against the shape of a stored vector of that length
+    # before the model is built, so an oversized dim fails without allocating.
+    for key, name in (("F", "rem.b_in"), ("F_a", "trk.enc_b")):
         value = dims[key]
         if not (value >= 1 and (type(value) is int or value.is_integer())):
             raise ValueError(f"checkpoint dims {key} must be an integer >= 1, got {value}")
+        if name not in params:
+            raise ValueError(f"checkpoint is missing parameter '{name}'")
+        shape = params[name].shape
+        if shape != (value,):
+            raise ValueError(f"checkpoint dims {key} is {value}, but parameter '{name}' has shape {shape}")
     store, rem_params, trk_params = _build_model(int(dims["F"]), int(dims["F_a"]), seed=0)
     rio.restore_store(store, params)
     return store, rem_params, trk_params
@@ -252,49 +247,31 @@ def _cmd_ablate(args) -> int:
 
 
 def gradcheck_loss_builder(seed: int, dim: int = 8, app_dim: int = 6):
-    """A 3-object, 4-frame scene whose loss exercises every parameter."""
-    rng = np.random.default_rng(seed)
+    """The training loss of one seeded three-frame window: a group of three
+    whose third member is occluded at frame 1, so the occlusion head is
+    supervised there and the other two heads at the frame after the window.
+
+    The scene is 10 x 10 because the appearance encoder takes coordinates
+    unscaled: in a larger scene a finite-difference step on a head weight
+    moves its pre-activation further, and more often across a kink."""
+    cfg = TrainConfig(window=3)
+    scene = ScenarioConfig(
+        n_frames=cfg.window + 1,
+        scene_w=10.0,
+        scene_h=10.0,
+        n_groups=1,
+        group_size_min=3,
+        group_size_max=3,
+        occlusion_prob=[0.0, 0.0, 1.0],
+        occlusion_start=1,
+        occlusion_min=1,
+        occlusion_max=1,
+        occlusion_vis=(0.0, 0.0),
+        seed=seed,
+    )
+    sample = prepare_window(generate(scene), 0, cfg, np.random.default_rng(seed))
     store, rem_params, trk_params = _build_model(dim, app_dim, seed)
-    frames = []
-    base = rng.uniform(4.0, 6.0, size=(3, 2))
-    for t in range(4):
-        frame = []
-        for i in range(3):
-            frame.append(
-                (
-                    i,
-                    BoundingBox(
-                        base[i, 0] + 0.3 * t + rng.normal(0, 0.05),
-                        base[i, 1] + 0.2 * t + rng.normal(0, 0.05),
-                        2.0,
-                        2.0,
-                    ),
-                )
-            )
-        frames.append(frame)
-    graph = build_graph(frames, d_th=15.0)
-    targets = [BoundingBox(base[i, 0] + 1.2, base[i, 1] + 0.8, 2.0, 2.0) for i in range(3)]
-    det_boxes = [BoundingBox(base[i, 0] + 1.1, base[i, 1] + 0.9, 2.1, 1.9) for i in range(3)]
-
-    def loss_fn() -> Tensor:
-        state = RemState()
-        for t in range(4):
-            rem_step(rem_params, state, graph, t)
-        terms = []
-        for i in range(3):
-            prev_box = graph.frames[3].boxes[i]
-            feat = appearance_feature(trk_params, det_boxes[i], prev_box, True)
-            pred_rel = ad.add(Tensor(prev_box.as_array()), regress_relation_aware(trk_params, feat, state.r[i]))
-            terms.append(giou_loss(pred_rel, targets[i]))
-            pred_base = ad.add(Tensor(prev_box.as_array()), regress_baseline(trk_params, feat))
-            terms.append(giou_loss(pred_base, targets[i]))
-            terms.append(giou_loss(regress_from_relations(trk_params, state.r[i]), targets[i]))
-        total = terms[0]
-        for term in terms[1:]:
-            total = total + term
-        return total * (1.0 / len(terms))
-
-    return store, loss_fn
+    return store, lambda: window_loss(trk_params, rem_params, sample, cfg)
 
 
 def _cmd_gradcheck(args) -> int:

@@ -82,11 +82,11 @@ class RemParameters:
         cls,
         store: ParameterStore,
         dim: int = DEFAULT_DIM,
-        rng: np.random.Generator | None = None,
+        *,
+        rng: np.random.Generator,
     ) -> "RemParameters":
         if dim < 1:
             raise ValueError("embedding dimension must be >= 1")
-        rng = rng if rng is not None else np.random.default_rng(0)
         return cls(
             w_in=store.matrix("rem.w_in", dim, BOX_FEATURES, rng),
             b_in=store.zeros("rem.b_in", dim),
@@ -424,11 +424,6 @@ def _phi(a: np.ndarray, b: np.ndarray) -> float:
     return 1.0 - min(c * c, 1.0)
 
 
-def _check_window(window: int) -> None:
-    if window < 1:
-        raise ValueError(f"relation importance window must be >= 1, got {window}")
-
-
 def _window_node_features(
     params: RemParameters, graph: SpatioTemporalGraph, t: int, window: int
 ) -> list[_Nodes]:
@@ -522,43 +517,23 @@ def _leave_one_out(
     return r.data, dict(zip(drops, r_drops))
 
 
-def relation_importance(
-    params: RemParameters,
-    graph: SpatioTemporalGraph,
-    t: int,
-    i: int,
-    j: int,
-    window: int = DEFAULT_WINDOW,
-) -> float:
-    """Degree to which instance j shapes instance i's embedding at frame t.
-
-    Zero unless j is a spatial neighbor of i at t; otherwise 1 - cos^2 between
-    i's embedding and its leave-j-out recomputation, both replayed over the
-    trailing window so the two sides are directly comparable. Asymmetric in
-    general.
-    """
-    _check_window(window)
-    if i == j:
-        raise ValueError("relation importance needs two distinct instances")
-    frame = graph.frames[t]
-    if i not in frame.boxes or j not in frame.boxes:
-        raise ValueError(f"instances {i}, {j} must both be present at frame {t}")
-    if j not in frame.neighbors[i]:
-        return 0.0
-    with ad.no_grad():
-        feats = _window_node_features(params, graph, t, window)
-        r_full, r_drops = _leave_one_out(params, graph, t, window, i, feats)
-    return _phi(r_full, r_drops[j])
-
-
 def relation_importance_records(
     params: RemParameters,
     graph: SpatioTemporalGraph,
     window: int = DEFAULT_WINDOW,
     frames: Sequence[int] | None = None,
 ) -> list[tuple[int, int, int, float]]:
-    """(t, i, j, R) for every ordered pair within the gate at each frame."""
-    _check_window(window)
+    """(t, i, j, R) for every ordered pair within the gate at each frame.
+
+    R is the degree to which instance j shapes instance i's embedding at
+    frame t: 1 - cos^2 between i's embedding and its leave-j-out
+    recomputation, both replayed over the trailing ``window`` frames so the
+    two sides are directly comparable. Asymmetric in general. Records come
+    by frame, then i in ``frame.ids`` order, then j in
+    ``frame.neighbors[i]`` order.
+    """
+    if window < 1:
+        raise ValueError(f"relation importance window must be >= 1, got {window}")
     records: list[tuple[int, int, int, float]] = []
     frame_ids = range(graph.n_frames) if frames is None else frames
     with ad.no_grad():

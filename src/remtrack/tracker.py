@@ -11,10 +11,11 @@ Three modes share one machinery:
   relation embedding alone.
 
 The appearance proxy is an affine encoding of [detection box || previous box
-|| visibility flag]; it stands in for backbone appearance features and keeps
-their key property: it degrades under occlusion while relation embeddings do
-not. Occluded instances stay in the relational graph with their last visible
-detection as input, in training and inference alike.
+|| 1]; it stands in for backbone appearance features. It is computed only for
+matched detections, so an occluded track has no appearance input, while its
+relation embedding carries on: occluded instances stay in the relational
+graph with their last visible detection as input, in training and inference
+alike.
 """
 
 from __future__ import annotations
@@ -44,7 +45,9 @@ from .st_graph import SpatioTemporalGraph, build_graph, update_graph
 TrackMode = Literal["baseline", "relation_aware", "relations_for_occluded"]
 TRACK_MODES: tuple[str, ...] = ("baseline", "relation_aware", "relations_for_occluded")
 
-APPEARANCE_INPUTS = 9  # detection box, previous box, visibility flag
+# detection box, previous box and a constant 1, which keeps ``enc_w`` in the
+# shape (and so the initialization) that checkpoints were written with
+APPEARANCE_INPUTS = 9
 HEAD_HIDDEN = 64
 DEFAULT_APPEARANCE_DIM = 32
 
@@ -81,11 +84,11 @@ class TrackerParameters:
         store: ParameterStore,
         rel_dim: int = 128,
         app_dim: int = DEFAULT_APPEARANCE_DIM,
-        rng: np.random.Generator | None = None,
+        *,
+        rng: np.random.Generator,
     ) -> "TrackerParameters":
         if app_dim < 1:
             raise ValueError(f"appearance dimension must be >= 1, got {app_dim}")
-        rng = rng if rng is not None else np.random.default_rng(0)
         params = cls(
             enc_w=store.matrix("trk.enc_w", app_dim, APPEARANCE_INPUTS, rng),
             enc_b=store.zeros("trk.enc_b", app_dim),
@@ -112,10 +115,9 @@ def appearance_feature(
     params: TrackerParameters,
     box: BoundingBox,
     prev_box: BoundingBox,
-    visible: bool,
 ) -> Tensor:
-    """Affine encoding of [box || prev_box || visible flag]."""
-    x = np.concatenate([box.as_array(), prev_box.as_array(), [1.0 if visible else 0.0]])
+    """Affine encoding of [box || prev_box || 1]."""
+    x = np.concatenate([box.as_array(), prev_box.as_array(), [1.0]])
     return ad.affine(params.enc_w, Tensor(x), params.enc_b)
 
 
@@ -228,7 +230,7 @@ def track_sequence(
                 if tid in matched:
                     det = dets[matched[tid]]
                     prev = track.box
-                    feat = appearance_feature(trk, det.box, prev, True)
+                    feat = appearance_feature(trk, det.box, prev)
                     if mode == "baseline":
                         offset = regress_baseline(trk, feat)
                     else:
@@ -276,9 +278,6 @@ class TrainConfig:
     window: int = 10
     epochs: int = 50
     lr: float = 1e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     d_th: float = 15.0
     det_center_std: float = 0.15
     det_size_std: float = 0.05
@@ -292,11 +291,6 @@ class TrainConfig:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         if not (math.isfinite(self.lr) and self.lr >= 0.0):
             raise ValueError(f"learning rate must be finite and >= 0, got {self.lr}")
-        for name in ("beta1", "beta2"):
-            if not 0.0 <= getattr(self, name) < 1.0:
-                raise ValueError(f"Adam {name} must lie in [0, 1), got {getattr(self, name)}")
-        if not self.eps > 0.0:
-            raise ValueError(f"Adam eps must be > 0, got {self.eps}")
 
 
 @dataclass
@@ -410,7 +404,7 @@ def window_loss(
             continue
         det_box = sample.det_boxes[(t_abs, inst)]
         prev_box = prev_frame[inst].box
-        feat = appearance_feature(trk, det_box, prev_box, True)
+        feat = appearance_feature(trk, det_box, prev_box)
         pred_base = _offset_box(prev_box, regress_baseline(trk, feat))
         losses.append(giou_loss(pred_base, rec.box))
         pred_rel = _offset_box(prev_box, regress_relation_aware(trk, feat, r_hist[w - 1][inst]))
@@ -469,7 +463,7 @@ def train(
             for name in store.names():
                 if store[name].grad is None:
                     store[name].grad = np.zeros_like(store[name].data)
-            adam_step(store, lr=cfg.lr, beta1=cfg.beta1, beta2=cfg.beta2, eps=cfg.eps)
+            adam_step(store, lr=cfg.lr)
             epoch_losses.append(float(loss.data))
         curve.append(math.fsum(epoch_losses) / len(epoch_losses) if epoch_losses else float("nan"))
     return TrainResult(loss_curve=curve)

@@ -25,7 +25,7 @@ from remtrack.rem import (
     RemState,
     attention_coefficients,
     node_feature,
-    relation_importance,
+    relation_importance_records,
     rem_step,
 )
 from remtrack.simulator import ScenarioConfig, detect_sequence, generate
@@ -288,16 +288,13 @@ def test_criterion_7_seeded_training_regression(trained):
 
 def test_criterion_8_relation_discovery(trained):
     intra, inter = [], []
+    window = trained.cfg.window
     for k in range(10):
         cfg = heldout_scene_config(500 + k)
         seq = generate(cfg)
         graph = build_graph(seq.as_track_frames(), trained.cfg.d_th)
-        for t in (11, 17, 23):
-            frame = graph.frames[t]
-            for i in frame.ids:
-                for j in frame.neighbors[i]:
-                    value = relation_importance(trained.rem, graph, t, i, j, window=trained.cfg.window)
-                    (intra if seq.group_of[i] == seq.group_of[j] else inter).append(value)
+        for _, i, j, value in relation_importance_records(trained.rem, graph, window=window, frames=(11, 17, 23)):
+            (intra if seq.group_of[i] == seq.group_of[j] else inter).append(value)
     assert intra and inter, "held-out scenes must produce both pair kinds"
     mean_intra = float(np.mean(intra))
     mean_inter = float(np.mean(inter))

@@ -341,7 +341,7 @@ class TestFactoredWeightGradients:
         cs = [rng.normal(size=4) for _ in range(5)]
         loss = ad.dot(ad.affine(w, Tensor(xs[0]), b), Tensor(cs[0]))
         for x, c in zip(xs[1:], cs[1:]):
-            loss = loss + ad.dot(ad.affine(w, Tensor(x)), Tensor(c))
+            loss = ad.add(loss, ad.dot(ad.affine(w, Tensor(x)), Tensor(c)))
         backward(loss)
         assert_close_rel(w.grad, sum(np.outer(c, x) for x, c in zip(xs, cs)))
         assert np.array_equal(b.grad, cs[0])
@@ -372,7 +372,7 @@ class TestFactoredWeightGradients:
 
         def loss():
             sw = ad.softplus(w)
-            return ad.dot(ad.affine(sw, x1), c) + ad.dot(ad.softplus(ad.affine(sw, x2)), c)
+            return ad.add(ad.dot(ad.affine(sw, x1), c), ad.dot(ad.softplus(ad.affine(sw, x2)), c))
 
         assert gradient_check(loss, store, epsilon=1e-5) < 1e-4
 
@@ -382,8 +382,9 @@ class TestFactoredWeightGradients:
         p = store.register("p", Tensor(rng.normal(size=(3, 4))))
         x1, x2 = rng.normal(size=4), rng.normal(size=4)
         c1, c2 = rng.normal(size=3), rng.normal(size=3)
-        loss = ad.dot(ad.affine(p, Tensor(x1)), Tensor(c1)) + ad.dot(
-            ad.affine(ad.softplus(p), Tensor(x2)), Tensor(c2)
+        loss = ad.add(
+            ad.dot(ad.affine(p, Tensor(x1)), Tensor(c1)),
+            ad.dot(ad.affine(ad.softplus(p), Tensor(x2)), Tensor(c2)),
         )
         backward(loss)
         slope = 1.0 / (1.0 + np.exp(-p.data))

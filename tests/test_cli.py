@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from remtrack import io as rio
-from remtrack.cli import run
+from remtrack.autodiff import backward
+from remtrack.cli import gradcheck_loss_builder, run
 from remtrack.simulator import ScenarioConfig, generate
 
 
@@ -193,6 +194,15 @@ class TestGradcheck:
         assert "max relative gradient error" in out
         assert code == 0
 
+    @pytest.mark.parametrize(
+        "seed, dim, app_dim", [(7, 6, 4), (3, 4, 3), (7, 3, 2)], ids=["criterion-1", "factored-backward", "cli"]
+    )
+    def test_loss_reaches_every_parameter(self, seed, dim, app_dim):
+        # the occlusion head is supervised only where the scene occludes
+        store, loss_fn = gradcheck_loss_builder(seed, dim=dim, app_dim=app_dim)
+        backward(loss_fn())
+        assert [name for name, p in store.items() if p.grad is None or not np.any(p.grad)] == []
+
 
 class TestAblate:
     def test_sweep_completes(self, tmp_path):
@@ -340,10 +350,16 @@ class TestErrors:
             (lambda doc, p: doc["dims"].update(F=float("nan")), "checkpoint dims F must be an integer >= 1, got nan"),
             (lambda doc, p: doc["dims"].update(F=4.5), "checkpoint dims F must be an integer >= 1, got 4.5"),
             (lambda doc, p: doc["dims"].update(F_a=0), "checkpoint dims F_a must be an integer >= 1, got 0"),
+            (lambda doc, p: doc["dims"].update(F=10_000_000),
+             "checkpoint dims F is 10000000, but parameter 'rem.b_in' has shape (4,)"),
+            (lambda doc, p: doc["dims"].update(F_a=5), "checkpoint dims F_a is 5, but parameter 'trk.enc_b' has shape (3,)"),
+            (lambda doc, p: (doc["dims"].update(F=10_000_000), doc["params"].pop("rem.b_in")),
+             "checkpoint is missing parameter 'rem.b_in'"),
             (lambda doc, p: doc["params"][p].update(data={"x": 1.0}), "parameter '{name}': data must be a list"),
             (lambda doc, p: doc["params"][p]["data"].__setitem__(0, float("nan")), "parameter '{name}': data must be a list"),
         ],
-        ids=["dim-inf", "dim-nan", "dim-fraction", "dim-zero", "data-object", "data-nan"],
+        ids=["dim-inf", "dim-nan", "dim-fraction", "dim-zero", "dim-oversized", "app-dim-mismatch",
+             "dim-vector-missing", "data-object", "data-nan"],
     )
     def test_malformed_checkpoint_values(self, tmp_path, capsys, command, edit, message):
         scenario, _ = write_scenario(tmp_path)

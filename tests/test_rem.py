@@ -19,7 +19,6 @@ from remtrack.rem import (
     attention_coefficients,
     message,
     node_feature,
-    relation_importance,
     relation_importance_records,
     rem_step,
     spatiotemporal_update,
@@ -247,7 +246,7 @@ class TestFusedReceiver:
         for v_i, senders, distances, g in calls:
             out = attend(params, Tensor(v_i), [Tensor(v) for v in senders], distances)
             term = ad.dot(out, Tensor(g))
-            loss = term if loss is None else loss + term
+            loss = term if loss is None else ad.add(loss, term)
         ad.backward(loss)
         expected = {name: np.zeros_like(store[f"rem.{name}"].data) for name in ("w_m1", "w_m2", "w_a1", "w_a2")}
         for call in calls:
@@ -502,11 +501,11 @@ class TestRelationImportance:
         frames = [[(0, box(0, 0, 1, 1)), (1, box(30, 0, 1, 1))] for _ in range(3)]
         graph = build_graph(frames, d_th=5.0)
         assert scaled_distance(frames[0][0][1], frames[0][1][1]) > 5.0
-        assert relation_importance(params, graph, 2, 0, 1) == 0.0
+        assert relation_importance_records(params, graph) == []
 
     def test_never_adjacent_neighbor_changes_nothing(self):
-        # j out of range for the whole window: exclusion is a no-op and the
-        # gate is closed, so the importance is exactly zero either way
+        # j out of range for the whole window: the gate is closed at every
+        # frame, so no pair of the two is ever recorded
         store, params = make_rem(dim=4, seed=26)
         frames = [
             [(0, box(0, 0, 1, 1)), (1, box(20, 0, 1, 1))],
@@ -515,13 +514,13 @@ class TestRelationImportance:
         ]
         graph = build_graph(frames, d_th=5.0)
         assert all(graph.spatial_edges(t) == () for t in range(3))
-        assert relation_importance(params, graph, 2, 0, 1) == 0.0
+        assert relation_importance_records(params, graph) == []
 
     def test_window_below_one_rejected(self):
         store, params = make_rem(dim=4, seed=27)
         graph = build_graph([[(0, box(0, 0)), (1, box(1, 0))]], d_th=5.0)
         with pytest.raises(ValueError, match="window must be >= 1, got 0"):
-            relation_importance(params, graph, 0, 0, 1, window=0)
+            relation_importance_records(params, graph, window=0)
         with pytest.raises(ValueError, match="window must be >= 1, got -3"):
             relation_importance_records(params, graph, window=-3)
 
@@ -541,22 +540,10 @@ class TestRelationImportance:
         rng = np.random.default_rng(28)
         graph = random_graph(rng, n_frames=4, n_instances=4, spread=5.0, d_th=8.0)
         frame = graph.frames[3]
-        for i in frame.ids:
-            for j in frame.neighbors[i]:
-                r = relation_importance(params, graph, 3, i, j)
-                assert 0.0 <= r <= 1.0
-
-    def test_same_instance_rejected(self):
-        store, params = make_rem(dim=4, seed=29)
-        graph = build_graph([[(0, box(1, 1))]], d_th=5.0)
-        with pytest.raises(ValueError, match="distinct"):
-            relation_importance(params, graph, 0, 0, 0)
-
-    def test_absent_instance_rejected(self):
-        store, params = make_rem(dim=4, seed=30)
-        graph = build_graph([[(0, box(1, 1))]], d_th=5.0)
-        with pytest.raises(ValueError, match="present"):
-            relation_importance(params, graph, 0, 0, 9)
+        records = relation_importance_records(params, graph, frames=[3])
+        assert [(t, i, j) for t, i, j, _ in records] == [(3, i, j) for i in frame.ids for j in frame.neighbors[i]]
+        for _, _, _, r in records:
+            assert 0.0 <= r <= 1.0
 
     def test_records_cover_gated_pairs(self):
         store, params = make_rem(dim=4, seed=31)
@@ -582,14 +569,20 @@ class TestRelationImportance:
                 replayed, _ = leave_one_out(params, graph, t, window, i)
                 assert np.array_equal(replayed, stepped[t][i])
 
-    def test_records_equal_pairwise_importance_bitwise(self):
+    def test_records_one_frame_at_a_time_equal_all_frames_bitwise(self):
+        # a frame's records depend only on its own trailing window, never on
+        # which other frames are asked for
         store, params = make_rem(dim=8, seed=34)
         seq = generate(ScenarioConfig(n_frames=8, n_groups=3, seed=5))
         graph = build_graph(seq.as_track_frames(), d_th=15.0)
         records = relation_importance_records(params, graph, window=4)
         assert records
-        for t, i, j, value in records:
-            assert value == relation_importance(params, graph, t, i, j, window=4)
+        one_at_a_time = []
+        for t in range(graph.n_frames):
+            one_at_a_time += relation_importance_records(params, graph, window=4, frames=[t])
+        assert [(t, i, j, r.hex()) for t, i, j, r in one_at_a_time] == [
+            (t, i, j, r.hex()) for t, i, j, r in records
+        ]
 
     @given(st.integers(0, 2**32 - 1), st.randoms(use_true_random=False))
     @settings(max_examples=25, deadline=None)
@@ -681,4 +674,4 @@ class TestZeroNormCosine:
         _, params = zeroed_rem()
         b = box(1, 1)
         graph = build_graph([[(0, b), (1, b)]], d_th=5.0)
-        assert relation_importance(params, graph, 0, 0, 1) == 0.0
+        assert relation_importance_records(params, graph) == [(0, 0, 1, 0.0), (0, 1, 0, 0.0)]
