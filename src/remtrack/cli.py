@@ -292,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, checkpoint=False, scenario=False):
         p.add_argument("--seed", type=int, default=0)
         if scenario:
-            p.add_argument("--scenario", help="scenario JSONL path")
+            p.add_argument("--scenario", required=True, help="scenario JSONL path")
         if checkpoint:
             p.add_argument("--checkpoint", required=True, help="model checkpoint JSON")
 
@@ -315,7 +315,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_gen)
 
     p = sub.add_parser("train", help="train the relation module and heads")
-    common(p, scenario=True)
+    common(p)
+    p.add_argument("--scenario", help="scenario JSONL path or a directory of them; generated if absent")
     p.add_argument("--config", help="scenario config JSON for generated data")
     p.add_argument("--gen-sequences", type=int, default=64, help="sequences to generate if no --scenario")
     p.add_argument("--out", required=True, help="output directory")

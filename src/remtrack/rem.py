@@ -11,26 +11,30 @@ Work that belongs to one node is done once per frame, straight after its node
 feature: every node with a spatial neighbor is projected onto its share of
 the message and attention layers (its receiver and sender parts of the first
 message layer, its query and its key) by single matrix-vector products, and
-is given a content rank that orders nodes by box, then by the bytes of the
-node feature, equal content sharing a rank. Each receiver's messages,
-attention and aggregation then run as one fused tape node over its k
-neighbors: the block gathers the senders' projections, and only the second
+every node is given a content rank that orders nodes by box, then by the
+bytes of the node feature, equal content sharing a rank. Each receiver's
+messages, attention and aggregation then run as one fused tape node over its
+k neighbors: the block gathers the senders' projections, and only the second
 message layer is a k-row product. Neighbors come in a canonical order,
-distance then content rank, that never depends on instance ids; neighbors
-equal in both give identical rows. Node-level work (``node_feature``, the
-projections, ``spatiotemporal_update``) stays per node, so a node's numbers
-never depend on how many other nodes share its frame. Together these make
-relabeling instances permute the outputs bitwise, and leave an isolated
-instance's embedding bitwise independent of the rest of the scene.
+distance then content rank, that never depends on instance ids. One sort per
+frame, over both directions of the frame's edge arrays, puts every
+receiver's senders in that order as one contiguous segment per receiver.
+Neighbors equal in both keys give identical rows; the sort's last key puts
+them in ascending id order only so that each segment is fully determined.
+Node-level work (``node_feature``, the projections,
+``spatiotemporal_update``) stays per node, so a node's numbers never depend
+on how many other nodes share its frame. Together these make relabeling
+instances permute the outputs bitwise, and leave an isolated instance's
+embedding bitwise independent of the rest of the scene.
 
 Relation importance replays each receiver's trailing window once. Node
 features never depend on relation embeddings, so each window frame's node
-features, projections and ranks are computed once and shared by every
-receiver, and a receiver's message block at each step is computed once and
-shared by the full replay and all of its leave-one-out drops; each drop only
-re-weights the block without its row. The drops run as one batch whose rows
-follow the receiver's canonical neighbor order, so their values too permute
-bitwise under relabeling.
+features, projections and sender segments are computed once and shared by
+every receiver, and a receiver's message block at each step is computed once
+and shared by the full replay and all of its leave-one-out drops; each drop
+only re-weights the block without its row. The drops run as one batch whose
+rows follow the receiver's canonical neighbor order, so their values too
+permute bitwise under relabeling.
 """
 
 from __future__ import annotations
@@ -185,19 +189,23 @@ def spatiotemporal_update(
 
 
 class _Nodes(NamedTuple):
-    """One frame's node features and what every receiver reads from them.
+    """One frame's node features and every receiver's view of its senders.
 
-    ``proj`` and ``rank`` hold one row per node with a spatial neighbor, at
-    ``row[i]``; isolated nodes are neither senders nor receivers. A row of
-    ``proj`` is ``[w_m1[:, :f] v + b_m1, w_a1 v, w_m1[:, f:2f] v, w_a2 v]``:
-    the node's share of the message and attention layers as a receiver (first
-    two) and as a sender (last two).
+    Nodes are addressed by position in the frame's ``ids``. A row of ``proj``
+    is ``[w_m1[:, :f] v + b_m1, w_a1 v, w_m1[:, f:2f] v, w_a2 v]``: the node's
+    share of the message and attention layers as a receiver (first two) and
+    as a sender (last two); rows of isolated nodes, which are neither
+    senders nor receivers, stay zero. Receiver p's senders, in canonical
+    order, are ``senders[start[p]:start[p + 1]]``, at ``distances`` of the
+    same slice.
     """
 
     v: dict[int, Tensor]
-    row: dict[int, int]
+    ids: np.ndarray  # (n,) the frame's ids, ascending
     proj: np.ndarray  # (n, 4, f)
-    rank: np.ndarray  # (n,) content rank
+    senders: np.ndarray  # (2E,) sender positions, grouped by receiver
+    distances: np.ndarray  # (2E,)
+    start: np.ndarray  # (n + 1,)
 
 
 def _projections(params: RemParameters, vectors: Sequence[np.ndarray]) -> np.ndarray:
@@ -213,16 +221,16 @@ def _projections(params: RemParameters, vectors: Sequence[np.ndarray]) -> np.nda
     return proj
 
 
-def _content_rank(frame: GraphFrame, v: Mapping[int, Tensor], ids: Sequence[int]) -> np.ndarray:
-    """Rank of each of ``ids`` by (cx, cy, w, h, bytes of its node feature);
-    nodes equal in all of these share a rank."""
+def _content_rank(frame: GraphFrame, v: Mapping[int, Tensor]) -> np.ndarray:
+    """Rank of each node by (cx, cy, w, h, bytes of its node feature); nodes
+    equal in all of these share a rank."""
     keys = []
-    for i in ids:
+    for i in frame.ids:
         b = frame.boxes[i]
         keys.append((b.cx, b.cy, b.w, b.h, v[i].data.tobytes()))
-    rank = np.empty(len(ids), dtype=np.intp)
+    rank = np.empty(len(keys), dtype=np.intp)
     prev, r = None, -1
-    for n in sorted(range(len(ids)), key=keys.__getitem__):
+    for n in sorted(range(len(keys)), key=keys.__getitem__):
         if keys[n] != prev:
             prev, r = keys[n], r + 1
         rank[n] = r
@@ -230,15 +238,26 @@ def _content_rank(frame: GraphFrame, v: Mapping[int, Tensor], ids: Sequence[int]
 
 
 def _frame_nodes(params: RemParameters, frame: GraphFrame, v: dict[int, Tensor]) -> _Nodes:
-    """``v`` with the projections and content ranks of its nodes that have a
-    spatial neighbor in ``frame``."""
-    ids = [i for i in frame.ids if frame.neighbors[i]]
-    return _Nodes(
-        v=v,
-        row={i: n for n, i in enumerate(ids)},
-        proj=_projections(params, [v[i].data for i in ids]),
-        rank=_content_rank(frame, v, ids),
-    )
+    """``v`` with the projections of the nodes that have a spatial neighbor
+    in ``frame``, and every receiver's senders in the canonical order.
+
+    Both directions of ``frame.edges`` are ordered by one sort on (receiver,
+    distance, sender content rank, sender position). Senders that reach the
+    last key are equal in distance, box and node feature, so they give
+    identical rows; the key only fixes their order to ascending id.
+    """
+    n = len(frame.ids)
+    a, b = frame.edges.T
+    receivers = np.concatenate([a, b])
+    senders = np.concatenate([b, a])
+    distances = np.concatenate([frame.edge_distance, frame.edge_distance])
+    order = np.lexsort((senders, _content_rank(frame, v)[senders], distances, receivers))
+    start = np.searchsorted(receivers[order], np.arange(n + 1))
+    ids = np.array(frame.ids, dtype=np.intp)
+    linked = start[1:] > start[:-1]
+    proj = np.zeros((n, 4, params.dim))
+    proj[linked] = _projections(params, [v[i].data for i in ids[linked].tolist()])
+    return _Nodes(v, ids, proj, senders[order], distances[order], start)
 
 
 def _node_features(
@@ -248,8 +267,8 @@ def _node_features(
     prev_v: Mapping[int, Tensor],
 ) -> _Nodes:
     """Node features of every instance in ``frame``, with the projections and
-    ranks of ``_frame_nodes``; an instance continues its recurrence only if it
-    has a hidden state in ``prev_v``."""
+    sender segments of ``_frame_nodes``; an instance continues its recurrence
+    only if it has a hidden state in ``prev_v``."""
     v = {
         i: node_feature(params, frame.boxes[i], prev_boxes[i], prev_v[i])
         if i in prev_v
@@ -350,36 +369,26 @@ def _attend(
     return ad._make(out, (p.w_m1, p.b_m1, p.w_m2, p.b_m2, p.w_a1, p.w_a2, v_i, *senders), bw)
 
 
-def _canonical_senders(
-    frame: GraphFrame, nodes: _Nodes, i: int
-) -> tuple[list[int], np.ndarray, np.ndarray]:
-    """i's spatial neighbors in the canonical order (distance, then content
-    rank), their distances to i and their sender projections (k, 2, f)."""
-    nbrs = frame.neighbors[i]
-    rows = np.array([nodes.row[j] for j in nbrs], dtype=np.intp)
-    distances = np.array([frame.distance(i, j) for j in nbrs])
-    order = np.lexsort((nodes.rank[rows], distances))
-    rows = rows[order]
-    return [nbrs[n] for n in order.tolist()], distances[order], nodes.proj[rows, 2:]
+def _canonical_senders(nodes: _Nodes, p: int) -> tuple[list[int], np.ndarray, np.ndarray]:
+    """The ids of the senders of the receiver at position ``p`` in the
+    canonical order, their distances to it and their sender projections
+    (k, 2, f)."""
+    at = slice(nodes.start[p], nodes.start[p + 1])
+    senders = nodes.senders[at]
+    return nodes.ids[senders].tolist(), nodes.distances[at], nodes.proj[senders, 2:]
 
 
-def _relation_update(
-    params: RemParameters,
-    frame: GraphFrame,
-    nodes: _Nodes,
-    i: int,
-    r_prev: Tensor | None,
-) -> Tensor:
-    """Relation embedding of instance i: attention over messages from its
-    spatial neighbors, then the spatiotemporal update."""
+def _relation_update(params: RemParameters, nodes: _Nodes, p: int, r_prev: Tensor | None) -> Tensor:
+    """Relation embedding of the instance at position ``p``: attention over
+    messages from its spatial neighbors, then the spatiotemporal update."""
     v = nodes.v
-    senders, distances, projected = _canonical_senders(frame, nodes, i)
+    v_i = v[nodes.ids[p]]
+    senders, distances, projected = _canonical_senders(nodes, p)
     if senders:
-        receiver = nodes.proj[nodes.row[i], :2]
-        aggregated = _attend(params, v[i], [v[j] for j in senders], distances, receiver, projected)
+        aggregated = _attend(params, v_i, [v[j] for j in senders], distances, nodes.proj[p, :2], projected)
     else:
         aggregated = Tensor(np.zeros(params.dim))
-    return spatiotemporal_update(params, v[i], aggregated, r_prev)
+    return spatiotemporal_update(params, v_i, aggregated, r_prev)
 
 
 def rem_step(
@@ -402,7 +411,7 @@ def rem_step(
             f"instances {sorted(prev_boxes)}"
         )
     nodes = _node_features(params, frame, prev_boxes, state.v)
-    r = {i: _relation_update(params, frame, nodes, i, state.r.get(i)) for i in frame.ids}
+    r = {i: _relation_update(params, nodes, p, state.r.get(i)) for p, i in enumerate(frame.ids)}
     state.v = nodes.v
     state.r = r
     return [RelationEmbedding(i, t, r[i].data.copy()) for i in frame.ids]
@@ -461,40 +470,35 @@ def _update_rows(
 
 
 def _leave_one_out(
-    params: RemParameters,
-    graph: SpatioTemporalGraph,
-    t: int,
-    window: int,
-    i: int,
-    feats: list[_Nodes],
+    params: RemParameters, feats: list[_Nodes], i: int
 ) -> tuple[np.ndarray, dict[int, np.ndarray]]:
-    """Relation embedding of ``i`` at t from a window replay, and for each
-    neighbor j of i at t the embedding with j removed at every step.
+    """Relation embedding of ``i`` at the last frame of the window ``feats``
+    (from ``_window_node_features``), replayed over the window, and for each
+    neighbor j of i there the embedding with j removed at every step.
 
     At each step i's message block is computed once. The full row takes
     ``_attend``'s aggregate through ``spatiotemporal_update``, exactly as
     ``rem_step`` does. A drop equals the full row until the first step where
     its j is i's neighbor; from there it aggregates the block without j's row
     and is updated in one batch with every other diverged drop, its rows in
-    i's canonical order at t, so relabeling ids cannot change its bits. An
-    absence of i resets the full row and every drop.
+    i's canonical order at the last frame, so relabeling ids cannot change
+    its bits. An absence of i resets the full row and every drop.
     """
-    t0 = max(0, t - window + 1)
-    drops = _canonical_senders(graph.frames[t], feats[-1], i)[0]
+    drops = _canonical_senders(feats[-1], feats[-1].ids.searchsorted(i))[0]
     slot = {j: d for d, j in enumerate(drops)}
     f = params.dim
     r: Tensor | None = None
     r_drops = np.zeros((len(drops), f))
     diverged = np.zeros(len(drops), dtype=bool)
-    for s in range(t0, t + 1):
-        frame, nodes = graph.frames[s], feats[s - t0]
-        if i not in frame.boxes:
+    for nodes in feats:
+        if i not in nodes.v:
             r = None  # absence breaks the recurrence
             diverged[:] = False
             continue
-        senders, distances, projected = _canonical_senders(frame, nodes, i)
+        p = nodes.ids.searchsorted(i)
+        senders, distances, projected = _canonical_senders(nodes, p)
         if senders:
-            block = _message_block(params, nodes.proj[nodes.row[i], :2], projected, distances)
+            block = _message_block(params, nodes.proj[p, :2], projected, distances)
             full = _softmax_sum(block.logits, block.msgs)[1]
         else:
             full = np.zeros(f)
@@ -529,8 +533,8 @@ def relation_importance_records(
     frame t: 1 - cos^2 between i's embedding and its leave-j-out
     recomputation, both replayed over the trailing ``window`` frames so the
     two sides are directly comparable. Asymmetric in general. Records come
-    by frame, then i in ``frame.ids`` order, then j in
-    ``frame.neighbors[i]`` order.
+    by frame, then i by ascending id, then j, i's spatial neighbors at t, by
+    ascending id.
     """
     if window < 1:
         raise ValueError(f"relation importance window must be >= 1, got {window}")
@@ -538,12 +542,11 @@ def relation_importance_records(
     frame_ids = range(graph.n_frames) if frames is None else frames
     with ad.no_grad():
         for t in frame_ids:
-            frame = graph.frames[t]
             feats = _window_node_features(params, graph, t, window)
-            for i in frame.ids:
-                if not frame.neighbors[i]:
-                    continue
-                r_full, r_drops = _leave_one_out(params, graph, t, window, i, feats)
-                for j in frame.neighbors[i]:
-                    records.append((t, i, j, _phi(r_full, r_drops[j])))
+            start = feats[-1].start
+            for p, i in enumerate(graph.frames[t].ids):
+                if start[p] == start[p + 1]:
+                    continue  # no neighbor
+                r_full, r_drops = _leave_one_out(params, feats, i)
+                records += [(t, i, j, _phi(r_full, r_drops[j])) for j in sorted(r_drops)]
     return records

@@ -6,6 +6,12 @@ link the *same* instance across *consecutive* frames only. An instance that
 disappears and later re-enters gets no edge across the gap, and downstream
 recurrent state is reset on re-entry.
 
+A frame holds its spatial edges as two arrays, the edge list layout of graph
+message-passing libraries: ``edges`` is (E, 2) positions into ``ids``, each
+pair once with a < b, in row-major order; ``edge_distance`` is the scaled
+distance of each pair. Temporal edges are not stored: they are the ids two
+consecutive frames share.
+
 The graph is the one record of which instances exist at each frame and
 where their boxes are; callers read presence and previous boxes from it
 rather than keeping copies. Graphs grow frame by frame (single writer); a
@@ -23,16 +29,22 @@ import numpy as np
 from .geometry import BoundingBox, scaled_distance_matrix
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GraphFrame:
     ids: tuple[int, ...]  # ascending
     boxes: dict[int, BoundingBox]
-    neighbors: dict[int, tuple[int, ...]]  # ascending per node
-    edge_distance: dict[tuple[int, int], float]  # keyed (i, j) with i < j
+    edges: np.ndarray  # (E, 2) positions (a, b) into ids, a < b, row-major
+    edge_distance: np.ndarray  # (E,) scaled distance of each edge
 
-    def distance(self, i: int, j: int) -> float:
-        key = (i, j) if i < j else (j, i)
-        return self.edge_distance[key]
+    def __eq__(self, other):
+        if not isinstance(other, GraphFrame):
+            return NotImplemented
+        return (
+            self.ids == other.ids
+            and self.boxes == other.boxes
+            and np.array_equal(self.edges, other.edges)
+            and np.array_equal(self.edge_distance, other.edge_distance)
+        )
 
 
 @dataclass
@@ -48,37 +60,13 @@ class SpatioTemporalGraph:
     def n_frames(self) -> int:
         return len(self.frames)
 
-    def spatial_edges(self, t: int) -> tuple[tuple[int, int], ...]:
-        """Undirected edges at frame t as (i, j) pairs with i < j."""
-        return tuple(sorted(self.frames[t].edge_distance))
-
-    def temporal_edges(self, t: int) -> tuple[int, ...]:
-        """Instances linked from frame t to frame t+1."""
-        if not 0 <= t < self.n_frames - 1:
-            return ()
-        here = set(self.frames[t].ids)
-        return tuple(i for i in self.frames[t + 1].ids if i in here)
-
 
 def _build_frame(nodes: Mapping[int, BoundingBox], d_th: float) -> GraphFrame:
     ids = tuple(sorted(nodes))
     dist = scaled_distance_matrix([nodes[i] for i in ids])
-    rows, cols = np.nonzero(dist <= d_th)
-    upper = rows < cols
-    rows, cols = rows[upper], cols[upper]
-    neighbors: dict[int, list[int]] = {i: [] for i in ids}
-    edge_distance: dict[tuple[int, int], float] = {}
-    for a, b, d in zip(rows.tolist(), cols.tolist(), dist[rows, cols].tolist()):
-        i, j = ids[a], ids[b]
-        neighbors[i].append(j)
-        neighbors[j].append(i)
-        edge_distance[(i, j)] = d
-    return GraphFrame(
-        ids=ids,
-        boxes=dict(nodes),
-        neighbors={i: tuple(sorted(ns)) for i, ns in neighbors.items()},
-        edge_distance=edge_distance,
-    )
+    edges = np.argwhere(np.triu(dist <= d_th, k=1))
+    distance = dist[edges[:, 0], edges[:, 1]]
+    return GraphFrame(ids=ids, boxes=dict(nodes), edges=edges, edge_distance=distance)
 
 
 def build_graph(

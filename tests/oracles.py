@@ -122,13 +122,47 @@ def scalar_rem_transcription(params, frames, d_th, slope=0.1, att_slope=0.2):
 
 def canonical_sender_order(frame, v, i):
     """i's spatial neighbors sorted by the tuple (distance, cx, cy, w, h,
-    bytes of the node feature), equal tuples kept in neighbor-list order."""
+    bytes of the node feature), equal tuples kept in ascending id order."""
     keyed = []
-    for j in frame.neighbors[i]:
+    for j, d in sorted(neighbor_distances(frame, i).items()):
         b = frame.boxes[j]
-        keyed.append(((frame.distance(i, j), b.cx, b.cy, b.w, b.h, v[j].data.tobytes()), j))
+        keyed.append(((d, b.cx, b.cy, b.w, b.h, v[j].data.tobytes()), j))
     keyed.sort(key=lambda pair: pair[0])
     return [j for _, j in keyed]
+
+
+# ---------------------------------------------------------------------------
+# graph adjacency, read edge by edge from a frame's edge arrays
+
+
+def neighbor_distances(frame, i):
+    """{j: scaled distance} over instance i's spatial neighbors."""
+    out = {}
+    for (a, b), d in zip(frame.edges.tolist(), frame.edge_distance.tolist()):
+        if frame.ids[a] == i:
+            out[frame.ids[b]] = d
+        elif frame.ids[b] == i:
+            out[frame.ids[a]] = d
+    return out
+
+
+def neighbors(frame, i):
+    """Instance i's spatial neighbors by ascending id."""
+    return tuple(sorted(neighbor_distances(frame, i)))
+
+
+def spatial_edges(graph, t):
+    """Undirected edges at frame t as (i, j) id pairs with i < j, sorted."""
+    ids = graph.frames[t].ids
+    return tuple(sorted((ids[a], ids[b]) for a, b in graph.frames[t].edges.tolist()))
+
+
+def temporal_edges(graph, t):
+    """Instances linked from frame t to frame t+1."""
+    if not 0 <= t < graph.n_frames - 1:
+        return ()
+    here = set(graph.frames[t].ids)
+    return tuple(i for i in graph.frames[t + 1].ids if i in here)
 
 
 # ---------------------------------------------------------------------------

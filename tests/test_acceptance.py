@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from conftest import make_rem
-from oracles import brute_hota_single, brute_idf1, brute_mota
+from oracles import brute_hota_single, brute_idf1, brute_mota, neighbors, spatial_edges
 from remtrack.autodiff import GruCellParams, ParameterStore, Tensor, gradient_check, gru_cell
 from remtrack.cli import gradcheck_loss_builder, run
 from remtrack.geometry import BoundingBox, giou, iou, scaled_distance
@@ -143,7 +143,7 @@ def test_criterion_2_attention_normalization():
         graph = build_graph([frame], d_th=float(rng.uniform(2.0, 12.0)))
         feats = {i: node_feature(params, graph.frames[0].boxes[i], None, None) for i in graph.frames[0].ids}
         for i in graph.frames[0].ids:
-            nbrs = graph.frames[0].neighbors[i]
+            nbrs = neighbors(graph.frames[0], i)
             if not nbrs:
                 continue
             alphas = attention_coefficients(params, feats[i], [feats[j] for j in nbrs])
@@ -206,7 +206,7 @@ def test_criterion_4_locality():
         crowd_frames.append([lone] + crowd)
     solo_graph = build_graph(solo_frames, d_th=6.0)
     crowd_graph = build_graph(crowd_frames, d_th=6.0)
-    assert all(not any(9 in e for e in crowd_graph.spatial_edges(t)) for t in range(8))
+    assert all(not any(9 in e for e in spatial_edges(crowd_graph, t)) for t in range(8))
 
     state_a, state_b = RemState(), RemState()
     for t in range(8):

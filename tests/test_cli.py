@@ -241,6 +241,15 @@ class TestErrors:
         code = run(["gen", "--frobnicate", "1", "--out", "x.jsonl"])
         assert code == 2
 
+    @pytest.mark.parametrize("command", ["track", "relations"])
+    def test_missing_scenario_flag_usage_exit(self, tmp_path, capsys, command):
+        args = self.file_args(tmp_path, command)
+        del args["--scenario"]
+        code = run([command, *[str(a) for pair in args.items() for a in pair]])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "usage" in err.lower() and "--scenario" in err
+
     def test_missing_input_file(self, tmp_path, capsys):
         code = run(
             ["track", "--scenario", str(tmp_path / "absent.jsonl"), "--checkpoint", str(tmp_path / "c.json"),

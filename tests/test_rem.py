@@ -3,7 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import canonical_sender_order, scalar_rem_transcription
+from oracles import (
+    canonical_sender_order,
+    neighbor_distances,
+    neighbors,
+    scalar_rem_transcription,
+    spatial_edges,
+)
 from remtrack import autodiff as ad
 from remtrack import rem as rem_module
 from remtrack.autodiff import Tensor, gradient_check
@@ -168,7 +174,7 @@ def assert_close_rel(got, expected, rtol=1e-12):
 
 def leave_one_out(params, graph, t, window, i):
     with ad.no_grad():
-        return _leave_one_out(params, graph, t, window, i, _window_node_features(params, graph, t, window))
+        return _leave_one_out(params, _window_node_features(params, graph, t, window), i)
 
 
 def reference_replay(params, graph, t, window, i, exclude=None):
@@ -182,12 +188,11 @@ def reference_replay(params, graph, t, window, i, exclude=None):
         if i not in frame.boxes:
             r = None
             continue
-        nbrs = [j for j in frame.neighbors[i] if j != exclude]
+        dist = neighbor_distances(frame, i)
+        nbrs = [j for j in sorted(dist) if j != exclude]
         aggregated = np.zeros(params.dim)
         if nbrs:
-            aggregated = reference_aggregate(
-                params, v[i], [v[j] for j in nbrs], [frame.distance(i, j) for j in nbrs]
-            )
+            aggregated = reference_aggregate(params, v[i], [v[j] for j in nbrs], [dist[j] for j in nbrs])
         r = spatiotemporal_update(params, v[i], Tensor(aggregated), r)
     return r.data
 
@@ -212,7 +217,7 @@ class TestFusedReceiver:
         moved = [(i, box(b.cx + 0.3, b.cy - 0.2)) for i, b in nodes]
         graph = build_graph([nodes, moved], d_th=50.0)
         i = 5
-        assert len(graph.frames[1].neighbors[i]) == 7
+        assert len(neighbors(graph.frames[1], i)) == 7
         full, drops = leave_one_out(params, graph, 1, 2, i)
         got = full if exclude is None else drops[exclude]
         assert_close_rel(got, reference_replay(params, graph, 1, 2, i, exclude))
@@ -342,8 +347,12 @@ class TestCanonicalSenders:
         v = {i: Tensor(features[feature].copy()) for i, (*_, feature) in enumerate(nodes)}
         _, params = make_rem(dim=3)
         ranked = _frame_nodes(params, frame, v)
-        for i in frame.ids:
-            assert _canonical_senders(frame, ranked, i)[0] == canonical_sender_order(frame, v, i)
+        for p, i in enumerate(frame.ids):
+            senders, distances, _ = _canonical_senders(ranked, p)
+            expected = canonical_sender_order(frame, v, i)
+            assert senders == expected
+            dist = neighbor_distances(frame, i)
+            assert [d.hex() for d in distances.tolist()] == [dist[j].hex() for j in expected]
 
     def test_rem_step_projects_each_node_with_neighbors_once(self, monkeypatch):
         store, params = make_rem(dim=8, seed=56)
@@ -362,8 +371,8 @@ class TestCanonicalSenders:
         monkeypatch.setattr(rem_module, "_projections", spy)
         state = RemState()
         rem_step(params, state, graph, 0)
-        with_neighbors = [i for i in frame.ids if frame.neighbors[i]]
-        assert len(with_neighbors) >= 50 and not any(frame.neighbors[i] for i, _ in loners)
+        with_neighbors = [i for i in frame.ids if neighbors(frame, i)]
+        assert len(with_neighbors) >= 50 and not any(neighbors(frame, i) for i, _ in loners)
         assert sorted(projected) == sorted(id(state.v[i].data) for i in with_neighbors)
 
 
@@ -513,7 +522,7 @@ class TestRelationImportance:
             [(0, box(0, 0, 1, 1)), (1, box(8, 0, 1, 1))],
         ]
         graph = build_graph(frames, d_th=5.0)
-        assert all(graph.spatial_edges(t) == () for t in range(3))
+        assert all(spatial_edges(graph, t) == () for t in range(3))
         assert relation_importance_records(params, graph) == []
 
     def test_window_below_one_rejected(self):
@@ -541,7 +550,7 @@ class TestRelationImportance:
         graph = random_graph(rng, n_frames=4, n_instances=4, spread=5.0, d_th=8.0)
         frame = graph.frames[3]
         records = relation_importance_records(params, graph, frames=[3])
-        assert [(t, i, j) for t, i, j, _ in records] == [(3, i, j) for i in frame.ids for j in frame.neighbors[i]]
+        assert [(t, i, j) for t, i, j, _ in records] == [(3, i, j) for i in frame.ids for j in neighbors(frame, i)]
         for _, _, _, r in records:
             assert 0.0 <= r <= 1.0
 
@@ -608,7 +617,7 @@ class TestLeaveOneOut:
 
     def assert_drops_match_reference(self, params, graph, t, window, i):
         full, drops = leave_one_out(params, graph, t, window, i)
-        assert sorted(drops) == list(graph.frames[t].neighbors[i])
+        assert sorted(drops) == list(neighbors(graph.frames[t], i))
         for j, row in drops.items():
             assert_close_rel(row, reference_replay(params, graph, t, window, i, exclude=j))
         return full, drops
@@ -623,8 +632,8 @@ class TestLeaveOneOut:
             for t, x in enumerate([20.0, 15.0, 10.0, 3.0, 2.5, 2.0])
         ]
         graph = build_graph(frames, d_th=3.0)
-        assert [1 in graph.frames[t].neighbors[0] for t in range(6)] == [False] * 3 + [True] * 3
-        assert all(2 in graph.frames[t].neighbors[0] for t in range(6))
+        assert [1 in neighbors(graph.frames[t], 0) for t in range(6)] == [False] * 3 + [True] * 3
+        assert all(2 in neighbors(graph.frames[t], 0) for t in range(6))
         stepped, _ = run_rem(params, graph)
         batches = []
         update_rows = rem_module._update_rows
@@ -664,7 +673,7 @@ class TestLeaveOneOut:
         store, params = make_rem(dim=6, seed=54)
         rng = np.random.default_rng(55)
         graph = random_graph(rng, n_frames=4, n_instances=12, spread=5.0, d_th=50.0)
-        assert len(graph.frames[3].neighbors[0]) == 11
+        assert len(neighbors(graph.frames[3], 0)) == 11
         self.assert_drops_match_reference(params, graph, 3, 4, 0)
 
 

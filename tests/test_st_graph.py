@@ -1,8 +1,10 @@
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from remtrack.geometry import BoundingBox, scaled_distance
+from oracles import spatial_edges, temporal_edges
+from remtrack.geometry import BoundingBox, scaled_distance, scaled_distance_matrix
 from remtrack.st_graph import SpatioTemporalGraph, build_graph, update_graph
 
 
@@ -22,27 +24,43 @@ def random_frames(rng, n_frames=6, n_instances=5, p_present=0.8, spread=12.0):
     return frames
 
 
-def brute_force_edges(frame_nodes, d_th):
-    """Edge enumeration straight from the definition."""
-    spatial = set()
-    nodes = dict(frame_nodes)
-    for i in nodes:
-        for j in nodes:
-            if i < j and scaled_distance(nodes[i], nodes[j]) <= d_th:
-                spatial.add((i, j))
-    return spatial
+def brute_force_edges(ids, boxes, d_th):
+    """Edge enumeration straight from the definition: position pairs (a, b)
+    of ``ids`` with a < b, row by row."""
+    return [
+        (a, b)
+        for a in range(len(ids))
+        for b in range(a + 1, len(ids))
+        if scaled_distance(boxes[ids[a]], boxes[ids[b]]) <= d_th
+    ]
+
+
+@st.composite
+def threshold_frames(draw):
+    """One frame of a few instances with random ids on a coarse grid, so boxes
+    repeat and distances tie, and a threshold that is often exactly one of
+    the frame's pairwise distances."""
+    coord = st.integers(0, 12).map(lambda k: 0.5 * k)
+    size = st.integers(1, 4).map(lambda k: 0.5 * k)
+    ids = draw(st.lists(st.integers(0, 99), unique=True, max_size=9))
+    frame = [(i, box(draw(coord), draw(coord), draw(size), draw(size))) for i in ids]
+    boxes = dict(frame)
+    at = [scaled_distance(boxes[i], boxes[j]) for i in ids for j in ids if i < j]
+    at = [d for d in at if d > 0]
+    d_th = draw(st.sampled_from(at) if at and draw(st.booleans()) else st.floats(0.1, 8.0))
+    return frame, d_th
 
 
 class TestBuildGraph:
     def test_single_instance_two_frames(self):
         g = build_graph([[(0, box(1, 1))], [(0, box(1.5, 1))]], d_th=15)
-        assert g.spatial_edges(0) == () and g.spatial_edges(1) == ()
-        assert g.temporal_edges(0) == (0,)
+        assert spatial_edges(g, 0) == () and spatial_edges(g, 1) == ()
+        assert temporal_edges(g, 0) == (0,)
 
     def test_two_coincident_boxes_one_frame(self):
         g = build_graph([[(0, box(1, 1)), (1, box(1, 1))]], d_th=15)
-        assert g.spatial_edges(0) == ((0, 1),)
-        assert g.temporal_edges(0) == ()
+        assert spatial_edges(g, 0) == ((0, 1),)
+        assert temporal_edges(g, 0) == ()
 
     def test_missing_instance_temporal_edges(self):
         b = box(1, 1)
@@ -52,17 +70,23 @@ class TestBuildGraph:
             [(0, b), (1, b), (2, b)],
         ]
         g = build_graph(frames, d_th=15)
-        assert g.temporal_edges(0) == (0, 1)
-        assert g.temporal_edges(1) == (0, 1)
+        assert temporal_edges(g, 0) == (0, 1)
+        assert temporal_edges(g, 1) == (0, 1)
         # re-entry after the gap gets no edge across it
-        assert 2 not in g.temporal_edges(1)
+        assert 2 not in temporal_edges(g, 1)
 
-    def test_spatial_edges_match_brute_force(self, rng):
-        for _ in range(20):
-            frames = random_frames(rng)
-            g = build_graph(frames, d_th=4.0)
-            for t, frame in enumerate(frames):
-                assert set(g.spatial_edges(t)) == brute_force_edges(frame, 4.0)
+    @given(threshold_frames())
+    @settings(max_examples=150)
+    def test_spatial_edges_match_brute_force(self, case):
+        frame, d_th = case
+        g = build_graph([frame], d_th=d_th).frames[0]
+        boxes = dict(frame)
+        pairs = brute_force_edges(g.ids, boxes, d_th)
+        assert g.edges.shape == (len(pairs), 2)
+        assert [tuple(e) for e in g.edges.tolist()] == pairs
+        assert len(g.edge_distance) == len(pairs)
+        dist = scaled_distance_matrix([boxes[i] for i in g.ids])
+        assert [d.hex() for d in g.edge_distance.tolist()] == [dist[a, b].hex() for a, b in pairs]
 
     @pytest.mark.parametrize("d_th", [0.0, -5.0, float("nan")])
     def test_non_positive_threshold_rejected(self, d_th):
@@ -82,7 +106,7 @@ class TestBuildGraph:
         for t in range(g.n_frames - 1):
             here = {i for i, _ in frames[t]}
             there = {i for i, _ in frames[t + 1]}
-            assert set(g.temporal_edges(t)) == here & there
+            assert set(temporal_edges(g, t)) == here & there
 
 
 @st.composite
@@ -138,7 +162,7 @@ class TestUpdateGraph:
         ids = [{i for i, _ in frame} for frame in frames]
         for t in range(len(frames)):
             linked = ids[t] & ids[t + 1] if t + 1 < len(frames) else set()
-            assert inc.temporal_edges(t) == tuple(sorted(linked))
+            assert temporal_edges(inc, t) == tuple(sorted(linked))
 
     def test_rejects_non_latest_frame(self):
         g = build_graph([[(0, box(1, 1))]], d_th=15)
@@ -151,24 +175,23 @@ class TestUpdateGraph:
 class TestNeighbors:
     def test_isolated_node(self):
         g = build_graph([[(0, box(0, 0)), (1, box(100, 100))]], d_th=2)
-        assert g.frames[0].neighbors[0] == ()
+        assert g.frames[0].edges.shape == (0, 2) and g.frames[0].edge_distance.shape == (0,)
 
     def test_clique_of_three(self):
         b = box(1, 1)
         g = build_graph([[(0, b), (1, b), (2, b)]], d_th=15)
-        for i in range(3):
-            assert len(g.frames[0].neighbors[i]) == 2
+        assert np.bincount(g.frames[0].edges.ravel(), minlength=3).tolist() == [2, 2, 2]
 
     def test_chain(self):
         # only consecutive pairs within threshold
         frames = [[(0, box(0, 0, 1, 1)), (1, box(3, 0, 1, 1)), (2, box(6, 0, 1, 1))]]
         g = build_graph(frames, d_th=3.5)
-        assert g.frames[0].neighbors == {0: (1,), 1: (0, 2), 2: (1,)}
+        assert g.frames[0].edges.tolist() == [[0, 1], [1, 2]]
 
     def test_missing_node_raises(self):
         g = build_graph([[(0, box(1, 1))]], d_th=15)
         with pytest.raises(KeyError):
-            g.frames[0].neighbors[7]
+            g.frames[0].boxes[7]
         with pytest.raises(IndexError):
             g.frames[3]
 
@@ -176,7 +199,6 @@ class TestNeighbors:
         frames = random_frames(rng, n_frames=3)
         g = build_graph(frames, d_th=6.0)
         for frame in g.frames:
-            for i in frame.ids:
-                ns = frame.neighbors[i]
-                assert list(ns) == sorted(ns)
-                assert i not in ns
+            pairs = frame.edges.tolist()
+            assert pairs == sorted(pairs)
+            assert all(a < b for a, b in pairs)
