@@ -1,16 +1,25 @@
 """Minimal reverse-mode autodiff over dense float64 arrays.
 
 Covers exactly the operations the relation module, its regression heads and
-the training loss need: ``add``, ``mul``, ``affine``, ``dot``, ``concat``,
-``stack``, ``get``, ``leaky_relu``, ``softplus``, ``softmax`` and the fused
-``gru_cell``. ``Tensor`` has no arithmetic operators: every tape node comes
-from one of these functions by name. A fused operation outside this module
-(the GIoU loss, the relation module's attention over one receiver's senders)
+the training loss need: ``add``, ``mul``, ``affine``, ``affine_rows``,
+``dot``, ``concat``, ``stack``, ``get``, ``take``, ``leaky_relu``,
+``softplus``, ``softmax`` and the fused GRU, once for one vector
+(``gru_cell``) and once for every row of a matrix (``gru_rows``). ``Tensor``
+has no arithmetic operators: every tape node comes from one of these
+functions by name. A fused operation outside this module (the GIoU loss, the
+relation module's projections and its attention over a frame's messages)
 builds its own tape node with ``_make``. Forward passes are deterministic:
 the same inputs in the same order give the same bits. Results may depend on
 the order of summed terms, so callers that need order independence fix the
 order themselves (the relation module sorts each receiver's neighbors by
 content).
+
+Row-wise operations multiply through ``_block_matmul``, which runs a product
+over zero-padded blocks of exactly ``BLOCK_ROWS`` rows. A BLAS product can
+give a row different bits depending on how many rows it shares a call with
+(one row runs gemv, a few rows one gemm kernel, many rows another); a block
+of fixed height always runs the same kernel, so a row's bits depend on that
+row alone, never on its block-mates, its position or the number of rows.
 
 Weight gradients are formed as row factors, not as dense outer products. A
 backward closure returns the gradient of a weight as ``_Rows(u, v)``, which
@@ -35,6 +44,9 @@ import numpy as np
 
 # Tape recording is on unless a no_grad block is active.
 _grad_enabled = True
+
+# Row height of the blocks ``_block_matmul`` multiplies.
+BLOCK_ROWS = 8
 
 
 class no_grad:
@@ -105,6 +117,22 @@ def _make(data: np.ndarray, parents: tuple[Tensor, ...], backward_fn) -> Tensor:
         out._parents = parents
         out._backward = backward_fn
     return out
+
+
+def _block_matmul(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``x @ w.T`` for a 2-D ``x``, computed as one batched product over
+    zero-padded blocks of exactly ``BLOCK_ROWS`` rows, so that each row of
+    the result has the bits it would have alone."""
+    x, w_t = np.ascontiguousarray(x), np.ascontiguousarray(w).T
+    (m, k), n = x.shape, w.shape[0]
+    whole = m - m % BLOCK_ROWS
+    out = np.empty((whole + BLOCK_ROWS, n))
+    np.matmul(x[:whole].reshape(-1, BLOCK_ROWS, k), w_t, out=out[:whole].reshape(-1, BLOCK_ROWS, n))
+    if whole < m:  # the last rows, zero-padded to a block
+        tail = np.zeros((1, BLOCK_ROWS, k))
+        tail[0, : m - whole] = x[whole:]
+        np.matmul(tail, w_t, out=out[whole:].reshape(1, BLOCK_ROWS, n))
+    return out[:m]
 
 
 def _check_vector(x: Tensor, name: str) -> None:
@@ -178,6 +206,19 @@ def affine(w: Tensor, x: Tensor, b: Tensor | None = None) -> Tensor:
     return _make(data, parents, bw)
 
 
+def affine_rows(w: Tensor, x: Tensor, b: Tensor) -> Tensor:
+    """``affine`` for every row of a 2-D ``x`` at once: ``x @ w.T + b``,
+    through ``_block_matmul``."""
+    w_data, x_data = w.data, x.data
+    data = _block_matmul(x_data, w_data)
+    data += b.data
+
+    def bw(g):
+        return (_Rows(g, x_data), g @ w_data, g.sum(axis=0))
+
+    return _make(data, (w, x, b), bw)
+
+
 def dot(a: Tensor, b: Tensor) -> Tensor:
     _check_vector(a, "dot lhs")
     _check_vector(b, "dot rhs")
@@ -192,16 +233,16 @@ def dot(a: Tensor, b: Tensor) -> Tensor:
 
 
 def concat(parts: Sequence[Tensor]) -> Tensor:
+    """Join tensors along their last axis: vectors end to end, or the
+    columns of matrices with the same number of rows."""
     parts = tuple(as_tensor(p) for p in parts)
-    for p in parts:
-        _check_vector(p, "concat part")
-    data = np.concatenate([p.data for p in parts])
-    sizes = [p.data.shape[0] for p in parts]
+    data = np.concatenate([p.data for p in parts], axis=-1)
+    sizes = [p.data.shape[-1] for p in parts]
 
     def bw(g):
         out, ofs = [], 0
         for n in sizes:
-            out.append(g[ofs : ofs + n])
+            out.append(g[..., ofs : ofs + n])
             ofs += n
         return tuple(out)
 
@@ -226,6 +267,23 @@ def get(x: Tensor, index: int) -> Tensor:
     def bw(g):
         gx = np.zeros_like(x.data)
         gx[index] = g
+        return (gx,)
+
+    return _make(data, (x,), bw)
+
+
+def take(x: Tensor, index) -> Tensor:
+    """Rows of ``x`` at ``index`` along its first axis: one row for an
+    integer, a matrix of rows for an integer array. Index -1 gives a row of
+    zeros, for a node that has no row in ``x``."""
+    index = np.asarray(index, dtype=np.intp)
+    found = index >= 0
+    data = np.zeros(index.shape + x.data.shape[1:])
+    data[found] = x.data[index[found]]
+
+    def bw(g):
+        gx = np.zeros_like(x.data)
+        np.add.at(gx, index[found], g[found])
         return (gx,)
 
     return _make(data, (x,), bw)
@@ -368,9 +426,6 @@ class ParameterStore:
     def items(self) -> Iterable[tuple[str, Tensor]]:
         return ((n, self._params[n]) for n in self.names())
 
-    def step_count(self, name: str) -> int:
-        return self._adam_t[name]
-
     def clear_grads(self) -> None:
         for p in self._params.values():
             p.grad = None
@@ -476,8 +531,15 @@ class GruCellParams:
 
 
 def _sigmoid_stable(d: np.ndarray) -> np.ndarray:
-    e = np.exp(-np.abs(d))
-    return np.where(d >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    # 1 / (1 + e) where d >= 0, else e / (1 + e), with e = exp(-|d|); in
+    # place, so a matrix of rows costs two work arrays
+    e = np.abs(d)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    out = np.where(d >= 0, 1.0, e)
+    e += 1.0
+    out /= e
+    return out
 
 
 def gru_cell(params: GruCellParams, x: Tensor, h_prev: Tensor) -> Tensor:
@@ -532,14 +594,50 @@ def gru_cell(params: GruCellParams, x: Tensor, h_prev: Tensor) -> Tensor:
     )
 
 
-def _gru_rows(params: GruCellParams, x: np.ndarray, h_prev: np.ndarray) -> np.ndarray:
-    """``gru_cell``'s forward for every row of ``x`` and ``h_prev`` at once,
-    without a tape."""
+def gru_rows(params: GruCellParams, x: Tensor, h_prev: Tensor) -> Tensor:
+    """``gru_cell`` for every row of ``x`` and ``h_prev`` at once, as one
+    tape node; each gate product is one ``_block_matmul``."""
     p = params
-    z = _sigmoid_stable(x @ p.w_z.data.T + p.b_z.data + h_prev @ p.u_z.data.T)
-    r = _sigmoid_stable(x @ p.w_r.data.T + p.b_r.data + h_prev @ p.u_r.data.T)
-    cand = np.tanh(x @ p.w_h.data.T + p.b_h.data + (r * h_prev) @ p.u_h.data.T)
-    return h_prev + z * (cand - h_prev)
+    xd, hd = x.data, h_prev.data
+
+    def gate(w, b, u, state):
+        a = _block_matmul(xd, w.data)
+        a += b.data
+        a += _block_matmul(state, u.data)
+        return a
+
+    z = _sigmoid_stable(gate(p.w_z, p.b_z, p.u_z, hd))
+    r = _sigmoid_stable(gate(p.w_r, p.b_r, p.u_r, hd))
+    rh = r * hd
+    cand = np.tanh(gate(p.w_h, p.b_h, p.u_h, rh))
+    out = hd + z * (cand - hd)
+
+    def bw(g):
+        daz = g * (cand - hd) * z * (1.0 - z)
+        dah = g * z * (1.0 - cand * cand)
+        drh = dah @ p.u_h.data
+        dar = drh * hd * r * (1.0 - r)
+        dx = daz @ p.w_z.data + dar @ p.w_r.data + dah @ p.w_h.data
+        dh = g * (1.0 - z) + daz @ p.u_z.data + dar @ p.u_r.data + drh * r
+        return (
+            _Rows(daz, xd),  # w_z
+            _Rows(daz, hd),  # u_z
+            daz.sum(axis=0),  # b_z
+            _Rows(dar, xd),  # w_r
+            _Rows(dar, hd),  # u_r
+            dar.sum(axis=0),  # b_r
+            _Rows(dah, xd),  # w_h
+            _Rows(dah, rh),  # u_h
+            dah.sum(axis=0),  # b_h
+            dx,
+            dh,
+        )
+
+    return _make(
+        out,
+        (p.w_z, p.u_z, p.b_z, p.w_r, p.u_r, p.b_r, p.w_h, p.u_h, p.b_h, x, h_prev),
+        bw,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -32,9 +32,10 @@ from .autodiff import Tensor
 MIN_BOX_SIZE = 1e-3
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BoundingBox:
-    """Center-format box: center coordinates plus width and height."""
+    """Center-format box: center coordinates plus width and height. Slotted,
+    so a box holds its four floats without a per-instance dict."""
 
     cx: float
     cy: float

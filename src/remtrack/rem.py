@@ -7,40 +7,50 @@ into a per-instance relation embedding through a second GRU. Temporal edges
 are realized by the GRU recurrences; attention only ever runs over spatial
 neighbors.
 
-Work that belongs to one node is done once per frame, straight after its node
-feature: every node with a spatial neighbor is projected onto its share of
-the message and attention layers (its receiver and sender parts of the first
-message layer, its query and its key) by single matrix-vector products, and
-every node is given a content rank that orders nodes by box, then by the
-bytes of the node feature, equal content sharing a rank. Each receiver's
-messages, attention and aggregation then run as one fused tape node over its
-k neighbors: the block gathers the senders' projections, and only the second
-message layer is a k-row product. Neighbors come in a canonical order,
-distance then content rank, that never depends on instance ids. One sort per
-frame, over both directions of the frame's edge arrays, puts every
-receiver's senders in that order as one contiguous segment per receiver.
-Neighbors equal in both keys give identical rows; the sort's last key puts
-them in ascending id order only so that each segment is fully determined.
-Node-level work (``node_feature``, the projections,
-``spatiotemporal_update``) stays per node, so a node's numbers never depend
-on how many other nodes share its frame. Together these make relabeling
-instances permute the outputs bitwise, and leave an isolated instance's
-embedding bitwise independent of the rest of the scene.
+``rem_step`` advances a whole frame with array operations, one tape node
+each: one input affine and one GRU over all n nodes, one product that
+projects every node onto its share of the message and attention layers (its
+receiver and sender parts of the first message layer, its query and its
+key), the message layer and attention over every receiver's senders, and one
+update affine and one GRU. The public ``node_feature``, ``message``,
+``attention_coefficients`` and ``spatiotemporal_update`` specify the same
+maths one node or one sender at a time.
+
+Relabeling instances permutes the outputs bitwise, and an isolated
+instance's embedding is bitwise independent of the rest of the scene,
+because no number of a node depends on anything but its own rows:
+
+* Every matrix product runs through ``ad._block_matmul``, whose rows have
+  the bits they would have alone, whatever the other rows of the call.
+  Everything else on a row is elementwise.
+* A receiver's senders come in a canonical order, distance then content
+  rank, that never depends on instance ids; the content rank orders nodes by
+  box, then by the bytes of the node feature, equal content sharing a rank.
+  One sort per frame, over both directions of the frame's edge arrays, puts
+  every receiver's senders in that order as one contiguous segment.
+  Neighbors equal in both keys give identical rows; the sort's last key puts
+  them in ascending id order only so that each segment is fully determined.
+* The message rows are cut into chunks of whole segments, about
+  ``CHUNK_ROWS`` rows each, which bounds the working set; a segment's
+  softmax and weighted sum (``reduceat``) depend only on the segment's own
+  rows, not on where it sits in its chunk.
 
 Relation importance replays each receiver's trailing window once. Node
 features never depend on relation embeddings, so each window frame's node
 features, projections and sender segments are computed once and shared by
-every receiver, and a receiver's message block at each step is computed once
+every receiver, and a receiver's message rows at each step are computed once
 and shared by the full replay and all of its leave-one-out drops; each drop
-only re-weights the block without its row. The drops run as one batch whose
-rows follow the receiver's canonical neighbor order, so their values too
-permute bitwise under relabeling.
+only re-weights the rows without its own. The full replay runs the same row
+functions as ``rem_step`` on the receiver's rows, so it equals
+``rem_step`` bit for bit, and the drops are updated in one batch whose rows
+follow the receiver's canonical neighbor order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Mapping, NamedTuple, Sequence
+from bisect import bisect_left
+from dataclasses import dataclass
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -61,6 +71,10 @@ BOX_FEATURES = 8  # box (4) concatenated with its one-step offset (4)
 # Box coordinates are divided by this before entering the input affine so the
 # recurrent gates stay in their sensitive range for scene-sized coordinates.
 INPUT_SCALE = 10.0
+
+# Message rows per chunk of whole receiver segments; smaller chunks keep the
+# per-frame working set in cache.
+CHUNK_ROWS = 256
 
 
 @dataclass
@@ -110,15 +124,24 @@ class RemParameters:
 
 @dataclass
 class RemState:
-    """Recurrent per-instance state: node hidden v and relation embedding r.
-    Keys are exactly the ids of the last frame stepped through; that frame's
-    boxes are read from the graph, not kept here."""
+    """Recurrent per-instance state after the last frame stepped through:
+    that frame's ids, ascending, and one row per id of the node hidden state
+    ``v`` and the relation embedding ``r`` (both None before the first
+    frame). The frame's boxes are read from the graph, not kept here."""
 
-    v: dict[int, Tensor] = field(default_factory=dict)
-    r: dict[int, Tensor] = field(default_factory=dict)
+    ids: tuple[int, ...] = ()
+    v: Tensor | None = None
+    r: Tensor | None = None
 
     def live(self) -> set[int]:
-        return set(self.v)
+        return set(self.ids)
+
+    def embedding(self, i: int) -> Tensor:
+        """Instance i's relation embedding: one gather node on ``r``."""
+        p = bisect_left(self.ids, i)
+        if p == len(self.ids) or self.ids[p] != i:
+            raise KeyError(i)
+        return ad.take(self.r, p)
 
 
 @dataclass(frozen=True)
@@ -151,8 +174,9 @@ def node_feature(
 def message(params: RemParameters, v_i: Tensor, v_j: Tensor, d_ij: float) -> Tensor:
     """Directed message to receiver i from sender j, aware of their distance.
 
-    One sender at a time; REM itself runs the fused ``_attend``, which this
-    function and ``attention_coefficients`` specify."""
+    One sender at a time; ``rem_step`` runs the same maths over a frame's
+    message rows, which this function and ``attention_coefficients``
+    specify."""
     if d_ij < 0:
         raise ValueError("distance must be non-negative")
     x = ad.concat([v_i, v_j, Tensor(np.array([d_ij]))])
@@ -191,43 +215,63 @@ def spatiotemporal_update(
 class _Nodes(NamedTuple):
     """One frame's node features and every receiver's view of its senders.
 
-    Nodes are addressed by position in the frame's ``ids``. A row of ``proj``
-    is ``[w_m1[:, :f] v + b_m1, w_a1 v, w_m1[:, f:2f] v, w_a2 v]``: the node's
-    share of the message and attention layers as a receiver (first two) and
-    as a sender (last two); rows of isolated nodes, which are neither
-    senders nor receivers, stay zero. Receiver p's senders, in canonical
-    order, are ``senders[start[p]:start[p + 1]]``, at ``distances`` of the
-    same slice.
+    Nodes are addressed by position in the frame's ``ids``. ``prev`` is each
+    node's row in the previous frame's state, -1 for a node that starts
+    there. The four (n, f) parts of ``proj`` are ``w_m1[:, :f] v + b_m1``,
+    ``w_a1 v``, ``w_m1[:, f:2f] v`` and ``w_a2 v``: each node's share of the
+    message and attention layers as a receiver (first two) and as a sender
+    (last two). Receiver p's senders, in canonical order, are
+    ``senders[start[p]:start[p + 1]]``, at ``distances`` of the same slice.
     """
 
-    v: dict[int, Tensor]
     ids: np.ndarray  # (n,) the frame's ids, ascending
-    proj: np.ndarray  # (n, 4, f)
+    prev: np.ndarray  # (n,)
+    v: Tensor  # (n, f)
+    proj: Tensor  # (4, n, f)
     senders: np.ndarray  # (2E,) sender positions, grouped by receiver
     distances: np.ndarray  # (2E,)
     start: np.ndarray  # (n + 1,)
 
 
-def _projections(params: RemParameters, vectors: Sequence[np.ndarray]) -> np.ndarray:
-    """``_Nodes.proj`` rows of ``vectors``, one matrix-vector product each, so
-    a node's row never depends on which other nodes are projected with it."""
-    f = params.dim
-    w = params.w_m1.data
-    stacked = np.concatenate([w[:, :f], params.w_a1.data, w[:, f : 2 * f], params.w_a2.data])
-    proj = np.empty((len(vectors), 4, f))
-    for out, v in zip(proj.reshape(len(vectors), 4 * f), vectors):
-        np.matmul(stacked, v, out=out)
-    proj[:, 0] += params.b_m1.data
-    return proj
+def _carry(x: Tensor | None, prev: np.ndarray, dim: int) -> Tensor:
+    """Rows of the previous frame's ``x`` at ``prev``, zero rows where it is
+    -1 (and everywhere before the first frame)."""
+    return ad.take(x if x is not None else Tensor(np.zeros((0, dim))), prev)
 
 
-def _content_rank(frame: GraphFrame, v: Mapping[int, Tensor]) -> np.ndarray:
+def _project(params: RemParameters, v: Tensor) -> Tensor:
+    """``_Nodes.proj`` of every row of ``v``, one product per part, as one
+    tape node."""
+    p, f = params, params.dim
+    weights = (p.w_m1.data[:, :f], p.w_a1.data, p.w_m1.data[:, f : 2 * f], p.w_a2.data)
+    proj = np.empty((4,) + v.data.shape)
+    for part, w in zip(proj, weights):
+        part[:] = ad._block_matmul(v.data, w)
+    proj[0] += p.b_m1.data
+
+    def bw(g):
+        n = g.shape[1]
+        x = np.zeros((2 * n, 2 * f + 1))
+        x[:n, :f] = v.data
+        x[n:, f : 2 * f] = v.data
+        return (
+            ad._Rows(np.concatenate([g[0], g[2]]), x),  # w_m1
+            g[0].sum(axis=0),  # b_m1
+            ad._Rows(g[1], v.data),  # w_a1
+            ad._Rows(g[3], v.data),  # w_a2
+            sum(g_k @ w for g_k, w in zip(g, weights)),  # v
+        )
+
+    return ad._make(proj, (p.w_m1, p.b_m1, p.w_a1, p.w_a2, v), bw)
+
+
+def _content_rank(frame: GraphFrame, v: np.ndarray) -> np.ndarray:
     """Rank of each node by (cx, cy, w, h, bytes of its node feature); nodes
     equal in all of these share a rank."""
     keys = []
-    for i in frame.ids:
+    for i, row in zip(frame.ids, v):
         b = frame.boxes[i]
-        keys.append((b.cx, b.cy, b.w, b.h, v[i].data.tobytes()))
+        keys.append((b.cx, b.cy, b.w, b.h, row.tobytes()))
     rank = np.empty(len(keys), dtype=np.intp)
     prev, r = None, -1
     for n in sorted(range(len(keys)), key=keys.__getitem__):
@@ -237,54 +281,60 @@ def _content_rank(frame: GraphFrame, v: Mapping[int, Tensor]) -> np.ndarray:
     return rank
 
 
-def _frame_nodes(params: RemParameters, frame: GraphFrame, v: dict[int, Tensor]) -> _Nodes:
-    """``v`` with the projections of the nodes that have a spatial neighbor
-    in ``frame``, and every receiver's senders in the canonical order.
+def _node_features(
+    params: RemParameters,
+    frame: GraphFrame,
+    prev_frame: GraphFrame | None,
+    prev_v: Tensor | None,
+) -> _Nodes:
+    """Node features of every instance in ``frame``, one input affine and
+    one GRU over all rows, with ``_frame_nodes``' view of them. An instance
+    continues its recurrence iff it is in ``prev_frame``, whose rows
+    ``prev_v`` holds."""
+    n = len(frame.ids)
+    before = {i: k for k, i in enumerate(prev_frame.ids)} if prev_frame is not None else {}
+    prev = np.array([before.get(i, -1) for i in frame.ids], dtype=np.intp)
+    boxes = np.array([frame.boxes[i].as_array() for i in frame.ids]).reshape(n, 4)
+    prev_boxes = boxes.copy()  # a node that starts has a zero offset
+    for k in np.flatnonzero(prev >= 0).tolist():
+        prev_boxes[k] = prev_frame.boxes[frame.ids[k]].as_array()
+    scaled = np.concatenate([boxes, boxes - prev_boxes], axis=1) / INPUT_SCALE
+    x = ad.leaky_relu(ad.affine_rows(params.w_in, Tensor(scaled), params.b_in), SIGMA_SLOPE)
+    v = ad.gru_rows(params.gru_in, x, _carry(prev_v, prev, params.dim))
+    return _frame_nodes(params, frame, prev, v)
+
+
+def _frame_nodes(params: RemParameters, frame: GraphFrame, prev: np.ndarray, v: Tensor) -> _Nodes:
+    """The node features ``v`` of ``frame`` with their projections and
+    every receiver's senders in the canonical order.
 
     Both directions of ``frame.edges`` are ordered by one sort on (receiver,
     distance, sender content rank, sender position). Senders that reach the
     last key are equal in distance, box and node feature, so they give
     identical rows; the key only fixes their order to ascending id.
     """
-    n = len(frame.ids)
     a, b = frame.edges.T
     receivers = np.concatenate([a, b])
     senders = np.concatenate([b, a])
     distances = np.concatenate([frame.edge_distance, frame.edge_distance])
-    order = np.lexsort((senders, _content_rank(frame, v)[senders], distances, receivers))
-    start = np.searchsorted(receivers[order], np.arange(n + 1))
+    order = np.lexsort((senders, _content_rank(frame, v.data)[senders], distances, receivers))
+    start = np.searchsorted(receivers[order], np.arange(len(frame.ids) + 1))
     ids = np.array(frame.ids, dtype=np.intp)
-    linked = start[1:] > start[:-1]
-    proj = np.zeros((n, 4, params.dim))
-    proj[linked] = _projections(params, [v[i].data for i in ids[linked].tolist()])
-    return _Nodes(v, ids, proj, senders[order], distances[order], start)
-
-
-def _node_features(
-    params: RemParameters,
-    frame: GraphFrame,
-    prev_boxes: Mapping[int, BoundingBox],
-    prev_v: Mapping[int, Tensor],
-) -> _Nodes:
-    """Node features of every instance in ``frame``, with the projections and
-    sender segments of ``_frame_nodes``; an instance continues its recurrence
-    only if it has a hidden state in ``prev_v``."""
-    v = {
-        i: node_feature(params, frame.boxes[i], prev_boxes[i], prev_v[i])
-        if i in prev_v
-        else node_feature(params, frame.boxes[i], None, None)
-        for i in frame.ids
-    }
-    return _frame_nodes(params, frame, v)
+    return _Nodes(ids, prev, v, _project(params, v), senders[order], distances[order], start)
 
 
 def _leaky(x: np.ndarray, slope: float) -> np.ndarray:
     # for 0 < slope < 1 the same bits as np.where(x >= 0, x, slope * x)
-    return np.maximum(x, slope * x)
+    out = slope * x
+    return np.maximum(x, out, out=out)
+
+
+def _slope(x: np.ndarray, slope: float) -> np.ndarray:
+    return np.where(x >= 0, 1.0, slope)
 
 
 class _Block(NamedTuple):
-    """Receiver i's messages and attention logits, one row per sender."""
+    """Message rows: one per (receiver, sender) pair."""
 
     a1: np.ndarray
     hidden: np.ndarray
@@ -297,98 +347,119 @@ class _Block(NamedTuple):
 
 
 def _message_block(
-    params: RemParameters, receiver: np.ndarray, projected: np.ndarray, distances: np.ndarray
+    params: RemParameters,
+    proj: np.ndarray,
+    receivers: np.ndarray,
+    senders: np.ndarray,
+    distances: np.ndarray,
 ) -> _Block:
-    """The maths of ``message`` and ``attention_coefficients`` for k senders,
-    from the receiver's two ``_Nodes.proj`` parts and the senders' two (k
-    rows); only the second message layer is a k-row matrix product."""
+    """The maths of ``message`` and ``attention_coefficients`` for every
+    (receiver, sender, distance) row, from the two nodes' ``_Nodes.proj``
+    rows; only the second message layer is a matrix product."""
     p, f = params, params.dim
-    a1 = projected[:, 0] + receiver[0]
+    a1 = proj[2, senders]
+    a1 += proj[0, receivers]
     a1 += distances[:, None] * p.w_m1.data[:, 2 * f]
     hidden = _leaky(a1, SIGMA_SLOPE)
-    a2 = hidden @ p.w_m2.data.T + p.b_m2.data
+    a2 = ad._block_matmul(hidden, p.w_m2.data)
+    a2 += p.b_m2.data
     msgs = _leaky(a2, SIGMA_SLOPE)
-    query, keys = receiver[1], projected[:, 1]
-    scores = keys @ query
+    query, keys = proj[1, receivers], proj[3, senders]
+    scores = np.einsum("ij,ij->i", keys, query)
     return _Block(a1, hidden, a2, msgs, query, keys, scores, _leaky(scores, ATTENTION_SLOPE))
 
 
-def _softmax_sum(logits: np.ndarray, msgs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Attention weights over the rows of a block and the weighted sum."""
-    exps = np.exp(logits - np.max(logits))
-    alphas = exps / np.sum(exps)
-    return alphas, alphas @ msgs
+def _segment_softmax_sum(
+    logits: np.ndarray, msgs: np.ndarray, start: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Attention weights within each segment ``start[s]:start[s + 1]`` of
+    the rows, and each segment's weighted sum of ``msgs``; a zero row for an
+    empty segment. A segment's numbers depend on its own rows alone."""
+    lengths = np.diff(start)
+    linked = lengths > 0
+    heads = start[:-1][linked]
+    segment = np.repeat(np.arange(len(heads)), lengths[linked])
+    exps = np.exp(logits - np.maximum.reduceat(logits, heads)[segment])
+    alphas = exps / np.add.reduceat(exps, heads)[segment]
+    sums = np.zeros((len(lengths), msgs.shape[1]))
+    sums[linked] = np.add.reduceat(alphas[:, None] * msgs, heads, axis=0)
+    return alphas, sums
 
 
-def _attend(
-    params: RemParameters,
-    v_i: Tensor,
-    senders: Sequence[Tensor],
-    distances: np.ndarray,
-    receiver: np.ndarray,
-    projected: np.ndarray,
-) -> Tensor:
-    """sum_j alpha_ij m_ij over receiver i's k senders, as one tape node.
+def _chunks(start: np.ndarray):
+    """(first, end, receivers) of consecutive receiver ranges whose sender
+    segments hold about ``CHUNK_ROWS`` rows together; a segment is never
+    split, so one longer than a chunk is a chunk of its own."""
+    n = len(start) - 1
+    first = 0
+    while first < n:
+        end = int(np.searchsorted(start, start[first] + CHUNK_ROWS, side="right")) - 1
+        end = min(max(end, first + 1), n)
+        yield first, end, np.repeat(np.arange(first, end), np.diff(start[first : end + 1]))
+        first = end
 
-    The forward is ``_message_block`` on i's ``receiver`` projections and
-    the senders' ``projected`` ones, followed by ``_softmax_sum``. The
-    backward closure builds the rows ``[v_i || v_j || d_ij]`` and returns
-    each weight gradient as row factors (k rows for the message weights, one
-    row for the attention weights), which ``ad.backward`` reduces together
-    with every other receiver's rows.
+
+def _aggregate(params: RemParameters, nodes: _Nodes) -> Tensor:
+    """sum_j alpha_ij m_ij for every receiver i of the frame (a zero row for
+    a node without neighbors), as one tape node.
+
+    The forward runs chunk by chunk and keeps only the sums; the backward
+    computes each chunk's rows again instead of holding the whole frame's.
+    Weight gradients come back as row factors: one row per message for
+    ``w_m2``, and one row for the distance column of ``w_m1``.
     """
     p, f = params, params.dim
-    a1, hidden, a2, msgs, query, keys, scores, logits = _message_block(params, receiver, projected, distances)
-    alphas, out = _softmax_sum(logits, msgs)
+    proj = nodes.proj.data
+    start, senders, distances = nodes.start, nodes.senders, nodes.distances
+
+    def chunk_rows(first, end, receivers):
+        at = slice(start[first], start[end])
+        block = _message_block(p, proj, receivers, senders[at], distances[at])
+        alphas, sums = _segment_softmax_sum(block.logits, block.msgs, start[first : end + 1] - start[first])
+        return at, block, alphas, sums
+
+    out = np.zeros((len(nodes.ids), f))
+    for first, end, receivers in _chunks(start):
+        out[first:end] = chunk_rows(first, end, receivers)[3]
 
     def bw(g):
-        x = np.empty((len(senders), 2 * f + 1))
-        x[:, :f] = v_i.data
-        for row, v_j in enumerate(senders):
-            x[row, f : 2 * f] = v_j.data
-        x[:, 2 * f] = distances
-        v_n = x[:, f : 2 * f]
-        d_alphas = msgs @ g
-        d_scores = alphas * (d_alphas - alphas @ d_alphas) * np.where(scores >= 0, 1.0, ATTENTION_SLOPE)
-        d_query = d_scores @ keys
-        d_a2 = np.outer(alphas, g) * np.where(a2 >= 0, 1.0, SIGMA_SLOPE)
-        d_a1 = (d_a2 @ p.w_m2.data) * np.where(a1 >= 0, 1.0, SIGMA_SLOPE)
-        d_x = d_a1 @ p.w_m1.data
-        d_senders = d_x[:, f : 2 * f] + np.outer(d_scores, query @ p.w_a2.data)
+        d_proj = np.zeros_like(proj)
+        d_distance = np.zeros(f)
+        d_a2s, hiddens = [], []
+        for first, end, receivers in _chunks(start):
+            at, block, alphas, _ = chunk_rows(first, end, receivers)
+            g_rows = g[receivers]
+            d_alphas = np.einsum("ij,ij->i", block.msgs, g_rows)
+            inner = np.zeros(len(g))
+            np.add.at(inner, receivers, alphas * d_alphas)
+            d_scores = alphas * (d_alphas - inner[receivers]) * _slope(block.scores, ATTENTION_SLOPE)
+            d_a2 = alphas[:, None] * g_rows * _slope(block.a2, SIGMA_SLOPE)
+            d_a1 = (d_a2 @ p.w_m2.data) * _slope(block.a1, SIGMA_SLOPE)
+            np.add.at(d_proj[0], receivers, d_a1)
+            np.add.at(d_proj[1], receivers, d_scores[:, None] * block.keys)
+            np.add.at(d_proj[2], senders[at], d_a1)
+            np.add.at(d_proj[3], senders[at], d_scores[:, None] * block.query)
+            d_distance += distances[at] @ d_a1
+            d_a2s.append(d_a2)
+            hiddens.append(block.hidden)
+        distance_column = np.zeros(2 * f + 1)
+        distance_column[2 * f] = 1.0
+        d_a2 = np.concatenate(d_a2s)
         return (
-            ad._Rows(d_a1, x),  # w_m1
-            d_a1.sum(axis=0),  # b_m1
-            ad._Rows(d_a2, hidden),  # w_m2
+            ad._Rows(d_distance, distance_column),  # w_m1
+            ad._Rows(d_a2, np.concatenate(hiddens)),  # w_m2
             d_a2.sum(axis=0),  # b_m2
-            ad._Rows(d_query, v_i.data),  # w_a1
-            ad._Rows(query, d_scores @ v_n),  # w_a2
-            d_x[:, :f].sum(axis=0) + p.w_a1.data.T @ d_query,  # v_i
-            *d_senders,
+            d_proj,
         )
 
-    return ad._make(out, (p.w_m1, p.b_m1, p.w_m2, p.b_m2, p.w_a1, p.w_a2, v_i, *senders), bw)
+    return ad._make(out, (p.w_m1, p.w_m2, p.b_m2, nodes.proj), bw)
 
 
-def _canonical_senders(nodes: _Nodes, p: int) -> tuple[list[int], np.ndarray, np.ndarray]:
-    """The ids of the senders of the receiver at position ``p`` in the
-    canonical order, their distances to it and their sender projections
-    (k, 2, f)."""
-    at = slice(nodes.start[p], nodes.start[p + 1])
-    senders = nodes.senders[at]
-    return nodes.ids[senders].tolist(), nodes.distances[at], nodes.proj[senders, 2:]
-
-
-def _relation_update(params: RemParameters, nodes: _Nodes, p: int, r_prev: Tensor | None) -> Tensor:
-    """Relation embedding of the instance at position ``p``: attention over
-    messages from its spatial neighbors, then the spatiotemporal update."""
-    v = nodes.v
-    v_i = v[nodes.ids[p]]
-    senders, distances, projected = _canonical_senders(nodes, p)
-    if senders:
-        aggregated = _attend(params, v_i, [v[j] for j in senders], distances, nodes.proj[p, :2], projected)
-    else:
-        aggregated = Tensor(np.zeros(params.dim))
-    return spatiotemporal_update(params, v_i, aggregated, r_prev)
+def _update(params: RemParameters, v: Tensor, aggregated: Tensor, r_prev: Tensor) -> Tensor:
+    """``spatiotemporal_update`` for every row at once: one affine and one
+    GRU over the rows."""
+    u = ad.leaky_relu(ad.affine_rows(params.w_u, ad.concat([v, aggregated]), params.b_u), SIGMA_SLOPE)
+    return ad.gru_rows(params.gru_rel, u, r_prev)
 
 
 def rem_step(
@@ -404,17 +475,17 @@ def rem_step(
     boxes give each continuing instance's offset.
     """
     frame = graph.frames[t]
-    prev_boxes = graph.frames[t - 1].boxes if t > 0 else {}
-    if state.live() != prev_boxes.keys():
+    prev_frame = graph.frames[t - 1] if t > 0 else None
+    prev_ids = prev_frame.ids if prev_frame is not None else ()
+    if state.ids != prev_ids:
         raise ValueError(
             f"state instances {sorted(state.live())} do not match frame {t - 1} "
-            f"instances {sorted(prev_boxes)}"
+            f"instances {sorted(prev_ids)}"
         )
-    nodes = _node_features(params, frame, prev_boxes, state.v)
-    r = {i: _relation_update(params, nodes, p, state.r.get(i)) for p, i in enumerate(frame.ids)}
-    state.v = nodes.v
-    state.r = r
-    return [RelationEmbedding(i, t, r[i].data.copy()) for i in frame.ids]
+    nodes = _node_features(params, frame, prev_frame, state.v)
+    r = _update(params, nodes.v, _aggregate(params, nodes), _carry(state.r, nodes.prev, params.dim))
+    state.ids, state.v, state.r = frame.ids, nodes.v, r
+    return [RelationEmbedding(i, t, row) for i, row in zip(frame.ids, r.data.copy())]
 
 
 # ---------------------------------------------------------------------------
@@ -440,85 +511,70 @@ def _window_node_features(
     t0 = max(0, t - window + 1)
     out: list[_Nodes] = []
     for s in range(t0, t + 1):
-        prev_boxes = graph.frames[s - 1].boxes if s > t0 else {}
-        out.append(_node_features(params, graph.frames[s], prev_boxes, out[-1].v if out else {}))
+        prev_frame = graph.frames[s - 1] if s > t0 else None
+        out.append(_node_features(params, graph.frames[s], prev_frame, out[-1].v if out else None))
     return out
 
 
-def _masked_sums(logits: np.ndarray, msgs: np.ndarray, rows: Sequence[int]) -> np.ndarray:
-    """``_softmax_sum``'s weighted sum once per entry of ``rows``, each with
-    that row of the block left out; zeros where no row is left."""
-    if len(logits) == 1:
-        return np.zeros((len(rows), msgs.shape[1]))
-    masked = np.repeat(logits[None, :], len(rows), axis=0)
-    masked[np.arange(len(rows)), rows] = -np.inf
-    exps = np.exp(masked - np.max(masked, axis=1, keepdims=True))
-    return (exps / np.sum(exps, axis=1, keepdims=True)) @ msgs
-
-
-def _update_rows(
-    params: RemParameters, v_i: np.ndarray, aggregated: np.ndarray, r_prev: np.ndarray
-) -> np.ndarray:
-    """``spatiotemporal_update`` for each row of ``aggregated`` and ``r_prev``
-    at once, without a tape."""
-    f = params.dim
-    x = np.empty((len(aggregated), 2 * f))
-    x[:, :f] = v_i
-    x[:, f:] = aggregated
-    u = _leaky(x @ params.w_u.data.T + params.b_u.data, SIGMA_SLOPE)
-    return ad._gru_rows(params.gru_rel, u, r_prev)
+def _canonical_senders(nodes: _Nodes, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Positions of the senders of the receiver at position ``p``, in the
+    canonical order, and their distances to it."""
+    at = slice(nodes.start[p], nodes.start[p + 1])
+    return nodes.senders[at], nodes.distances[at]
 
 
 def _leave_one_out(
-    params: RemParameters, feats: list[_Nodes], i: int
-) -> tuple[np.ndarray, dict[int, np.ndarray]]:
-    """Relation embedding of ``i`` at the last frame of the window ``feats``
-    (from ``_window_node_features``), replayed over the window, and for each
-    neighbor j of i there the embedding with j removed at every step.
+    params: RemParameters, feats: list[_Nodes], receivers: Sequence[int]
+) -> list[tuple[np.ndarray, dict[int, np.ndarray]]]:
+    """For each of ``receivers``, instances with neighbors at the last frame
+    of the window ``feats`` (from ``_window_node_features``): its relation
+    embedding there, replayed over the window, and for each neighbor j of it
+    there the embedding with j removed at every step.
 
-    At each step i's message block is computed once. The full row takes
-    ``_attend``'s aggregate through ``spatiotemporal_update``, exactly as
-    ``rem_step`` does. A drop equals the full row until the first step where
-    its j is i's neighbor; from there it aggregates the block without j's row
-    and is updated in one batch with every other diverged drop, its rows in
-    i's canonical order at the last frame, so relabeling ids cannot change
-    its bits. An absence of i resets the full row and every drop.
+    Every receiver owns one full row and one drop row per neighbor, in its
+    canonical neighbor order at the last frame, and all rows advance
+    together. At each step a receiver's message rows are computed once; its
+    full row aggregates all of them, and the drop row of each neighbor j
+    that is present aggregates all but j's, in one
+    ``_segment_softmax_sum``. Then one
+    ``_update`` steps every row of every present receiver. Until j first
+    reaches i, j's drop row has the same inputs as i's full row and so the
+    same bits; the full row has the bits ``rem_step`` gives it, and no row
+    depends on which receivers share the batch, so relabeling ids cannot
+    change a value. An absence of the receiver resets all its rows.
     """
-    drops = _canonical_senders(feats[-1], feats[-1].ids.searchsorted(i))[0]
-    slot = {j: d for d, j in enumerate(drops)}
-    f = params.dim
-    r: Tensor | None = None
-    r_drops = np.zeros((len(drops), f))
-    diverged = np.zeros(len(drops), dtype=bool)
+    last, f = feats[-1], params.dim
+    drops = [last.ids[_canonical_senders(last, last.ids.searchsorted(i))[0]].tolist() for i in receivers]
+    bounds = np.cumsum([0] + [1 + len(d) for d in drops])
+    r = np.zeros((bounds[-1], f))
     for nodes in feats:
-        if i not in nodes.v:
-            r = None  # absence breaks the recurrence
-            diverged[:] = False
-            continue
-        p = nodes.ids.searchsorted(i)
-        senders, distances, projected = _canonical_senders(nodes, p)
-        if senders:
-            block = _message_block(params, nodes.proj[p, :2], projected, distances)
-            full = _softmax_sum(block.logits, block.msgs)[1]
-        else:
-            full = np.zeros(f)
-        v_i = nodes.v[i]
-        r_prev = r.data if r is not None else np.zeros(f)
-        r = spatiotemporal_update(params, v_i, Tensor(full), r)
-        present = sorted((slot[j], row) for row, j in enumerate(senders) if j in slot)
-        for d, _ in present:
-            if not diverged[d]:
-                r_drops[d] = r_prev
-                diverged[d] = True
-        if not diverged.any():
-            continue
-        aggregated = np.tile(full, (len(drops), 1))
-        if present:
-            at = [d for d, _ in present]
-            aggregated[at] = _masked_sums(block.logits, block.msgs, [row for _, row in present])
-        rows = np.flatnonzero(diverged)
-        r_drops[rows] = _update_rows(params, v_i.data, aggregated[rows], r_drops[rows])
-    return r.data, dict(zip(drops, r_drops))
+        at, v_rows, aggregated = [], [], []
+        for i, own, (a, b) in zip(receivers, drops, zip(bounds[:-1], bounds[1:])):
+            p = int(nodes.ids.searchsorted(i))
+            if p == len(nodes.ids) or nodes.ids[p] != i:
+                r[a:b] = 0.0  # absence breaks the recurrence
+                continue
+            senders, distances = _canonical_senders(nodes, p)
+            k = len(senders)
+            block = _message_block(params, nodes.proj.data, np.full(k, p), senders, distances)
+            row_of = {j: row for row, j in enumerate(nodes.ids[senders].tolist())}
+            present = [(d, row_of[j]) for d, j in enumerate(own) if j in row_of]
+            keep = np.ones((len(present), k), dtype=bool)
+            keep[np.arange(len(present)), [row for _, row in present]] = False
+            rows = np.concatenate([np.arange(k), np.nonzero(keep)[1]])
+            start = np.concatenate([[0, k], k + (k - 1) * np.arange(1, len(present) + 1)])
+            sums = _segment_softmax_sum(block.logits[rows], block.msgs[rows], start)[1]
+            agg = np.repeat(sums[:1], b - a, axis=0)
+            agg[[1 + d for d, _ in present]] = sums[1:]
+            at.append(np.arange(a, b))
+            v_rows.append(np.repeat(nodes.v.data[p : p + 1], b - a, axis=0))
+            aggregated.append(agg)
+        if at:
+            at = np.concatenate(at)
+            r[at] = _update(
+                params, Tensor(np.concatenate(v_rows)), Tensor(np.concatenate(aggregated)), Tensor(r[at])
+            ).data
+    return [(r[a], dict(zip(own, r[a + 1 : b]))) for own, a, b in zip(drops, bounds[:-1], bounds[1:])]
 
 
 def relation_importance_records(
@@ -544,9 +600,7 @@ def relation_importance_records(
         for t in frame_ids:
             feats = _window_node_features(params, graph, t, window)
             start = feats[-1].start
-            for p, i in enumerate(graph.frames[t].ids):
-                if start[p] == start[p + 1]:
-                    continue  # no neighbor
-                r_full, r_drops = _leave_one_out(params, feats, i)
+            receivers = [i for p, i in enumerate(graph.frames[t].ids) if start[p] < start[p + 1]]
+            for i, (r_full, r_drops) in zip(receivers, _leave_one_out(params, feats, receivers)):
                 records += [(t, i, j, _phi(r_full, r_drops[j])) for j in sorted(r_drops)]
     return records

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Literal, Sequence
 
 import numpy as np
@@ -234,7 +234,7 @@ def track_sequence(
                     if mode == "baseline":
                         offset = regress_baseline(trk, feat)
                     else:
-                        offset = regress_relation_aware(trk, feat, state.r[tid])
+                        offset = regress_relation_aware(trk, feat, state.embedding(tid))
                     new_box = _tensor_to_box(_offset_box(prev, offset))
                     track.last_offset = new_box.as_array() - prev.as_array()
                     track.box = new_box
@@ -246,7 +246,7 @@ def track_sequence(
                         terminated.add(tid)
                         continue
                     if mode == "relations_for_occluded":
-                        new_box = _tensor_to_box(regress_from_relations(trk, state.r[tid]))
+                        new_box = _tensor_to_box(regress_from_relations(trk, state.embedding(tid)))
                     else:
                         new_box = clamped_box(*(track.box.as_array() + track.last_offset))
                     track.last_offset = new_box.as_array() - track.box.as_array()
@@ -379,10 +379,10 @@ def window_loss(
     w = cfg.window
     seq, start = sample.seq, sample.start
     state = RemState()
-    r_hist: list[dict[int, Tensor]] = []
+    states: list[RemState] = []
     for k in range(w):
         rem_step(rem_params, state, sample.graph, k)
-        r_hist.append(dict(state.r))
+        states.append(replace(state))
 
     losses: list[Tensor] = []
     # Occlusion head: predict the box at t from the embedding at t-1.
@@ -390,9 +390,9 @@ def window_loss(
         t_abs = start + k
         for rec in seq.frames[t_abs]:
             inst = rec.instance
-            if (t_abs, inst) in sample.det_boxes or inst not in r_hist[k - 1]:
+            if (t_abs, inst) in sample.det_boxes or inst not in states[k - 1].ids:
                 continue
-            pred = regress_from_relations(trk, r_hist[k - 1][inst])
+            pred = regress_from_relations(trk, states[k - 1].embedding(inst))
             losses.append(giou_loss(pred, rec.box))
 
     # Regression heads at the frame after the window.
@@ -400,14 +400,14 @@ def window_loss(
     prev_frame = {rec.instance: rec for rec in seq.frames[t_abs - 1]}
     for rec in seq.frames[t_abs]:
         inst = rec.instance
-        if (t_abs, inst) not in sample.det_boxes or inst not in prev_frame or inst not in r_hist[w - 1]:
+        if (t_abs, inst) not in sample.det_boxes or inst not in prev_frame or inst not in states[w - 1].ids:
             continue
         det_box = sample.det_boxes[(t_abs, inst)]
         prev_box = prev_frame[inst].box
         feat = appearance_feature(trk, det_box, prev_box)
         pred_base = _offset_box(prev_box, regress_baseline(trk, feat))
         losses.append(giou_loss(pred_base, rec.box))
-        pred_rel = _offset_box(prev_box, regress_relation_aware(trk, feat, r_hist[w - 1][inst]))
+        pred_rel = _offset_box(prev_box, regress_relation_aware(trk, feat, states[w - 1].embedding(inst)))
         losses.append(giou_loss(pred_rel, rec.box))
 
     if not losses:

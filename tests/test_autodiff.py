@@ -124,10 +124,15 @@ class TestAdam:
     def test_zero_gradient_is_identity(self):
         store = ParameterStore()
         p = store.register("p", Tensor(np.array([1.0, -2.0])))
+        q = store.register("q", Tensor(np.array([1.0, -2.0])))
         p.grad = np.zeros(2)
+        g = np.array([0.25, -4.0])
+        q.grad = g.copy()
         adam_step(store, lr=0.1)
         assert np.array_equal(p.data, [1.0, -2.0])
-        assert store.step_count("p") == 1
+        # the same step moves a parameter with a gradient by Adam's first update
+        expected = np.array([1.0, -2.0]) - 0.1 * g / (np.abs(g) + 1e-8)
+        assert np.allclose(q.data, expected, rtol=1e-12, atol=0.0)
 
     def test_first_step_is_signed_learning_rate(self):
         store = ParameterStore()

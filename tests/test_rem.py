@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,11 +18,13 @@ from remtrack.autodiff import Tensor, gradient_check
 from remtrack.geometry import BoundingBox, scaled_distance
 from remtrack.rem import (
     RemState,
-    _attend,
+    _aggregate,
     _canonical_senders,
     _frame_nodes,
     _leave_one_out,
-    _projections,
+    _Nodes,
+    _project,
+    _segment_softmax_sum,
     _window_node_features,
     attention_coefficients,
     message,
@@ -162,10 +166,24 @@ def reference_aggregate(params, v_i, senders, distances):
     return sum(a * m.data for a, m in zip(alphas.data, msgs))
 
 
-def attend(params, v_i, senders, distances):
-    """``_attend`` on projections made for just these vectors."""
-    proj = _projections(params, [v_i.data] + [v.data for v in senders])
-    return _attend(params, v_i, senders, distances, proj[0, :2], proj[1:, 2:])
+def attend(params, v, distances):
+    """``_aggregate``'s row for receiver 0 of the node rows ``v`` (a
+    (k + 1, f) Tensor) whose senders are rows 1..k, at ``distances``."""
+    k = len(distances)
+    nodes = _Nodes(
+        ids=np.arange(k + 1),
+        prev=np.full(k + 1, -1),
+        v=v,
+        proj=_project(params, v),
+        senders=np.arange(1, k + 1),
+        distances=np.asarray(distances, dtype=float),
+        start=np.array([0] + [k] * (k + 1)),
+    )
+    return ad.take(_aggregate(params, nodes), 0)
+
+
+def rows(v_i, senders):
+    return Tensor(np.array([v_i] + list(senders)))
 
 
 def assert_close_rel(got, expected, rtol=1e-12):
@@ -174,7 +192,7 @@ def assert_close_rel(got, expected, rtol=1e-12):
 
 def leave_one_out(params, graph, t, window, i):
     with ad.no_grad():
-        return _leave_one_out(params, _window_node_features(params, graph, t, window), i)
+        return _leave_one_out(params, _window_node_features(params, graph, t, window), [i])[0]
 
 
 def reference_replay(params, graph, t, window, i, exclude=None):
@@ -184,7 +202,8 @@ def reference_replay(params, graph, t, window, i, exclude=None):
     feats = _window_node_features(params, graph, t, window)
     r = None
     for s in range(t0, t + 1):
-        frame, v = graph.frames[s], feats[s - t0].v
+        frame = graph.frames[s]
+        v = {j: Tensor(row) for j, row in zip(frame.ids, feats[s - t0].v.data)}
         if i not in frame.boxes:
             r = None
             continue
@@ -205,7 +224,7 @@ class TestFusedReceiver:
         v_i = Tensor(rng.normal(size=6))
         senders = [Tensor(rng.normal(size=6)) for _ in range(k)]
         distances = rng.uniform(0.0, 5.0, size=k)
-        got = attend(params, v_i, senders, distances).data
+        got = attend(params, rows(v_i.data, [v.data for v in senders]), distances).data
         assert_close_rel(got, reference_aggregate(params, v_i, senders, distances))
 
     @pytest.mark.parametrize("exclude", [None, 0, 3])
@@ -226,12 +245,11 @@ class TestFusedReceiver:
         # inputs registered as parameters, so their gradients are checked too
         store, params = make_rem(dim=4, seed=44)
         rng = np.random.default_rng(45)
-        v_i = store.register("v_i", Tensor(rng.normal(size=4)))
-        senders = [store.register(f"v_{j}", Tensor(rng.normal(size=4))) for j in range(3)]
+        v = store.register("v", Tensor(rng.normal(size=(4, 4))))  # v_i, then three senders
         distances = np.array([0.5, 1.5, 2.5])
 
         def loss():
-            out = attend(params, v_i, senders, distances)
+            out = attend(params, v, distances)
             return ad.dot(out, out)
 
         assert gradient_check(loss, store, epsilon=1e-5) < 1e-4
@@ -249,7 +267,7 @@ class TestFusedReceiver:
         ]
         loss = None
         for v_i, senders, distances, g in calls:
-            out = attend(params, Tensor(v_i), [Tensor(v) for v in senders], distances)
+            out = attend(params, rows(v_i, senders), distances)
             term = ad.dot(out, Tensor(g))
             loss = term if loss is None else ad.add(loss, term)
         ad.backward(loss)
@@ -313,7 +331,7 @@ class TestFactoredBackward:
                 continue
             contribs = node._backward(np.ones_like(node.data))
             for parent, contrib in zip(node._parents, contribs):
-                if parent.requires_grad and parent.data.ndim == 2:
+                if parent.requires_grad and parent._backward is None and parent.data.ndim == 2:
                     assert isinstance(contrib, ad._Rows), (node, parent)
                     covered.add(id(parent))
         assert covered == {id(store[name]) for name in store.names() if store[name].data.ndim == 2}
@@ -346,11 +364,12 @@ class TestCanonicalSenders:
         frame = graph.frames[0]
         v = {i: Tensor(features[feature].copy()) for i, (*_, feature) in enumerate(nodes)}
         _, params = make_rem(dim=3)
-        ranked = _frame_nodes(params, frame, v)
+        v_rows = Tensor(np.array([v[i].data for i in frame.ids]))
+        ranked = _frame_nodes(params, frame, np.full(len(frame.ids), -1), v_rows)
         for p, i in enumerate(frame.ids):
-            senders, distances, _ = _canonical_senders(ranked, p)
+            positions, distances = _canonical_senders(ranked, p)
             expected = canonical_sender_order(frame, v, i)
-            assert senders == expected
+            assert ranked.ids[positions].tolist() == expected
             dist = neighbor_distances(frame, i)
             assert [d.hex() for d in distances.tolist()] == [dist[j].hex() for j in expected]
 
@@ -361,19 +380,26 @@ class TestCanonicalSenders:
         loners = [(100 + i, box(100.0 + 50 * i, 100.0)) for i in range(3)]
         graph = build_graph([crowd + loners], d_th=6.0)
         frame = graph.frames[0]
-        projected = []
-        projections = rem_module._projections
+        products = []
+        block_matmul = ad._block_matmul
 
-        def spy(params, vectors):
-            projected.extend(id(v) for v in vectors)
-            return projections(params, vectors)
+        def spy(x, w):
+            products.append((x.copy(), w.copy()))
+            return block_matmul(x, w)
 
-        monkeypatch.setattr(rem_module, "_projections", spy)
+        monkeypatch.setattr(ad, "_block_matmul", spy)
         state = RemState()
         rem_step(params, state, graph, 0)
         with_neighbors = [i for i in frame.ids if neighbors(frame, i)]
         assert len(with_neighbors) >= 50 and not any(neighbors(frame, i) for i, _ in loners)
-        assert sorted(projected) == sorted(id(state.v[i].data) for i in with_neighbors)
+        # one product per projection weight, one row per node feature in
+        # frame order: every node with neighbors is projected exactly once
+        f = params.dim
+        w_m1 = params.w_m1.data
+        for weight in (w_m1[:, :f], params.w_a1.data, w_m1[:, f : 2 * f], params.w_a2.data):
+            projected = [x for x, w in products if w.shape == weight.shape and np.array_equal(w, weight)]
+            assert len(projected) == 1
+            assert np.array_equal(projected[0], state.v.data)
 
 
 class TestSpatiotemporalUpdate:
@@ -636,17 +662,21 @@ class TestLeaveOneOut:
         assert all(2 in neighbors(graph.frames[t], 0) for t in range(6))
         stepped, _ = run_rem(params, graph)
         batches = []
-        update_rows = rem_module._update_rows
+        update = rem_module._update
 
-        def spy(params, v_i, aggregated, r_prev):
-            batches.append(r_prev.copy())
-            return update_rows(params, v_i, aggregated, r_prev)
+        def spy(params, v, aggregated, r_prev):
+            batches.append(r_prev.data.copy())
+            return update(params, v, aggregated, r_prev)
 
-        monkeypatch.setattr(rem_module, "_update_rows", spy)
-        full, _ = self.assert_drops_match_reference(params, graph, 5, 6, 0)
+        monkeypatch.setattr(rem_module, "_update", spy)
+        full, drops = self.assert_drops_match_reference(params, graph, 5, 6, 0)
         assert np.array_equal(full, stepped[5][0])
-        assert [len(b) for b in batches] == [1, 1, 1, 2, 2, 2]
-        assert any(np.array_equal(row, stepped[2][0]) for row in batches[3])
+        # one batch per frame: the full row, then a drop row per neighbor
+        assert [len(b) for b in batches] == [3] * 6
+        j_row = 1 + list(drops).index(1)
+        assert all(np.array_equal(batches[k][j_row], batches[k][0]) for k in range(4))
+        assert np.array_equal(batches[3][j_row], stepped[2][0])
+        assert not np.array_equal(batches[4][j_row], batches[4][0])
 
     def test_receiver_leaving_and_returning(self):
         store, params = make_rem(dim=6, seed=51)
@@ -684,3 +714,163 @@ class TestZeroNormCosine:
         b = box(1, 1)
         graph = build_graph([[(0, b), (1, b)]], d_th=5.0)
         assert relation_importance_records(params, graph) == [(0, 0, 1, 0.0), (0, 1, 0, 0.0)]
+
+
+# (N, K) of every weight matrix ``_block_matmul`` multiplies in a dim-128 REM
+# step: the input affine; the GRU gates, projections and second message
+# layer; the update affine.
+REM_WEIGHT_SHAPES = [(128, 8), (128, 128), (128, 256)]
+
+
+class TestBlockInvariance:
+    """The guard that criteria 3 and 4 rest on: a row's bits never depend on
+    the rows it is computed with. If it fails on some BLAS, REM has to go
+    back to one product per node."""
+
+    @given(
+        st.sampled_from(REM_WEIGHT_SHAPES),
+        st.integers(1, 200),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_block_matmul_rows_are_batch_invariant(self, shape, m, seed):
+        rng = np.random.default_rng(seed)
+        w = rng.normal(size=shape)
+        x = rng.normal(size=(m, shape[1]))
+        out = ad._block_matmul(x, w)
+        for p in range(m):
+            assert np.array_equal(out[p], ad._block_matmul(x[p : p + 1], w)[0])
+
+    def test_rem_step_multiplies_only_guarded_shapes(self, monkeypatch):
+        shapes = set()
+        block_matmul = ad._block_matmul
+
+        def spy(x, w):
+            shapes.add(w.shape)
+            return block_matmul(x, w)
+
+        monkeypatch.setattr(ad, "_block_matmul", spy)
+        store, params = make_rem(dim=128, seed=58)
+        graph = random_graph(np.random.default_rng(59), n_frames=2, n_instances=4, d_th=8.0)
+        state = RemState()
+        rem_step(params, state, graph, 0)
+        rem_step(params, state, graph, 1)
+        ad.backward(ad.dot(state.embedding(0), Tensor(np.ones(128))))
+        assert shapes == set(REM_WEIGHT_SHAPES)
+
+    @given(
+        st.lists(st.integers(0, 12), min_size=1, max_size=8),
+        st.sampled_from([4, 128]),
+        st.integers(0, 2**32 - 1),
+        st.data(),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_segment_softmax_sum_is_offset_invariant(self, lengths, f, seed, data):
+        target = data.draw(st.integers(0, len(lengths) - 1))
+        start = np.concatenate([[0], np.cumsum(lengths)]).astype(np.intp)
+        rng = np.random.default_rng(seed)
+        logits = rng.normal(size=start[-1]) * 3.0
+        msgs = rng.normal(size=(start[-1], f))
+        alphas, sums = _segment_softmax_sum(logits, msgs, start)
+        at = slice(start[target], start[target + 1])
+        alone_alphas, alone_sums = _segment_softmax_sum(logits[at], msgs[at], np.array([0, lengths[target]]))
+        assert np.array_equal(alphas[at], alone_alphas)
+        assert np.array_equal(sums[target], alone_sums[0])
+        if lengths[target] == 0:
+            assert not sums[target].any()
+
+
+def per_node_rem(params, graph):
+    """Relation embeddings per frame from the public per-node and per-sender
+    functions: ``node_feature``, ``message``, ``attention_coefficients`` and
+    ``spatiotemporal_update``."""
+    out, v_prev, r_prev = [], {}, {}
+    for t, frame in enumerate(graph.frames):
+        v = {}
+        for i in frame.ids:
+            if i in v_prev:
+                v[i] = node_feature(params, frame.boxes[i], graph.frames[t - 1].boxes[i], v_prev[i])
+            else:
+                v[i] = node_feature(params, frame.boxes[i], None, None)
+        r = {}
+        for i in frame.ids:
+            dist = neighbor_distances(frame, i)
+            aggregated = np.zeros(params.dim)
+            if dist:
+                nbrs = sorted(dist)
+                aggregated = reference_aggregate(params, v[i], [v[j] for j in nbrs], [dist[j] for j in nbrs])
+            r[i] = spatiotemporal_update(params, v[i], Tensor(aggregated), r_prev.get(i))
+        out.append({i: r[i].data for i in frame.ids})
+        v_prev, r_prev = v, r
+    return out
+
+
+class TestFrameBatchedRem:
+    @given(
+        st.lists(
+            st.lists(
+                st.tuples(st.booleans(), st.integers(0, 8), st.integers(0, 8), st.sampled_from([1.5, 2.0])),
+                min_size=8,
+                max_size=8,
+            ),
+            min_size=1,
+            max_size=3,
+        ),
+        st.sampled_from([1, 2, 5, 256]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_matches_per_node_composition(self, frames, chunk_rows):
+        # presence flags make instances enter, leave and come back; the grid
+        # spacing against d_th leaves some nodes isolated and some with one
+        # sender; a chunk of 1, 2 or 5 rows is smaller than many segments
+        nodes = [[(i, box(1.5 * x, 1.5 * y, s, s)) for i, (here, x, y, s) in enumerate(f) if here] for f in frames]
+        graph = build_graph(nodes, d_th=3.0)
+        store, params = make_rem(dim=5, seed=60)
+        with mock.patch.object(rem_module, "CHUNK_ROWS", chunk_rows):
+            got, _ = run_rem(params, graph)
+        expected = per_node_rem(params, graph)
+        for t in range(graph.n_frames):
+            assert sorted(got[t]) == sorted(expected[t])
+            for i in got[t]:
+                assert_close_rel(got[t][i], expected[t][i])
+
+    def test_crowd_matches_per_node_composition(self):
+        # one receiver with more senders than a chunk holds rows
+        store, params = make_rem(dim=4, seed=61)
+        rng = np.random.default_rng(62)
+        hub = [(0, box(10.0, 10.0, 3.0, 3.0))]
+        crowd = [(i, box(rng.uniform(0, 20), rng.uniform(0, 20), 3.0, 3.0)) for i in range(1, 40)]
+        graph = build_graph([hub + crowd, hub + crowd[5:]], d_th=8.0)
+        assert len(neighbors(graph.frames[0], 0)) > 20
+        with mock.patch.object(rem_module, "CHUNK_ROWS", 16):
+            got, _ = run_rem(params, graph)
+        expected = per_node_rem(params, graph)
+        for t in range(2):
+            for i in got[t]:
+                assert_close_rel(got[t][i], expected[t][i])
+
+    def test_gradient_through_two_frame_window(self):
+        # every REM weight, through both frames: input and relation GRUs,
+        # projections, messages, attention and the recurrent gathers
+        store, params = make_rem(dim=4, seed=63)
+        frames = [
+            [(0, box(1.0, 1.0)), (1, box(2.5, 1.5)), (2, box(1.5, 3.0)), (3, box(30.0, 30.0))],
+            [(0, box(1.2, 1.1)), (1, box(2.6, 1.4)), (4, box(2.0, 2.0)), (3, box(30.5, 30.0))],
+        ]
+        graph = build_graph(frames, d_th=6.0)
+        weights = np.random.default_rng(64).normal(size=(5, 4))
+
+        def loss():
+            state = RemState()
+            total = None
+            for t in range(2):
+                rem_step(params, state, graph, t)
+                for i in state.ids:
+                    term = ad.dot(state.embedding(i), Tensor(weights[i]))
+                    total = term if total is None else ad.add(total, term)
+            return total
+
+        assert gradient_check(loss, store, epsilon=1e-5) < 1e-4
+        store.clear_grads()
+        ad.backward(loss())
+        assert all(store[name].grad is not None and np.any(store[name].grad != 0) for name in store.names())
