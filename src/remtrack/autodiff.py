@@ -4,10 +4,12 @@ Covers exactly the operations the relation module, its regression heads and
 the training loss need: ``add``, ``mul``, ``affine``, ``affine_rows``,
 ``dot``, ``concat``, ``stack``, ``get``, ``take``, ``leaky_relu``,
 ``softplus``, ``softmax`` and the fused GRU, once for one vector
-(``gru_cell``) and once for every row of a matrix (``gru_rows``). ``Tensor``
+(``gru_cell``) and once for every row of a run of frames (``gru_scan``,
+which replaces the former one-frame ``gru_rows``): its input-side products
+run over all rows at once, its state-side products frame by frame. ``Tensor``
 has no arithmetic operators: every tape node comes from one of these
 functions by name. A fused operation outside this module (the GIoU loss, the
-relation module's projections and its attention over a frame's messages)
+relation module's projections and its attention over a run's messages)
 builds its own tape node with ``_make``. Forward passes are deterministic:
 the same inputs in the same order give the same bits. Results may depend on
 the order of summed terms, so callers that need order independence fix the
@@ -390,7 +392,9 @@ def _xavier(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
 
 
 class ParameterStore:
-    """Named learnable tensors plus per-parameter Adam state."""
+    """Named learnable tensors plus per-parameter Adam state, which the
+    first ``adam_step`` creates, so a model that is never trained holds
+    none."""
 
     def __init__(self):
         self._params: dict[str, Tensor] = {}
@@ -403,9 +407,6 @@ class ParameterStore:
             raise ValueError(f"parameter '{name}' already registered")
         tensor.requires_grad = True
         self._params[name] = tensor
-        self._adam_m[name] = np.zeros_like(tensor.data)
-        self._adam_v[name] = np.zeros_like(tensor.data)
-        self._adam_t[name] = 0
         return tensor
 
     def matrix(self, name: str, rows: int, cols: int, rng: np.random.Generator) -> Tensor:
@@ -451,10 +452,12 @@ def adam_step(
         if param.grad is None:
             raise ValueError(f"missing gradient for parameter '{name}'")
         g = param.grad
+        if name not in store._adam_t:
+            store._adam_m[name] = np.zeros_like(param.data)
+            store._adam_v[name] = np.zeros_like(param.data)
         m = store._adam_m[name]
         v = store._adam_v[name]
-        store._adam_t[name] += 1
-        t = store._adam_t[name]
+        t = store._adam_t[name] = store._adam_t.get(name, 0) + 1
         # Two work arrays per parameter instead of a temporary per
         # operation, in the operation order of lr * m_hat / (sqrt(v_hat) + eps).
         step = np.multiply(g, 1.0 - beta1)
@@ -594,48 +597,92 @@ def gru_cell(params: GruCellParams, x: Tensor, h_prev: Tensor) -> Tensor:
     )
 
 
-def gru_rows(params: GruCellParams, x: Tensor, h_prev: Tensor) -> Tensor:
-    """``gru_cell`` for every row of ``x`` and ``h_prev`` at once, as one
-    tape node; each gate product is one ``_block_matmul``."""
-    p = params
-    xd, hd = x.data, h_prev.data
+def gru_scan(
+    params: GruCellParams, x: Tensor, h0: Tensor, prev: np.ndarray, bounds: np.ndarray
+) -> Tensor:
+    """``gru_cell`` over a run of frames, as one tape node.
 
-    def gate(w, b, u, state):
+    Frame k's rows are ``bounds[k]:bounds[k + 1]`` of ``x`` and of the
+    result. Row p's previous state is row ``prev[p]`` of ``h0``'s rows
+    followed by the run's own output rows (which must lie in an earlier
+    frame), or zeros where ``prev[p]`` is -1. The input-side product of each
+    gate runs once over every row; only the state-side products run frame by
+    frame. Each row is computed in ``gru_cell``'s operation order
+    (``x w^T + b``, then ``+ h u^T``), every product through
+    ``_block_matmul``, so a row has the bits it would have alone.
+    """
+    p = params
+    xd, h0d = x.data, h0.data
+    m, (n, f) = len(h0d), (len(xd), p.hidden_dim)
+    frames = list(zip(bounds[:-1].tolist(), bounds[1:].tolist()))
+    prev = np.asarray(prev, dtype=np.intp)
+
+    def pre(w, b):
         a = _block_matmul(xd, w.data)
         a += b.data
-        a += _block_matmul(state, u.data)
         return a
 
-    z = _sigmoid_stable(gate(p.w_z, p.b_z, p.u_z, hd))
-    r = _sigmoid_stable(gate(p.w_r, p.b_r, p.u_r, hd))
-    rh = r * hd
-    cand = np.tanh(gate(p.w_h, p.b_h, p.u_h, rh))
-    out = hd + z * (cand - hd)
+    # each gate's pre-activation, turned into the gate in place frame by frame
+    z, r, cand = pre(p.w_z, p.b_z), pre(p.w_r, p.b_r), pre(p.w_h, p.b_h)
+    hd, rh, out = np.zeros((n, f)), np.empty((n, f)), np.empty((n, f))
+    for a, b in frames:
+        h = hd[a:b]
+        at = prev[a:b]
+        old, new = (at >= 0) & (at < m), at >= m
+        h[old] = h0d[at[old]]
+        h[new] = out[at[new] - m]
+        z[a:b] += _block_matmul(h, p.u_z.data)
+        z[a:b] = _sigmoid_stable(z[a:b])
+        r[a:b] += _block_matmul(h, p.u_r.data)
+        r[a:b] = _sigmoid_stable(r[a:b])
+        np.multiply(r[a:b], h, out=rh[a:b])
+        cand[a:b] += _block_matmul(rh[a:b], p.u_h.data)
+        np.tanh(cand[a:b], out=cand[a:b])
+        out[a:b] = h + z[a:b] * (cand[a:b] - h)
 
     def bw(g):
-        daz = g * (cand - hd) * z * (1.0 - z)
-        dah = g * z * (1.0 - cand * cand)
-        drh = dah @ p.u_h.data
-        dar = drh * hd * r * (1.0 - r)
+        g = g.copy()  # later frames add their state gradients into it
+        dh0 = np.zeros_like(h0d)
+        daz, dar, dah = np.empty((n, f)), np.empty((n, f)), np.empty((n, f))
+        biases = np.zeros((3, f))
+        for a, b in reversed(frames):
+            gs, zs, rs, cs, h = g[a:b], z[a:b], r[a:b], cand[a:b], hd[a:b]
+            daz[a:b] = gs * (cs - h) * zs * (1.0 - zs)
+            dah[a:b] = gs * zs * (1.0 - cs * cs)
+            drh = dah[a:b] @ p.u_h.data
+            dar[a:b] = drh * h * rs * (1.0 - rs)
+            dh = gs * (1.0 - zs) + daz[a:b] @ p.u_z.data + dar[a:b] @ p.u_r.data + drh * rs
+            at = prev[a:b]
+            old, new = (at >= 0) & (at < m), at >= m
+            np.add.at(dh0, at[old], dh[old])
+            np.add.at(g, at[new] - m, dh[new])
+            biases += [d[a:b].sum(axis=0) for d in (daz, dar, dah)]
         dx = daz @ p.w_z.data + dar @ p.w_r.data + dah @ p.w_h.data
-        dh = g * (1.0 - z) + daz @ p.u_z.data + dar @ p.u_r.data + drh * r
+        # Weight-gradient rows and bias sums go last frame first, the order
+        # in which one call per frame leaves them on the tape, so the
+        # reductions add the same numbers in the same order.
+        order = np.arange(n)
+        if len(frames) > 1:
+            order = np.concatenate([order[a:b] for a, b in reversed(frames)])
+        xs, hs, rhs = xd[order], hd[order], rh[order]
+        daz, dar, dah = daz[order], dar[order], dah[order]
         return (
-            _Rows(daz, xd),  # w_z
-            _Rows(daz, hd),  # u_z
-            daz.sum(axis=0),  # b_z
-            _Rows(dar, xd),  # w_r
-            _Rows(dar, hd),  # u_r
-            dar.sum(axis=0),  # b_r
-            _Rows(dah, xd),  # w_h
-            _Rows(dah, rh),  # u_h
-            dah.sum(axis=0),  # b_h
+            _Rows(daz, xs),  # w_z
+            _Rows(daz, hs),  # u_z
+            biases[0],  # b_z
+            _Rows(dar, xs),  # w_r
+            _Rows(dar, hs),  # u_r
+            biases[1],  # b_r
+            _Rows(dah, xs),  # w_h
+            _Rows(dah, rhs),  # u_h
+            biases[2],  # b_h
             dx,
-            dh,
+            dh0,
         )
 
     return _make(
         out,
-        (p.w_z, p.u_z, p.b_z, p.w_r, p.u_r, p.b_r, p.w_h, p.u_h, p.b_h, x, h_prev),
+        (p.w_z, p.u_z, p.b_z, p.w_r, p.u_r, p.b_r, p.w_h, p.u_h, p.b_h, x, h0),
         bw,
     )
 

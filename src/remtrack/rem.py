@@ -7,12 +7,17 @@ into a per-instance relation embedding through a second GRU. Temporal edges
 are realized by the GRU recurrences; attention only ever runs over spatial
 neighbors.
 
-``rem_step`` advances a whole frame with array operations, one tape node
-each: one input affine and one GRU over all n nodes, one product that
-projects every node onto its share of the message and attention layers (its
-receiver and sender parts of the first message layer, its query and its
-key), the message layer and attention over every receiver's senders, and one
-update affine and one GRU. The public ``node_feature``, ``message``,
+``rem_step`` advances a run of frames at once, one tape node per operation
+over all rows of the run, a row per instance per frame: one input affine
+and one ``ad.gru_scan`` for the node features, one product that projects
+every node onto its share of the message and attention layers (its receiver
+and sender parts of the first message layer, its query and its key), the
+message layer and attention over every receiver's senders, then one update
+affine and a second ``gru_scan`` for the relation embeddings. Only the two
+GRUs' state-side products depend on the frame before, so only they run frame
+by frame, inside the scans; everything else batches across frames. Training
+runs a whole window as one run; the tracker runs one frame per call, through
+the same code. The public ``node_feature``, ``message``,
 ``attention_coefficients`` and ``spatiotemporal_update`` specify the same
 maths one node or one sender at a time.
 
@@ -22,12 +27,15 @@ because no number of a node depends on anything but its own rows:
 
 * Every matrix product runs through ``ad._block_matmul``, whose rows have
   the bits they would have alone, whatever the other rows of the call.
-  Everything else on a row is elementwise.
+  Everything else on a row is elementwise. A scan computes each row in the
+  order a one-frame step does (input product, plus bias, plus state
+  product), so a run gives every frame the bits of one call per frame.
 * A receiver's senders come in a canonical order, distance then content
   rank, that never depends on instance ids; the content rank orders nodes by
   box, then by the bytes of the node feature, equal content sharing a rank.
-  One sort per frame, over both directions of the frame's edge arrays, puts
-  every receiver's senders in that order as one contiguous segment.
+  One sort per run, over both directions of every frame's edge arrays, puts
+  every receiver's senders in that order as one contiguous segment; the
+  receiver's row is the first key, so a segment never spans frames.
   Neighbors equal in both keys give identical rows; the sort's last key puts
   them in ascending id order only so that each segment is fully determined.
 * The message rows are cut into chunks of whole segments, about
@@ -36,14 +44,14 @@ because no number of a node depends on anything but its own rows:
   rows, not on where it sits in its chunk.
 
 Relation importance replays each receiver's trailing window once. Node
-features never depend on relation embeddings, so each window frame's node
-features, projections and sender segments are computed once and shared by
-every receiver, and a receiver's message rows at each step are computed once
-and shared by the full replay and all of its leave-one-out drops; each drop
-only re-weights the rows without its own. The full replay runs the same row
-functions as ``rem_step`` on the receiver's rows, so it equals
-``rem_step`` bit for bit, and the drops are updated in one batch whose rows
-follow the receiver's canonical neighbor order.
+features never depend on relation embeddings, so the window's node
+features, projections and sender segments come from one run and are shared
+by every receiver, and a receiver's message rows at each step are computed
+once and shared by the full replay and all of its leave-one-out drops; each
+drop only re-weights the rows without its own. The full replay runs the same
+row functions as ``rem_step`` on the receiver's rows, so it equals
+``rem_step`` bit for bit, and all rows of the window, every drop of every
+receiver at every step, are updated by one affine and one ``gru_scan``.
 """
 
 from __future__ import annotations
@@ -124,24 +132,35 @@ class RemParameters:
 
 @dataclass
 class RemState:
-    """Recurrent per-instance state after the last frame stepped through:
-    that frame's ids, ascending, and one row per id of the node hidden state
-    ``v`` and the relation embedding ``r`` (both None before the first
-    frame). The frame's boxes are read from the graph, not kept here."""
+    """Recurrent per-instance state after the last run of frames stepped
+    through. ``v`` (node hidden states) and ``r`` (relation embeddings) hold
+    one row per instance per frame of the run: frame ``first + k`` has the
+    instances ``frames[k]``, ascending, at rows ``bounds[k]`` onwards. Before
+    the first run ``v`` and ``r`` are None. Boxes are read from the graph,
+    not kept here."""
 
-    ids: tuple[int, ...] = ()
+    frames: tuple[tuple[int, ...], ...] = ()
     v: Tensor | None = None
     r: Tensor | None = None
+    bounds: tuple[int, ...] = (0,)
+    first: int = 0
 
-    def live(self) -> set[int]:
-        return set(self.ids)
+    @property
+    def ids(self) -> tuple[int, ...]:
+        """The instances of the run's last frame."""
+        return self.frames[-1] if self.frames else ()
 
-    def embedding(self, i: int) -> Tensor:
-        """Instance i's relation embedding: one gather node on ``r``."""
-        p = bisect_left(self.ids, i)
-        if p == len(self.ids) or self.ids[p] != i:
+    def embedding(self, i: int, t: int | None = None) -> Tensor:
+        """Instance i's relation embedding at frame t of the run, its last
+        frame by default: one gather node on ``r``."""
+        k = len(self.frames) - 1 if t is None else t - self.first
+        if not 0 <= k < len(self.frames):
+            raise KeyError((i, t))
+        ids = self.frames[k]
+        p = bisect_left(ids, i)
+        if p == len(ids) or ids[p] != i:
             raise KeyError(i)
-        return ad.take(self.r, p)
+        return ad.take(self.r, self.bounds[k] + p)
 
 
 @dataclass(frozen=True)
@@ -174,7 +193,7 @@ def node_feature(
 def message(params: RemParameters, v_i: Tensor, v_j: Tensor, d_ij: float) -> Tensor:
     """Directed message to receiver i from sender j, aware of their distance.
 
-    One sender at a time; ``rem_step`` runs the same maths over a frame's
+    One sender at a time; ``rem_step`` runs the same maths over a run's
     message rows, which this function and ``attention_coefficients``
     specify."""
     if d_ij < 0:
@@ -213,30 +232,29 @@ def spatiotemporal_update(
 
 
 class _Nodes(NamedTuple):
-    """One frame's node features and every receiver's view of its senders.
+    """A run of frames' node features and every receiver's view of its
+    senders.
 
-    Nodes are addressed by position in the frame's ``ids``. ``prev`` is each
-    node's row in the previous frame's state, -1 for a node that starts
-    there. The four (n, f) parts of ``proj`` are ``w_m1[:, :f] v + b_m1``,
-    ``w_a1 v``, ``w_m1[:, f:2f] v`` and ``w_a2 v``: each node's share of the
-    message and attention layers as a receiver (first two) and as a sender
-    (last two). Receiver p's senders, in canonical order, are
-    ``senders[start[p]:start[p + 1]]``, at ``distances`` of the same slice.
+    Rows go frame by frame: frame k of the run holds rows
+    ``bounds[k]:bounds[k + 1]``, one per instance, ``ids`` ascending within
+    the frame. ``prev`` is each row's previous state, a row of the state the
+    run starts from followed by the run's own rows, or -1 for an instance
+    that starts at that frame. The four (n, f) parts of ``proj`` are
+    ``w_m1[:, :f] v + b_m1``, ``w_a1 v``, ``w_m1[:, f:2f] v`` and ``w_a2 v``:
+    each node's share of the message and attention layers as a receiver
+    (first two) and as a sender (last two). Receiver p's senders, rows of the
+    same frame in canonical order, are ``senders[start[p]:start[p + 1]]``, at
+    ``distances`` of the same slice.
     """
 
-    ids: np.ndarray  # (n,) the frame's ids, ascending
+    ids: np.ndarray  # (n,) instance of every row
+    bounds: np.ndarray  # (frames + 1,)
     prev: np.ndarray  # (n,)
     v: Tensor  # (n, f)
     proj: Tensor  # (4, n, f)
-    senders: np.ndarray  # (2E,) sender positions, grouped by receiver
+    senders: np.ndarray  # (2E,) sender rows, grouped by receiver
     distances: np.ndarray  # (2E,)
     start: np.ndarray  # (n + 1,)
-
-
-def _carry(x: Tensor | None, prev: np.ndarray, dim: int) -> Tensor:
-    """Rows of the previous frame's ``x`` at ``prev``, zero rows where it is
-    -1 (and everywhere before the first frame)."""
-    return ad.take(x if x is not None else Tensor(np.zeros((0, dim))), prev)
 
 
 def _project(params: RemParameters, v: Tensor) -> Tensor:
@@ -281,46 +299,61 @@ def _content_rank(frame: GraphFrame, v: np.ndarray) -> np.ndarray:
     return rank
 
 
-def _node_features(
-    params: RemParameters,
-    frame: GraphFrame,
-    prev_frame: GraphFrame | None,
-    prev_v: Tensor | None,
+def _run_nodes(
+    params: RemParameters, graph: SpatioTemporalGraph, t: int, stop: int, state: RemState
 ) -> _Nodes:
-    """Node features of every instance in ``frame``, one input affine and
-    one GRU over all rows, with ``_frame_nodes``' view of them. An instance
-    continues its recurrence iff it is in ``prev_frame``, whose rows
-    ``prev_v`` holds."""
-    n = len(frame.ids)
-    before = {i: k for k, i in enumerate(prev_frame.ids)} if prev_frame is not None else {}
-    prev = np.array([before.get(i, -1) for i in frame.ids], dtype=np.intp)
-    boxes = np.array([frame.boxes[i].as_array() for i in frame.ids]).reshape(n, 4)
-    prev_boxes = boxes.copy()  # a node that starts has a zero offset
-    for k in np.flatnonzero(prev >= 0).tolist():
-        prev_boxes[k] = prev_frame.boxes[frame.ids[k]].as_array()
+    """Node features of frames t..stop-1 continuing from ``state``, one
+    input affine and one ``gru_scan`` over all rows, with their projections
+    and sender segments. An instance continues its recurrence iff it is in
+    the frame before: for frame t, in ``state.ids``, whose boxes are frame
+    t-1's."""
+    frames = graph.frames[t:stop]
+    h0 = state.v if state.v is not None else Tensor(np.zeros((0, params.dim)))
+    m = len(h0.data)
+    rows = {i: m - len(state.ids) + q for q, i in enumerate(state.ids)}  # rows of the frame before
+    before = graph.frames[t - 1].boxes if state.ids else {}
+    prev, now, then = [], [], []
+    for frame in frames:
+        for i in frame.ids:
+            prev.append(rows.get(i, -1))
+            now.append(frame.boxes[i])
+            then.append(before[i] if i in rows else frame.boxes[i])  # zero offset for a start
+        rows = {i: m + len(prev) - len(frame.ids) + q for q, i in enumerate(frame.ids)}
+        before = frame.boxes
+    bounds = np.cumsum([0] + [len(frame.ids) for frame in frames])
+    ids = np.array([i for frame in frames for i in frame.ids], dtype=np.intp)
+    prev = np.array(prev, dtype=np.intp)
+    boxes, prev_boxes = (np.array([(b.cx, b.cy, b.w, b.h) for b in bs]).reshape(-1, 4) for bs in (now, then))
     scaled = np.concatenate([boxes, boxes - prev_boxes], axis=1) / INPUT_SCALE
     x = ad.leaky_relu(ad.affine_rows(params.w_in, Tensor(scaled), params.b_in), SIGMA_SLOPE)
-    v = ad.gru_rows(params.gru_in, x, _carry(prev_v, prev, params.dim))
-    return _frame_nodes(params, frame, prev, v)
+    v = ad.gru_scan(params.gru_in, x, h0, prev, bounds)
+    return _Nodes(ids, bounds, prev, v, _project(params, v), *_sender_segments(frames, bounds, v.data))
 
 
-def _frame_nodes(params: RemParameters, frame: GraphFrame, prev: np.ndarray, v: Tensor) -> _Nodes:
-    """The node features ``v`` of ``frame`` with their projections and
-    every receiver's senders in the canonical order.
+def _sender_segments(
+    frames: Sequence[GraphFrame], bounds: np.ndarray, v: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``_Nodes.senders``, ``distances`` and ``start`` of the node rows ``v``
+    of ``frames``, whose rows are ``bounds[k]:bounds[k + 1]``.
 
-    Both directions of ``frame.edges`` are ordered by one sort on (receiver,
-    distance, sender content rank, sender position). Senders that reach the
-    last key are equal in distance, box and node feature, so they give
-    identical rows; the key only fixes their order to ascending id.
+    Both directions of every frame's edges are ordered by one sort on
+    (receiver row, distance, sender content rank, sender row). The receiver
+    comes first, so a segment never spans frames, and content ranks are
+    taken within each frame. Senders that reach the last key are equal in
+    distance, box and node feature, so they give identical rows; the key
+    only fixes their order to ascending id.
     """
-    a, b = frame.edges.T
+    a, b = np.concatenate([frame.edges + at for frame, at in zip(frames, bounds)]).T
     receivers = np.concatenate([a, b])
     senders = np.concatenate([b, a])
-    distances = np.concatenate([frame.edge_distance, frame.edge_distance])
-    order = np.lexsort((senders, _content_rank(frame, v.data)[senders], distances, receivers))
-    start = np.searchsorted(receivers[order], np.arange(len(frame.ids) + 1))
-    ids = np.array(frame.ids, dtype=np.intp)
-    return _Nodes(ids, prev, v, _project(params, v), senders[order], distances[order], start)
+    distance = np.concatenate([frame.edge_distance for frame in frames])
+    distances = np.concatenate([distance, distance])
+    rank = np.concatenate(
+        [_content_rank(frame, v[at:end]) for frame, at, end in zip(frames, bounds, bounds[1:])]
+    )
+    order = np.lexsort((senders, rank[senders], distances, receivers))
+    start = np.searchsorted(receivers[order], np.arange(len(v) + 1))
+    return senders[order], distances[order], start
 
 
 def _leaky(x: np.ndarray, slope: float) -> np.ndarray:
@@ -400,11 +433,11 @@ def _chunks(start: np.ndarray):
 
 
 def _aggregate(params: RemParameters, nodes: _Nodes) -> Tensor:
-    """sum_j alpha_ij m_ij for every receiver i of the frame (a zero row for
+    """sum_j alpha_ij m_ij for every receiver i of the run (a zero row for
     a node without neighbors), as one tape node.
 
     The forward runs chunk by chunk and keeps only the sums; the backward
-    computes each chunk's rows again instead of holding the whole frame's.
+    computes each chunk's rows again instead of holding the whole run's.
     Weight gradients come back as row factors: one row per message for
     ``w_m2``, and one row for the distance column of ``w_m1``.
     """
@@ -425,7 +458,7 @@ def _aggregate(params: RemParameters, nodes: _Nodes) -> Tensor:
     def bw(g):
         d_proj = np.zeros_like(proj)
         d_distance = np.zeros(f)
-        d_a2s, hiddens = [], []
+        d_a2s, hiddens = [np.zeros((0, f))], [np.zeros((0, f))]  # a run may have no messages
         for first, end, receivers in _chunks(start):
             at, block, alphas, _ = chunk_rows(first, end, receivers)
             g_rows = g[receivers]
@@ -455,11 +488,18 @@ def _aggregate(params: RemParameters, nodes: _Nodes) -> Tensor:
     return ad._make(out, (p.w_m1, p.w_m2, p.b_m2, nodes.proj), bw)
 
 
-def _update(params: RemParameters, v: Tensor, aggregated: Tensor, r_prev: Tensor) -> Tensor:
-    """``spatiotemporal_update`` for every row at once: one affine and one
-    GRU over the rows."""
+def _update(
+    params: RemParameters,
+    v: Tensor,
+    aggregated: Tensor,
+    h0: Tensor,
+    prev: np.ndarray,
+    bounds: np.ndarray,
+) -> Tensor:
+    """``spatiotemporal_update`` for every row of a run: one affine over all
+    rows, then the relation GRU as one ``gru_scan``."""
     u = ad.leaky_relu(ad.affine_rows(params.w_u, ad.concat([v, aggregated]), params.b_u), SIGMA_SLOPE)
-    return ad.gru_rows(params.gru_rel, u, r_prev)
+    return ad.gru_scan(params.gru_rel, u, h0, prev, bounds)
 
 
 def rem_step(
@@ -467,25 +507,36 @@ def rem_step(
     state: RemState,
     graph: SpatioTemporalGraph,
     t: int,
+    stop: int | None = None,
 ) -> list[RelationEmbedding]:
-    """Advance the module through frame t of the graph.
+    """Advance the module through frames t..stop-1 of the graph as one run
+    (frame t alone by default), and return their embeddings frame by frame.
 
     New instances start from zero hidden states; departed instances are
     dropped. The state must hold exactly the instances of frame t-1, whose
-    boxes give each continuing instance's offset.
+    boxes give each continuing instance's offset. Afterwards it holds the
+    run; a run gives every frame the bits that one call per frame gives it.
     """
-    frame = graph.frames[t]
-    prev_frame = graph.frames[t - 1] if t > 0 else None
-    prev_ids = prev_frame.ids if prev_frame is not None else ()
+    stop = t + 1 if stop is None else stop
+    if not 0 <= t < stop <= graph.n_frames:
+        raise ValueError(f"cannot run frames {t} to {stop - 1} of a graph of {graph.n_frames} frames")
+    prev_ids = graph.frames[t - 1].ids if t > 0 else ()
     if state.ids != prev_ids:
         raise ValueError(
-            f"state instances {sorted(state.live())} do not match frame {t - 1} "
+            f"state instances {sorted(state.ids)} do not match frame {t - 1} "
             f"instances {sorted(prev_ids)}"
         )
-    nodes = _node_features(params, frame, prev_frame, state.v)
-    r = _update(params, nodes.v, _aggregate(params, nodes), _carry(state.r, nodes.prev, params.dim))
-    state.ids, state.v, state.r = frame.ids, nodes.v, r
-    return [RelationEmbedding(i, t, row) for i, row in zip(frame.ids, r.data.copy())]
+    nodes = _run_nodes(params, graph, t, stop, state)
+    r0 = state.r if state.r is not None else Tensor(np.zeros((0, params.dim)))
+    r = _update(params, nodes.v, _aggregate(params, nodes), r0, nodes.prev, nodes.bounds)
+    state.frames = tuple(frame.ids for frame in graph.frames[t:stop])
+    state.v, state.r, state.bounds, state.first = nodes.v, r, tuple(nodes.bounds.tolist()), t
+    rows = r.data.copy()
+    return [
+        RelationEmbedding(i, t + k, row)
+        for k, frame in enumerate(graph.frames[t:stop])
+        for i, row in zip(frame.ids, rows[nodes.bounds[k] : nodes.bounds[k + 1]])
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -504,18 +555,6 @@ def _phi(a: np.ndarray, b: np.ndarray) -> float:
     return 1.0 - min(c * c, 1.0)
 
 
-def _window_node_features(
-    params: RemParameters, graph: SpatioTemporalGraph, t: int, window: int
-) -> list[_Nodes]:
-    """Node features for frames [t-window+1, t], zero states at window start."""
-    t0 = max(0, t - window + 1)
-    out: list[_Nodes] = []
-    for s in range(t0, t + 1):
-        prev_frame = graph.frames[s - 1] if s > t0 else None
-        out.append(_node_features(params, graph.frames[s], prev_frame, out[-1].v if out else None))
-    return out
-
-
 def _canonical_senders(nodes: _Nodes, p: int) -> tuple[np.ndarray, np.ndarray]:
     """Positions of the senders of the receiver at position ``p``, in the
     canonical order, and their distances to it."""
@@ -524,36 +563,43 @@ def _canonical_senders(nodes: _Nodes, p: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _leave_one_out(
-    params: RemParameters, feats: list[_Nodes], receivers: Sequence[int]
+    params: RemParameters, nodes: _Nodes, receivers: Sequence[int]
 ) -> list[tuple[np.ndarray, dict[int, np.ndarray]]]:
     """For each of ``receivers``, instances with neighbors at the last frame
-    of the window ``feats`` (from ``_window_node_features``): its relation
-    embedding there, replayed over the window, and for each neighbor j of it
-    there the embedding with j removed at every step.
+    of the window ``nodes`` (a run from zero states): its relation embedding
+    there, replayed over the window, and for each neighbor j of it there the
+    embedding with j removed at every step.
 
     Every receiver owns one full row and one drop row per neighbor, in its
-    canonical neighbor order at the last frame, and all rows advance
-    together. At each step a receiver's message rows are computed once; its
-    full row aggregates all of them, and the drop row of each neighbor j
-    that is present aggregates all but j's, in one
-    ``_segment_softmax_sum``. Then one
-    ``_update`` steps every row of every present receiver. Until j first
-    reaches i, j's drop row has the same inputs as i's full row and so the
-    same bits; the full row has the bits ``rem_step`` gives it, and no row
-    depends on which receivers share the batch, so relabeling ids cannot
-    change a value. An absence of the receiver resets all its rows.
+    canonical neighbor order at the last frame. At each frame a receiver's
+    message rows are computed once; its full row aggregates all of them, and
+    the drop row of each neighbor j that is present aggregates all but j's,
+    in one ``_segment_softmax_sum``. Aggregates never depend on relation
+    embeddings, so every row of every frame is then updated by one affine
+    and one ``gru_scan``: a row continues from its own row at the frame
+    before if its receiver was there, and from zeros otherwise, since an
+    absence of the receiver resets all its rows. Until j first reaches i,
+    j's drop row has the same inputs as i's full row and so the same bits;
+    the full row has the bits ``rem_step`` gives it, and no row depends on
+    the other rows, so relabeling ids cannot change a value.
     """
-    last, f = feats[-1], params.dim
-    drops = [last.ids[_canonical_senders(last, last.ids.searchsorted(i))[0]].tolist() for i in receivers]
-    bounds = np.cumsum([0] + [1 + len(d) for d in drops])
-    r = np.zeros((bounds[-1], f))
-    for nodes in feats:
-        at, v_rows, aggregated = [], [], []
-        for i, own, (a, b) in zip(receivers, drops, zip(bounds[:-1], bounds[1:])):
-            p = int(nodes.ids.searchsorted(i))
-            if p == len(nodes.ids) or nodes.ids[p] != i:
-                r[a:b] = 0.0  # absence breaks the recurrence
-                continue
+    if not receivers:
+        return []
+    last = int(nodes.bounds[-2])
+    drops = [
+        nodes.ids[_canonical_senders(nodes, last + int(np.searchsorted(nodes.ids[last:], i)))[0]].tolist()
+        for i in receivers
+    ]
+    v_rows, aggregated, prev, bounds = [], [], [], [0]
+    n_rows = 0
+    at: list[int | None] = [None] * len(receivers)  # each receiver's first row at the frame before
+    for a, b in zip(nodes.bounds[:-1], nodes.bounds[1:]):
+        frame_ids, here = nodes.ids[a:b], [None] * len(receivers)
+        for n, (i, own) in enumerate(zip(receivers, drops)):
+            p = int(np.searchsorted(frame_ids, i))
+            if p == len(frame_ids) or frame_ids[p] != i:
+                continue  # absence breaks the recurrence
+            p += a
             senders, distances = _canonical_senders(nodes, p)
             k = len(senders)
             block = _message_block(params, nodes.proj.data, np.full(k, p), senders, distances)
@@ -564,17 +610,25 @@ def _leave_one_out(
             rows = np.concatenate([np.arange(k), np.nonzero(keep)[1]])
             start = np.concatenate([[0, k], k + (k - 1) * np.arange(1, len(present) + 1)])
             sums = _segment_softmax_sum(block.logits[rows], block.msgs[rows], start)[1]
-            agg = np.repeat(sums[:1], b - a, axis=0)
+            width = 1 + len(own)
+            agg = np.repeat(sums[:1], width, axis=0)
             agg[[1 + d for d, _ in present]] = sums[1:]
-            at.append(np.arange(a, b))
-            v_rows.append(np.repeat(nodes.v.data[p : p + 1], b - a, axis=0))
+            prev.append(np.arange(at[n], at[n] + width) if at[n] is not None else np.full(width, -1))
+            here[n] = n_rows
+            n_rows += width
+            v_rows.append(np.repeat(nodes.v.data[p : p + 1], width, axis=0))
             aggregated.append(agg)
-        if at:
-            at = np.concatenate(at)
-            r[at] = _update(
-                params, Tensor(np.concatenate(v_rows)), Tensor(np.concatenate(aggregated)), Tensor(r[at])
-            ).data
-    return [(r[a], dict(zip(own, r[a + 1 : b]))) for own, a, b in zip(drops, bounds[:-1], bounds[1:])]
+        at = here
+        bounds.append(n_rows)
+    r = _update(
+        params,
+        Tensor(np.concatenate(v_rows)),
+        Tensor(np.concatenate(aggregated)),
+        Tensor(np.zeros((0, params.dim))),
+        np.concatenate(prev),
+        np.array(bounds),
+    ).data
+    return [(r[a], dict(zip(own, r[a + 1 : a + 1 + len(own)]))) for own, a in zip(drops, at)]
 
 
 def relation_importance_records(
@@ -598,9 +652,9 @@ def relation_importance_records(
     frame_ids = range(graph.n_frames) if frames is None else frames
     with ad.no_grad():
         for t in frame_ids:
-            feats = _window_node_features(params, graph, t, window)
-            start = feats[-1].start
+            nodes = _run_nodes(params, graph, max(0, t - window + 1), t + 1, RemState())
+            start = nodes.start[nodes.bounds[-2] :]
             receivers = [i for p, i in enumerate(graph.frames[t].ids) if start[p] < start[p + 1]]
-            for i, (r_full, r_drops) in zip(receivers, _leave_one_out(params, feats, receivers)):
+            for i, (r_full, r_drops) in zip(receivers, _leave_one_out(params, nodes, receivers)):
                 records += [(t, i, j, _phi(r_full, r_drops[j])) for j in sorted(r_drops)]
     return records

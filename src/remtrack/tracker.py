@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Literal, Sequence
 
 import numpy as np
@@ -377,12 +377,9 @@ def window_loss(
     additionally supervised at every occluded frame inside the window.
     """
     w = cfg.window
-    seq, start = sample.seq, sample.start
+    seq, start, frames = sample.seq, sample.start, sample.graph.frames
     state = RemState()
-    states: list[RemState] = []
-    for k in range(w):
-        rem_step(rem_params, state, sample.graph, k)
-        states.append(replace(state))
+    rem_step(rem_params, state, sample.graph, 0, w)
 
     losses: list[Tensor] = []
     # Occlusion head: predict the box at t from the embedding at t-1.
@@ -390,9 +387,9 @@ def window_loss(
         t_abs = start + k
         for rec in seq.frames[t_abs]:
             inst = rec.instance
-            if (t_abs, inst) in sample.det_boxes or inst not in states[k - 1].ids:
+            if (t_abs, inst) in sample.det_boxes or inst not in frames[k - 1].boxes:
                 continue
-            pred = regress_from_relations(trk, states[k - 1].embedding(inst))
+            pred = regress_from_relations(trk, state.embedding(inst, k - 1))
             losses.append(giou_loss(pred, rec.box))
 
     # Regression heads at the frame after the window.
@@ -400,14 +397,14 @@ def window_loss(
     prev_frame = {rec.instance: rec for rec in seq.frames[t_abs - 1]}
     for rec in seq.frames[t_abs]:
         inst = rec.instance
-        if (t_abs, inst) not in sample.det_boxes or inst not in prev_frame or inst not in states[w - 1].ids:
+        if (t_abs, inst) not in sample.det_boxes or inst not in prev_frame or inst not in frames[w - 1].boxes:
             continue
         det_box = sample.det_boxes[(t_abs, inst)]
         prev_box = prev_frame[inst].box
         feat = appearance_feature(trk, det_box, prev_box)
         pred_base = _offset_box(prev_box, regress_baseline(trk, feat))
         losses.append(giou_loss(pred_base, rec.box))
-        pred_rel = _offset_box(prev_box, regress_relation_aware(trk, feat, states[w - 1].embedding(inst)))
+        pred_rel = _offset_box(prev_box, regress_relation_aware(trk, feat, state.embedding(inst)))
         losses.append(giou_loss(pred_rel, rec.box))
 
     if not losses:

@@ -406,3 +406,56 @@ class TestFactoredWeightGradients:
         backward(ad.dot(ad.affine(w, Tensor(x), b), Tensor(c)))
         assert_close_rel(w.grad, w0 + np.outer(c, x))
         assert np.array_equal(b.grad, b0 + c)
+
+
+class TestGruScan:
+    """``gru_scan`` at dim 4 over a run of three frames: two rows carried
+    from ``h0``, a third row entering at the second frame."""
+
+    PREV = np.array([1, 0, 3, 2, -1, 4, 5, 6])  # h0 has 2 rows; run rows start at 2
+    BOUNDS = np.array([0, 2, 5, 8])
+
+    def setup_scan(self, seed):
+        rng = np.random.default_rng(seed)
+        store = ParameterStore()
+        cell = GruCellParams.create(store, "g", 4, 4, rng)
+        for name in ("b_z", "b_r", "b_h"):
+            getattr(cell, name).data[:] = rng.normal(size=4)
+        x = store.register("x", Tensor(rng.normal(size=(8, 4))))
+        h0 = store.register("h0", Tensor(rng.normal(size=(2, 4))))
+        return store, cell, x, h0, rng.normal(size=(8, 4))
+
+    def test_rows_equal_gru_cell_chain(self):
+        store, cell, x, h0, _ = self.setup_scan(70)
+        out = ad.gru_scan(cell, x, h0, self.PREV, self.BOUNDS).data
+        states = list(h0.data)
+        for p, k in enumerate(self.PREV):
+            h = states[k] if k >= 0 else np.zeros(4)
+            states.append(gru_cell(cell, Tensor(x.data[p]), Tensor(h)).data)
+        assert_close_rel(out, np.array(states[2:]))
+
+    def test_each_frame_has_the_bits_of_a_scan_of_its_own(self):
+        store, cell, x, h0, _ = self.setup_scan(71)
+        out = ad.gru_scan(cell, x, h0, self.PREV, self.BOUNDS).data
+        state = h0
+        for k, (a, b) in enumerate(zip(self.BOUNDS[:-1], self.BOUNDS[1:])):
+            # the previous frame's output as h0, as the relation module
+            # carries it from one call to the next
+            first = 0 if k == 0 else 2 + self.BOUNDS[k - 1]
+            prev = np.where(self.PREV[a:b] >= 0, self.PREV[a:b] - first, -1)
+            state = ad.gru_scan(cell, Tensor(x.data[a:b]), state, prev, np.array([0, b - a]))
+            assert np.array_equal(state.data, out[a:b])
+
+    def test_gradient_check(self):
+        store, cell, x, h0, weights = self.setup_scan(72)
+
+        def loss():
+            out = ad.gru_scan(cell, x, h0, self.PREV, self.BOUNDS)
+            total = ad.dot(ad.take(out, 0), Tensor(weights[0]))
+            for p in range(1, 8):
+                total = ad.add(total, ad.dot(ad.take(out, p), Tensor(weights[p])))
+            return total
+
+        assert gradient_check(loss, store, epsilon=1e-5) < 1e-6
+        backward(loss())
+        assert all(np.any(store[name].grad != 0) for name in store.names())

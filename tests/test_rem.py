@@ -1,3 +1,4 @@
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -19,13 +20,12 @@ from remtrack.geometry import BoundingBox, scaled_distance
 from remtrack.rem import (
     RemState,
     _aggregate,
-    _canonical_senders,
-    _frame_nodes,
     _leave_one_out,
     _Nodes,
     _project,
+    _run_nodes,
     _segment_softmax_sum,
-    _window_node_features,
+    _sender_segments,
     attention_coefficients,
     message,
     node_feature,
@@ -172,6 +172,7 @@ def attend(params, v, distances):
     k = len(distances)
     nodes = _Nodes(
         ids=np.arange(k + 1),
+        bounds=np.array([0, k + 1]),
         prev=np.full(k + 1, -1),
         v=v,
         proj=_project(params, v),
@@ -190,20 +191,26 @@ def assert_close_rel(got, expected, rtol=1e-12):
     assert np.max(np.abs(got - expected)) <= rtol * np.max(np.abs(expected))
 
 
+def window_nodes(params, graph, t, window):
+    """The run of the trailing window that relation importance replays."""
+    return _run_nodes(params, graph, max(0, t - window + 1), t + 1, RemState())
+
+
 def leave_one_out(params, graph, t, window, i):
     with ad.no_grad():
-        return _leave_one_out(params, _window_node_features(params, graph, t, window), [i])[0]
+        return _leave_one_out(params, window_nodes(params, graph, t, window), [i])[0]
 
 
 def reference_replay(params, graph, t, window, i, exclude=None):
     """i's relation embedding at t replayed over the window with ``exclude``
     left out at every step, from the public per-sender functions."""
     t0 = max(0, t - window + 1)
-    feats = _window_node_features(params, graph, t, window)
+    nodes = window_nodes(params, graph, t, window)
     r = None
     for s in range(t0, t + 1):
         frame = graph.frames[s]
-        v = {j: Tensor(row) for j, row in zip(frame.ids, feats[s - t0].v.data)}
+        at = slice(nodes.bounds[s - t0], nodes.bounds[s - t0 + 1])
+        v = {j: Tensor(row) for j, row in zip(frame.ids, nodes.v.data[at])}
         if i not in frame.boxes:
             r = None
             continue
@@ -364,14 +371,14 @@ class TestCanonicalSenders:
         frame = graph.frames[0]
         v = {i: Tensor(features[feature].copy()) for i, (*_, feature) in enumerate(nodes)}
         _, params = make_rem(dim=3)
-        v_rows = Tensor(np.array([v[i].data for i in frame.ids]))
-        ranked = _frame_nodes(params, frame, np.full(len(frame.ids), -1), v_rows)
+        v_rows = np.array([v[i].data for i in frame.ids])
+        senders, distances, start = _sender_segments([frame], np.array([0, len(frame.ids)]), v_rows)
         for p, i in enumerate(frame.ids):
-            positions, distances = _canonical_senders(ranked, p)
+            at = slice(start[p], start[p + 1])
             expected = canonical_sender_order(frame, v, i)
-            assert ranked.ids[positions].tolist() == expected
+            assert [frame.ids[q] for q in senders[at]] == expected
             dist = neighbor_distances(frame, i)
-            assert [d.hex() for d in distances.tolist()] == [dist[j].hex() for j in expected]
+            assert [d.hex() for d in distances[at].tolist()] == [dist[j].hex() for j in expected]
 
     def test_rem_step_projects_each_node_with_neighbors_once(self, monkeypatch):
         store, params = make_rem(dim=8, seed=56)
@@ -517,9 +524,9 @@ class TestRemStep:
         graph = build_graph(frames, d_th=15)
         state = RemState()
         rem_step(params, state, graph, 0)
-        assert state.live() == {0, 1}
+        assert state.ids == (0, 1)
         rem_step(params, state, graph, 1)
-        assert state.live() == {1, 5}
+        assert state.ids == (1, 5)
 
     def test_zero_history_first_frame_depends_on_own_box_only(self):
         store, params = make_rem(dim=4, seed=24)
@@ -661,22 +668,28 @@ class TestLeaveOneOut:
         assert [1 in neighbors(graph.frames[t], 0) for t in range(6)] == [False] * 3 + [True] * 3
         assert all(2 in neighbors(graph.frames[t], 0) for t in range(6))
         stepped, _ = run_rem(params, graph)
-        batches = []
-        update = rem_module._update
+        scans = []
+        gru_scan = ad.gru_scan
 
-        def spy(params, v, aggregated, r_prev):
-            batches.append(r_prev.data.copy())
-            return update(params, v, aggregated, r_prev)
+        def spy(gru, x, h0, prev, bounds):
+            out = gru_scan(gru, x, h0, prev, bounds)
+            if gru is params.gru_rel:
+                scans.append((prev.copy(), bounds.copy(), out.data.copy()))
+            return out
 
-        monkeypatch.setattr(rem_module, "_update", spy)
+        monkeypatch.setattr(ad, "gru_scan", spy)
         full, drops = self.assert_drops_match_reference(params, graph, 5, 6, 0)
         assert np.array_equal(full, stepped[5][0])
-        # one batch per frame: the full row, then a drop row per neighbor
-        assert [len(b) for b in batches] == [3] * 6
+        # one scan over the window: per frame the full row, then a drop row
+        # per neighbor, each continuing from its own row at the frame before
+        [(prev, bounds, out)] = scans
+        assert bounds.tolist() == [0, 3, 6, 9, 12, 15, 18]
+        assert prev.tolist() == [-1] * 3 + list(range(15))
+        rows = out.reshape(6, 3, -1)
         j_row = 1 + list(drops).index(1)
-        assert all(np.array_equal(batches[k][j_row], batches[k][0]) for k in range(4))
-        assert np.array_equal(batches[3][j_row], stepped[2][0])
-        assert not np.array_equal(batches[4][j_row], batches[4][0])
+        assert all(np.array_equal(rows[k][j_row], rows[k][0]) for k in range(3))
+        assert np.array_equal(rows[2][j_row], stepped[2][0])
+        assert not np.array_equal(rows[3][j_row], rows[3][0])
 
     def test_receiver_leaving_and_returning(self):
         store, params = make_rem(dim=6, seed=51)
@@ -874,3 +887,115 @@ class TestFrameBatchedRem:
         store.clear_grads()
         ad.backward(loss())
         assert all(store[name].grad is not None and np.any(store[name].grad != 0) for name in store.names())
+
+
+run_frames = st.lists(
+    st.tuples(
+        st.lists(st.tuples(st.booleans(), st.integers(0, 6), st.integers(0, 6)), min_size=6, max_size=6),
+        st.sampled_from([1.5, 40.0]),
+    ),
+    min_size=1,
+    max_size=9,
+)
+
+
+def run_graph(frames):
+    """Presence flags make instances enter, leave and come back, and a frame
+    with no flag set is empty; a spacing of 40 leaves a frame without edges."""
+    return build_graph(
+        [[(i, box(spacing * x, spacing * y)) for i, (here, x, y) in enumerate(f) if here] for f, spacing in frames],
+        d_th=3.0,
+    )
+
+
+def chained_then_run(params, graph, t, stop):
+    """Frames 0..t-1 one call each, then frames t..stop-1 once as one run and
+    once one call each from the same state: each frame's v, r and returned
+    embeddings from both."""
+    state = RemState()
+    for s in range(t):
+        rem_step(params, state, graph, s)
+    carried = replace(state)
+    one_by_one = []
+    for s in range(t, stop):
+        returned = rem_step(params, state, graph, s)
+        one_by_one.append((state.v, state.r, returned))
+    returned = rem_step(params, carried, graph, t, stop)
+    at = carried.bounds
+    runs = [
+        (carried.v.data[a:b], carried.r.data[a:b], [e for e in returned if e.t == t + k])
+        for k, (a, b) in enumerate(zip(at[:-1], at[1:]))
+    ]
+    return one_by_one, runs, carried
+
+
+class TestRunEquivalence:
+    """A run of frames gives every frame the bits of one call per frame."""
+
+    @given(run_frames, st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_run_equals_chained_one_frame_calls(self, frames, data):
+        graph = run_graph(frames)
+        stop = data.draw(st.integers(1, graph.n_frames))
+        t = data.draw(st.integers(max(0, stop - 6), stop - 1))  # runs of 1 to 6 frames
+        store, params = make_rem(dim=5, seed=65)
+        one_by_one, runs, state = chained_then_run(params, graph, t, stop)
+        assert state.ids == graph.frames[stop - 1].ids
+        assert len(runs) == stop - t
+        for (v, r, returned), (v_run, r_run, returned_run) in zip(one_by_one, runs):
+            assert np.array_equal(v.data, v_run)
+            assert np.array_equal(r.data, r_run)
+            assert [(e.instance, e.t, e.vector.tobytes()) for e in returned] == [
+                (e.instance, e.t, e.vector.tobytes()) for e in returned_run
+            ]
+        for s in range(t, stop):
+            for i in graph.frames[s].ids:
+                row = runs[s - t][1][graph.frames[s].ids.index(i)]
+                assert np.array_equal(state.embedding(i, s).data, row)
+
+    @given(run_frames, st.data())
+    @settings(max_examples=20, deadline=None)
+    def test_run_gradients_equal_chained_gradients(self, frames, data):
+        # a random linear functional of every frame's r, through the run and
+        # through one call per frame
+        graph = run_graph(frames)
+        stop = data.draw(st.integers(1, graph.n_frames))
+        t = data.draw(st.integers(max(0, stop - 6), stop - 1))
+        store, params = make_rem(dim=5, seed=66)
+        weights = np.random.default_rng(67).normal(size=(graph.n_frames, 6, 5))
+
+        def functional(state, s, total):
+            for i in graph.frames[s].ids:
+                term = ad.dot(state.embedding(i, s), Tensor(weights[s, i]))
+                total = term if total is None else ad.add(total, term)
+            return total
+
+        grads = []
+        for run in (False, True):
+            state, total = RemState(), None
+            for s in range(t):
+                rem_step(params, state, graph, s)
+                total = functional(state, s, total)
+            if run:
+                rem_step(params, state, graph, t, stop)
+            for s in range(t, stop):
+                if not run:
+                    rem_step(params, state, graph, s)
+                total = functional(state, s, total)
+            store.clear_grads()
+            if total is None:
+                return  # no instance in any frame
+            ad.backward(total)
+            grads.append({name: p.grad for name, p in store.items()})
+        for name, expected in grads[0].items():
+            assert (expected is None) == (grads[1][name] is None)
+            if expected is not None and expected.any():
+                assert_close_rel(grads[1][name], expected)
+
+    def test_run_bounds_rejected(self):
+        store, params = make_rem(dim=4, seed=68)
+        graph = build_graph([[(0, box(1, 1))], [(0, box(1.2, 1))]], d_th=15)
+        for t, stop in ((0, 0), (0, 3), (1, 1)):
+            with pytest.raises(ValueError, match="cannot run frames"):
+                rem_step(params, RemState(), graph, t, stop)
+
