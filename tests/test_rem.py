@@ -3,7 +3,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
@@ -929,15 +929,33 @@ def chained_then_run(params, graph, t, stop):
     return one_by_one, runs, carried
 
 
+def run_bounds(graph, end, length):
+    """A run of 1 to 6 frames ending at frame ``end`` - 1 or the last frame."""
+    stop = min(end, graph.n_frames)
+    return max(0, stop - length), stop
+
+
+# instances 0-2 linked at frame 0, the state a run of frames 1-4 starts
+# from; 0 leaves and 3 enters at frame 1, frame 2 is empty, 0 comes back at
+# frame 3, which has no edges, and all four are linked at frame 4
+EVERY_CASE = [
+    ([(True, 1, 1), (True, 2, 1), (True, 1, 2)] + [(False, 0, 0)] * 3, 1.5),
+    ([(False, 0, 0), (True, 2, 1), (True, 1, 2), (True, 2, 2)] + [(False, 0, 0)] * 2, 1.5),
+    ([(False, 0, 0)] * 6, 1.5),
+    ([(True, 1, 1), (True, 2, 1)] + [(False, 0, 0)] * 4, 40.0),
+    ([(True, 1, 1), (True, 2, 1), (True, 1, 2), (True, 2, 2)] + [(False, 0, 0)] * 2, 1.5),
+]
+
+
 class TestRunEquivalence:
     """A run of frames gives every frame the bits of one call per frame."""
 
-    @given(run_frames, st.data())
+    @given(run_frames, st.integers(1, 9), st.integers(1, 6))
+    @example(EVERY_CASE, 5, 4)
     @settings(max_examples=60, deadline=None)
-    def test_run_equals_chained_one_frame_calls(self, frames, data):
+    def test_run_equals_chained_one_frame_calls(self, frames, end, length):
         graph = run_graph(frames)
-        stop = data.draw(st.integers(1, graph.n_frames))
-        t = data.draw(st.integers(max(0, stop - 6), stop - 1))  # runs of 1 to 6 frames
+        t, stop = run_bounds(graph, end, length)
         store, params = make_rem(dim=5, seed=65)
         one_by_one, runs, state = chained_then_run(params, graph, t, stop)
         assert state.ids == graph.frames[stop - 1].ids
@@ -953,14 +971,14 @@ class TestRunEquivalence:
                 row = runs[s - t][1][graph.frames[s].ids.index(i)]
                 assert np.array_equal(state.embedding(i, s).data, row)
 
-    @given(run_frames, st.data())
+    @given(run_frames, st.integers(1, 9), st.integers(1, 6))
+    @example(EVERY_CASE, 5, 4)
     @settings(max_examples=20, deadline=None)
-    def test_run_gradients_equal_chained_gradients(self, frames, data):
+    def test_run_gradients_equal_chained_gradients(self, frames, end, length):
         # a random linear functional of every frame's r, through the run and
         # through one call per frame
         graph = run_graph(frames)
-        stop = data.draw(st.integers(1, graph.n_frames))
-        t = data.draw(st.integers(max(0, stop - 6), stop - 1))
+        t, stop = run_bounds(graph, end, length)
         store, params = make_rem(dim=5, seed=66)
         weights = np.random.default_rng(67).normal(size=(graph.n_frames, 6, 5))
 
