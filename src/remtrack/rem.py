@@ -43,15 +43,22 @@ because no number of a node depends on anything but its own rows:
   softmax and weighted sum (``reduceat``) depend only on the segment's own
   rows, not on where it sits in its chunk.
 
-Relation importance replays each receiver's trailing window once. Node
-features never depend on relation embeddings, so the window's node
-features, projections and sender segments come from one run and are shared
-by every receiver, and a receiver's message rows at each step are computed
-once and shared by the full replay and all of its leave-one-out drops; each
-drop only re-weights the rows without its own. The full replay runs the same
-row functions as ``rem_step`` on the receiver's rows, so it equals
-``rem_step`` bit for bit, and all rows of the window, every drop of every
-receiver at every step, are updated by one affine and one ``gru_scan``.
+Relation importance replays the trailing window of each requested frame
+from zero states. The windows of many frames run as one stack, a disjoint
+union aligned at their last frame: step s of the stack holds every window's
+frame at that step, with instances keyed per window, so no edge and no
+recurrence crosses windows. Node features never depend on relation
+embeddings, so one run gives the node features, projections and sender
+segments of every window, shared by all of its receivers. Every receiver's
+message rows at every step come from one ``_message_block``; its full row
+and each leave-one-out drop re-weight them in one ``_segment_softmax_sum``
+over all segments of the stack, and one affine and one ``gru_scan`` update
+every full and drop row of every step (once per batch of receivers where a
+window over the budget below is split). Every row function is row-local, and
+content ranks keep their order within a window, so each record has the bits
+its window alone gives it, and the full replay equals ``rem_step`` bit for
+bit. ``STACK_ROWS`` caps the rows of a stack and of each leave-one-out
+batch in it, which bounds the working set of a long or dense sequence.
 """
 
 from __future__ import annotations
@@ -83,6 +90,12 @@ INPUT_SCALE = 10.0
 # Message rows per chunk of whole receiver segments; smaller chunks keep the
 # per-frame working set in cache.
 CHUNK_ROWS = 256
+
+# Rows of one relation-importance stack, and of one leave-one-out batch in
+# it (``_window_rows``): a long sequence runs as several stacks and a dense
+# window as several batches, which bounds the working set (about 8 MB at
+# dim 128).
+STACK_ROWS = 4096
 
 
 @dataclass
@@ -555,80 +568,196 @@ def _phi(a: np.ndarray, b: np.ndarray) -> float:
     return 1.0 - min(c * c, 1.0)
 
 
-def _canonical_senders(nodes: _Nodes, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """Positions of the senders of the receiver at position ``p``, in the
-    canonical order, and their distances to it."""
-    at = slice(nodes.start[p], nodes.start[p + 1])
-    return nodes.senders[at], nodes.distances[at]
+def _ranges(first: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """``first[a], ..., first[a] + lengths[a] - 1`` for every a, concatenated."""
+    ends = np.cumsum(lengths)
+    return np.arange(ends[-1] if len(ends) else 0) + np.repeat(first - (ends - lengths), lengths)
 
 
 def _leave_one_out(
     params: RemParameters, nodes: _Nodes, receivers: Sequence[int]
 ) -> list[tuple[np.ndarray, dict[int, np.ndarray]]]:
-    """For each of ``receivers``, instances with neighbors at the last frame
-    of the window ``nodes`` (a run from zero states): its relation embedding
-    there, replayed over the window, and for each neighbor j of it there the
-    embedding with j removed at every step.
+    """For each of ``receivers``, ascending ids (keys, in a stack) with
+    senders at the last frame of the run ``nodes`` (a run from zero states):
+    its relation embedding there, replayed over the run, and for each sender
+    j of it there the embedding with j removed at every frame, keyed by j.
 
-    Every receiver owns one full row and one drop row per neighbor, in its
-    canonical neighbor order at the last frame. At each frame a receiver's
-    message rows are computed once; its full row aggregates all of them, and
-    the drop row of each neighbor j that is present aggregates all but j's,
-    in one ``_segment_softmax_sum``. Aggregates never depend on relation
-    embeddings, so every row of every frame is then updated by one affine
-    and one ``gru_scan``: a row continues from its own row at the frame
-    before if its receiver was there, and from zeros otherwise, since an
-    absence of the receiver resets all its rows. Until j first reaches i,
-    j's drop row has the same inputs as i's full row and so the same bits;
-    the full row has the bits ``rem_step`` gives it, and no row depends on
-    the other rows, so relabeling ids cannot change a value.
+    Every receiver owns one full row and one drop row per sender at the last
+    frame, in canonical order, at each frame it is in. Each of its message
+    rows at a frame is computed once, in one ``_message_block`` over all
+    receivers and frames. Its full row aggregates all of them; the drop row
+    of each j that is a sender at that frame aggregates all but j's, and
+    every other drop row takes the full row's aggregate. All full and drop
+    segments go through one ``_segment_softmax_sum``. Aggregates never
+    depend on relation embeddings, so every row of every frame is then
+    updated by one affine and one ``gru_scan``: a row continues from its own
+    row at the frame before if its receiver was there, and from zeros
+    otherwise, since an absence of the receiver resets all its rows. Until j
+    first reaches i, j's drop row has the same inputs as i's full row and so
+    the same bits; the full row has the bits ``rem_step`` gives it, and no
+    row depends on the other rows, so relabeling ids cannot change a value.
     """
-    if not receivers:
+    receivers = np.asarray(receivers, dtype=np.intp)
+    if not len(receivers):
         return []
+    degree = np.diff(nodes.start)
     last = int(nodes.bounds[-2])
-    drops = [
-        nodes.ids[_canonical_senders(nodes, last + int(np.searchsorted(nodes.ids[last:], i)))[0]].tolist()
-        for i in receivers
-    ]
-    v_rows, aggregated, prev, bounds = [], [], [], [0]
-    n_rows = 0
-    at: list[int | None] = [None] * len(receivers)  # each receiver's first row at the frame before
-    for a, b in zip(nodes.bounds[:-1], nodes.bounds[1:]):
-        frame_ids, here = nodes.ids[a:b], [None] * len(receivers)
-        for n, (i, own) in enumerate(zip(receivers, drops)):
-            p = int(np.searchsorted(frame_ids, i))
-            if p == len(frame_ids) or frame_ids[p] != i:
-                continue  # absence breaks the recurrence
-            p += a
-            senders, distances = _canonical_senders(nodes, p)
-            k = len(senders)
-            block = _message_block(params, nodes.proj.data, np.full(k, p), senders, distances)
-            row_of = {j: row for row, j in enumerate(nodes.ids[senders].tolist())}
-            present = [(d, row_of[j]) for d, j in enumerate(own) if j in row_of]
-            keep = np.ones((len(present), k), dtype=bool)
-            keep[np.arange(len(present)), [row for _, row in present]] = False
-            rows = np.concatenate([np.arange(k), np.nonzero(keep)[1]])
-            start = np.concatenate([[0, k], k + (k - 1) * np.arange(1, len(present) + 1)])
-            sums = _segment_softmax_sum(block.logits[rows], block.msgs[rows], start)[1]
-            width = 1 + len(own)
-            agg = np.repeat(sums[:1], width, axis=0)
-            agg[[1 + d for d, _ in present]] = sums[1:]
-            prev.append(np.arange(at[n], at[n] + width) if at[n] is not None else np.full(width, -1))
-            here[n] = n_rows
-            n_rows += width
-            v_rows.append(np.repeat(nodes.v.data[p : p + 1], width, axis=0))
-            aggregated.append(agg)
-        at = here
-        bounds.append(n_rows)
+    at_last = last + np.searchsorted(nodes.ids[last:], receivers)
+    # the receivers' rows at every frame, frame by frame, and whose they are
+    unit = np.minimum(np.searchsorted(receivers, nodes.ids), len(receivers) - 1)
+    rows = np.flatnonzero(receivers[unit] == nodes.ids)
+    unit, k, n_drops = unit[rows], degree[rows], degree[at_last][unit[rows]]
+    n = len(rows)
+    # message rows: each receiver row's senders, in canonical order
+    slots = _ranges(nodes.start[rows], k)
+    msg_first = np.concatenate([[0], np.cumsum(k)])
+    # the message row of each drop j at each receiver row where j is a sender
+    pair = np.repeat(np.arange(n), n_drops)
+    drop = nodes.ids[nodes.senders[_ranges(nodes.start[at_last[unit]], n_drops)]]
+    span = int(nodes.ids.max()) + 1
+    code = np.repeat(np.arange(n), k) * span + nodes.ids[nodes.senders[slots]]
+    order = np.argsort(code)
+    hit = order[np.minimum(np.searchsorted(code[order], pair * span + drop), len(code) - 1)]
+    found = code[hit] == pair * span + drop
+    gone, owner = hit[found], pair[found]
+    lengths = k[owner] - 1
+    dropped = _ranges(msg_first[owner], lengths)
+    dropped += dropped >= np.repeat(gone, lengths)
+    segments = np.concatenate([np.arange(msg_first[-1]), dropped])
+    start = np.concatenate([msg_first, msg_first[-1] + np.cumsum(lengths)])
+    block = _message_block(
+        params, nodes.proj.data, np.repeat(rows, k), nodes.senders[slots], nodes.distances[slots]
+    )
+    logits, msgs = block.logits[segments], block.msgs[segments]
+    del block  # frees the message layer's rows before the softmax allocates its own
+    sums = _segment_softmax_sum(logits, msgs, start)[1]
+    del logits, msgs  # and the gathered rows before the update
+    # update rows: per receiver row, the full row, then one drop row per sender at the last frame
+    width = 1 + n_drops
+    first = np.concatenate([[0], np.cumsum(width)])
+    aggregated = sums[np.repeat(np.arange(n), width)]
+    slot = np.arange(len(pair)) - np.repeat(np.cumsum(n_drops) - n_drops, n_drops)
+    aggregated[first[owner] + 1 + slot[found]] = sums[n:]
+    before = nodes.prev[rows]
+    prev = _ranges(first[np.searchsorted(rows, before)], width)
+    prev[np.repeat(before < 0, width)] = -1
     r = _update(
         params,
-        Tensor(np.concatenate(v_rows)),
-        Tensor(np.concatenate(aggregated)),
+        Tensor(nodes.v.data[np.repeat(rows, width)]),
+        Tensor(aggregated),
         Tensor(np.zeros((0, params.dim))),
-        np.concatenate(prev),
-        np.array(bounds),
+        prev,
+        first[np.searchsorted(rows, nodes.bounds)],
     ).data
-    return [(r[a], dict(zip(own, r[a + 1 : a + 1 + len(own)]))) for own, a in zip(drops, at)]
+    out = []
+    for p, a in zip(at_last, first[n - len(receivers) : n]):
+        own = nodes.ids[nodes.senders[nodes.start[p] : nodes.start[p + 1]]]
+        out.append((r[a], dict(zip(own.tolist(), r[a + 1 : a + 1 + len(own)]))))
+    return out
+
+
+def _window_rows(
+    graph: SpatioTemporalGraph, t0: int, t: int
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """The receivers of the window t0..t, the instances with neighbors at t,
+    ascending; the rows each adds to a stack; and the window's node rows.
+
+    A receiver with D neighbors at t adds, at each frame of the window where
+    it has k neighbors, at most (1 + D)(1 + k) rows: its 1 + D update rows
+    and the k + d(k - 1) <= k(1 + D) rows of its full and drop segments.
+    """
+    def linked(s):
+        frame = graph.frames[s]
+        degree = np.bincount(frame.edges.ravel(), minlength=len(frame.ids))
+        return np.array(frame.ids, dtype=np.intp), degree
+
+    ids, degree = linked(t)
+    receivers, width = ids[degree > 0], 1 + degree[degree > 0]
+    cost = np.zeros(len(receivers), dtype=np.intp)
+    node_rows = 0
+    for s in range(t0, t + 1):
+        ids, degree = linked(s)
+        node_rows += len(ids)
+        if len(ids):
+            p = np.minimum(np.searchsorted(ids, receivers), len(ids) - 1)
+            cost += np.where(ids[p] == receivers, width * (1 + degree[p]), 0)
+    return receivers, cost, node_rows
+
+
+def _stacks(graph: SpatioTemporalGraph, frames: Sequence[int], window: int):
+    """The frames' windows as stacks of (t0, t, receivers, rows) in record
+    order (``_window_rows``). A window joins the current stack while the
+    stack's rows stay within ``STACK_ROWS``, and else starts the next one; a
+    window over the budget is a stack of its own. A window without
+    receivers has no records and is left out."""
+    stack, rows = [], 0
+    for t in frames:
+        t0 = max(0, t - window + 1)
+        receivers, cost, node_rows = _window_rows(graph, t0, t)
+        if not len(receivers):
+            continue
+        size = node_rows + int(cost.sum())
+        if stack and rows + size > STACK_ROWS:
+            yield stack
+            stack, rows = [], 0
+        stack.append((t0, t, receivers, cost))
+        rows += size
+    if stack:
+        yield stack
+
+
+def _batches(cost: np.ndarray):
+    """Slices of consecutive receivers whose rows add up to at most
+    ``STACK_ROWS``; a receiver over the budget is a batch of its own."""
+    ends = np.cumsum(cost)
+    first = 0
+    while first < len(cost):
+        end = int(np.searchsorted(ends, ends[first] - cost[first] + STACK_ROWS, side="right"))
+        end = max(end, first + 1)
+        yield slice(first, end)
+        first = end
+
+
+def _stack_graph(
+    graph: SpatioTemporalGraph, stack: Sequence[tuple[int, int, np.ndarray, np.ndarray]]
+) -> tuple[SpatioTemporalGraph, np.ndarray, list[tuple[int, np.ndarray]]]:
+    """The windows t0..t of ``stack`` as one graph, a disjoint union aligned
+    at their last frame: with ``steps`` frames in the longest window, frame s
+    of the stack holds frame t - (steps - 1) + s of every window that has
+    it. A window keys its instance ``ids[q]`` as ``base + q``, its ids
+    ascending and bases ascending by window, so no edge and no recurrence
+    crosses windows, and keys keep the order of ids within a window.
+
+    The frames are made from the graph's own ids, boxes and edge arrays.
+    Returns the stack, the keys of every part's receivers, and each
+    window's (base, ids).
+    """
+    steps = max(t - t0 for t0, t, *_ in stack) + 1
+    parts: list[list] = [[] for _ in range(steps)]
+    keyed, receivers, base = [], [], 0
+    for t0, t, part, _ in stack:
+        window = graph.frames[t0 : t + 1]
+        ids = np.unique(np.concatenate([np.array(frame.ids, dtype=np.intp) for frame in window]))
+        for s, frame in enumerate(window, start=steps - len(window)):
+            parts[s].append((base + np.searchsorted(ids, frame.ids), frame))
+        keyed.append((base, ids))
+        receivers.append(base + np.searchsorted(ids, part))
+        base += len(ids)
+    frames = []
+    for part in parts:
+        at = np.cumsum([0] + [len(frame.ids) for _, frame in part])
+        keys = np.concatenate([keys for keys, _ in part]).tolist()
+        boxes = [frame.boxes[i] for _, frame in part for i in frame.ids]
+        edges = [frame.edges + a for (_, frame), a in zip(part, at)]
+        frames.append(
+            GraphFrame(
+                ids=tuple(keys),
+                boxes=dict(zip(keys, boxes)),
+                edges=np.concatenate(edges),
+                edge_distance=np.concatenate([frame.edge_distance for _, frame in part]),
+            )
+        )
+    return SpatioTemporalGraph(graph.d_th, frames), np.concatenate(receivers), keyed
 
 
 def relation_importance_records(
@@ -643,18 +772,28 @@ def relation_importance_records(
     frame t: 1 - cos^2 between i's embedding and its leave-j-out
     recomputation, both replayed over the trailing ``window`` frames so the
     two sides are directly comparable. Asymmetric in general. Records come
-    by frame, then i by ascending id, then j, i's spatial neighbors at t, by
-    ascending id.
+    by frame, in the order of ``frames`` (every frame by default), then i by
+    ascending id, then j, i's spatial neighbors at t, by ascending id.
+
+    The windows of the frames run as stacks (``_stack_graph``): each stack
+    is one ``_run_nodes`` and one ``_leave_one_out`` per batch of receivers
+    (one batch unless the stack is a window over ``STACK_ROWS``), and gives
+    every record the bits its window alone gives it.
     """
     if window < 1:
         raise ValueError(f"relation importance window must be >= 1, got {window}")
+    frames = range(graph.n_frames) if frames is None else list(frames)
+    for t in frames:
+        if isinstance(t, bool) or not isinstance(t, (int, np.integer)) or not 0 <= t < graph.n_frames:
+            raise ValueError(f"frame {t!r} is not a frame index of a graph of {graph.n_frames} frames")
     records: list[tuple[int, int, int, float]] = []
-    frame_ids = range(graph.n_frames) if frames is None else frames
     with ad.no_grad():
-        for t in frame_ids:
-            nodes = _run_nodes(params, graph, max(0, t - window + 1), t + 1, RemState())
-            start = nodes.start[nodes.bounds[-2] :]
-            receivers = [i for p, i in enumerate(graph.frames[t].ids) if start[p] < start[p + 1]]
-            for i, (r_full, r_drops) in zip(receivers, _leave_one_out(params, nodes, receivers)):
-                records += [(t, i, j, _phi(r_full, r_drops[j])) for j in sorted(r_drops)]
+        for stack in _stacks(graph, [int(t) for t in frames], window):
+            stacked, receivers, keyed = _stack_graph(graph, stack)
+            nodes = _run_nodes(params, stacked, 0, stacked.n_frames, RemState())
+            cost = np.concatenate([cost for *_, cost in stack])
+            out = (r for batch in _batches(cost) for r in _leave_one_out(params, nodes, receivers[batch]))
+            for (base, ids), (_, t, part, _) in zip(keyed, stack):
+                for i, (r_full, r_drops) in zip(part.tolist(), out):
+                    records += [(t, i, int(ids[j - base]), _phi(r_full, r_drops[j])) for j in sorted(r_drops)]
     return records

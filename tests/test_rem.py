@@ -566,6 +566,13 @@ class TestRelationImportance:
         with pytest.raises(ValueError, match="window must be >= 1, got -3"):
             relation_importance_records(params, graph, window=-3)
 
+    @pytest.mark.parametrize("frame", [-1, 4, 3.5, True])
+    def test_frames_outside_the_graph_rejected(self, frame):
+        store, params = make_rem(dim=4, seed=27)
+        graph = build_graph([[(0, box(0, 0)), (1, box(1, 0))]] * 4, d_th=5.0)
+        with pytest.raises(ValueError, match=f"frame {frame!r} is not a frame index of a graph of 4 frames"):
+            relation_importance_records(params, graph, frames=[0, frame])
+
     def test_phi_identical_zero_orthogonal_one(self):
         from remtrack.rem import _phi
 
@@ -668,6 +675,8 @@ class TestLeaveOneOut:
         assert [1 in neighbors(graph.frames[t], 0) for t in range(6)] == [False] * 3 + [True] * 3
         assert all(2 in neighbors(graph.frames[t], 0) for t in range(6))
         stepped, _ = run_rem(params, graph)
+        full, drops = self.assert_drops_match_reference(params, graph, 5, 6, 0)
+        assert np.array_equal(full, stepped[5][0])
         scans = []
         gru_scan = ad.gru_scan
 
@@ -678,18 +687,38 @@ class TestLeaveOneOut:
             return out
 
         monkeypatch.setattr(ad, "gru_scan", spy)
-        full, drops = self.assert_drops_match_reference(params, graph, 5, 6, 0)
-        assert np.array_equal(full, stepped[5][0])
-        # one scan over the window: per frame the full row, then a drop row
-        # per neighbor, each continuing from its own row at the frame before
+        relation_importance_records(params, graph, window=6, frames=[5, 4])
+        # one stack: frames 0-5 and 0-4 aligned at their last frame, so the
+        # second window starts a step later. At each step, window by window
+        # and receiver by receiver, a full row, then a drop row per neighbor
+        # at the window's last frame, each continuing from its own row at the
+        # step before.
         [(prev, bounds, out)] = scans
-        assert bounds.tolist() == [0, 3, 6, 9, 12, 15, 18]
-        assert prev.tolist() == [-1] * 3 + list(range(15))
-        rows = out.reshape(6, 3, -1)
+        windows = [(0, 5), (1, 4)]  # (first step, last frame)
+        layout, expected_prev, starts, at = [], [], [], {}
+        for s in range(6):
+            here = {}
+            starts.append(len(expected_prev))
+            for w, (first, t) in enumerate(windows):
+                if s < first:
+                    continue
+                for i in graph.frames[t].ids:  # all three present and linked
+                    width = 1 + len(neighbors(graph.frames[t], i))
+                    here[w, i] = len(expected_prev)
+                    before = at.get((w, i))
+                    expected_prev += [-1] * width if before is None else list(range(before, before + width))
+            layout.append(here)
+            at = here
+        assert bounds.tolist() == starts + [len(expected_prev)]
+        assert prev.tolist() == expected_prev
         j_row = 1 + list(drops).index(1)
+        rows = [out[layout[s][0, 0] :] for s in range(6)]
+        assert all(np.array_equal(rows[k][0], stepped[k][0]) for k in range(6))
         assert all(np.array_equal(rows[k][j_row], rows[k][0]) for k in range(3))
         assert np.array_equal(rows[2][j_row], stepped[2][0])
         assert not np.array_equal(rows[3][j_row], rows[3][0])
+        # the second window replays frames 0-4 from zero states at step 1
+        assert all(np.array_equal(out[layout[s][1, 0]], stepped[s - 1][0]) for s in range(1, 6))
 
     def test_receiver_leaving_and_returning(self):
         store, params = make_rem(dim=6, seed=51)
@@ -1017,3 +1046,99 @@ class TestRunEquivalence:
             with pytest.raises(ValueError, match="cannot run frames"):
                 rem_step(params, RemState(), graph, t, stop)
 
+
+
+def hexed(records):
+    return [(t, i, j, r.hex()) for t, i, j, r in records]
+
+
+class TestStackedRelationImportance:
+    """The windows of many frames run as one stack of rows; every record
+    keeps the bits its window alone gives it. Rows of different windows share
+    ``_block_matmul`` blocks, so this rests on the block-invariance guard."""
+
+    @given(
+        run_frames,
+        st.lists(st.integers(0, 8), min_size=1, max_size=6),
+        st.integers(1, 5),
+        st.sampled_from([1, 40, 300, rem_module.STACK_ROWS]),
+    )
+    @example(EVERY_CASE, [4, 1, 4, 3, 0], 3, 1)
+    @example(EVERY_CASE, [4, 1, 4, 3, 0], 3, rem_module.STACK_ROWS)
+    @settings(max_examples=40, deadline=None)
+    def test_records_equal_one_frame_calls_bitwise(self, frames, requested, window, budget):
+        # unsorted and repeated frames, frames before window - 1, instances
+        # that leave and come back; a budget of one row makes every window a
+        # stack and every receiver a leave-one-out batch of its own
+        graph = run_graph(frames)
+        requested = [t % graph.n_frames for t in requested]
+        store, params = make_rem(dim=5, seed=69)
+        one_at_a_time, windows, receivers = [], 0, 0
+        for t in requested:
+            records = relation_importance_records(params, graph, window=window, frames=[t])
+            one_at_a_time += records
+            windows += bool(records)
+            receivers += len({i for _, i, _, _ in records})
+        calls = {"_run_nodes": 0, "_leave_one_out": 0}
+
+        def counted(name):
+            original = getattr(rem_module, name)
+
+            def spy(*args):
+                calls[name] += 1
+                return original(*args)
+
+            return mock.patch.object(rem_module, name, spy)
+
+        with (
+            mock.patch.object(rem_module, "STACK_ROWS", budget),
+            counted("_run_nodes"),
+            counted("_leave_one_out"),
+        ):
+            records = relation_importance_records(params, graph, window=window, frames=requested)
+        assert hexed(records) == hexed(one_at_a_time)
+        assert min(windows, 1) <= calls["_run_nodes"] <= windows
+        if budget == 1:
+            assert calls == {"_run_nodes": windows, "_leave_one_out": receivers}
+
+    def test_long_graph_stacks_stay_within_budget(self):
+        # rows of a stack: its node rows, and the rows of the full and drop
+        # segments and the update rows of each of its leave-one-out batches.
+        # A window here has at most 60 node rows and a receiver at most
+        # (1 + 5)(1 + 5) rows at each of 10 steps, so every batch fits in the
+        # budget, and so does every stack of more than one window.
+        graph = random_graph(np.random.default_rng(70), n_frames=40, n_instances=6, spread=6.0, p_present=0.8)
+        store, params = make_rem(dim=4, seed=71)
+        expected = relation_importance_records(params, graph)
+        stacks, batches = [], []  # [windows, rows] of each stack; rows of each batch
+
+        def counted(name, rows):
+            original = getattr(rem_module, name)
+
+            def spy(*args):
+                out = original(*args)
+                if name == "_stack_graph":
+                    stacks.append([len(args[1]), 0])
+                if name == "_segment_softmax_sum":
+                    batches.append(0)
+                stacks[-1][1] += rows(args, out)
+                if name in ("_segment_softmax_sum", "_update"):
+                    batches[-1] += rows(args, out)
+                return out
+
+            return mock.patch.object(rem_module, name, spy)
+
+        budget = 500
+        with (
+            mock.patch.object(rem_module, "STACK_ROWS", budget),
+            counted("_stack_graph", lambda args, out: 0),
+            counted("_run_nodes", lambda args, nodes: len(nodes.ids)),
+            counted("_segment_softmax_sum", lambda args, out: len(args[0])),
+            counted("_update", lambda args, out: len(args[1].data)),
+        ):
+            records = relation_importance_records(params, graph)
+        assert hexed(records) == hexed(expected)
+        assert max(batches) <= budget
+        assert all(rows <= budget for windows, rows in stacks if windows > 1)
+        # the graph has stacks of several windows and windows over the budget
+        assert any(windows > 1 for windows, _ in stacks) and any(rows > budget for _, rows in stacks)
