@@ -2,26 +2,27 @@
 
 Covers exactly the operations the relation module, its regression heads and
 the training loss need: ``add``, ``mul``, ``affine``, ``affine_rows``,
-``dot``, ``concat``, ``stack``, ``get``, ``take``, ``leaky_relu``,
-``softplus``, ``softmax`` and the fused GRU, once for one vector
-(``gru_cell``) and once for every row of a run of frames (``gru_scan``,
-which replaces the former one-frame ``gru_rows``): its input-side products
-run over all rows at once, its state-side products frame by frame. ``Tensor``
-has no arithmetic operators: every tape node comes from one of these
-functions by name. A fused operation outside this module (the GIoU loss, the
-relation module's projections and its attention over a run's messages)
-builds its own tape node with ``_make``. Forward passes are deterministic:
-the same inputs in the same order give the same bits. Results may depend on
-the order of summed terms, so callers that need order independence fix the
-order themselves (the relation module sorts each receiver's neighbors by
-content).
+``dot``, ``concat``, ``stack``, ``take``, ``leaky_relu``, ``softmax`` and
+the fused GRU, once for one vector (``gru_cell``) and once for every row of a
+run of frames (``gru_scan``): its input-side products run over all rows at
+once, its state-side products frame by frame. ``Tensor`` has no arithmetic
+operators: every tape node comes from one of these functions by name. A
+fused operation outside this module (the GIoU loss, the occlusion head's
+box, the relation module's projections and its attention over a run's
+messages) builds its own tape node with ``_make``. Forward passes are
+deterministic: the same inputs in the same order give the same bits.
+Results may depend on the order of summed terms, so callers that need order
+independence fix the order themselves (the relation module sorts each
+receiver's neighbors by content).
 
-Row-wise operations multiply through ``_block_matmul``, which runs a product
-over zero-padded blocks of exactly ``BLOCK_ROWS`` rows. A BLAS product can
-give a row different bits depending on how many rows it shares a call with
-(one row runs gemv, a few rows one gemm kernel, many rows another); a block
-of fixed height always runs the same kernel, so a row's bits depend on that
-row alone, never on its block-mates, its position or the number of rows.
+A row's bits never depend on the rows it shares a product with. A BLAS
+product can give a row different bits depending on how many rows it shares a
+call with (one row runs gemv, a few rows one gemm kernel, many rows another).
+``affine`` over a matrix runs one gemv per row, a broadcast ``np.matmul``, so
+every row has the bits of a one-vector call (the regression heads). The
+relation module multiplies through ``_block_matmul`` (and ``affine_rows``),
+which runs zero-padded blocks of exactly ``BLOCK_ROWS`` rows, always the same
+kernel, so a row's bits depend on that row alone.
 
 Weight gradients are formed as row factors, not as dense outer products. A
 backward closure returns the gradient of a weight as ``_Rows(u, v)``, which
@@ -177,40 +178,39 @@ def _reduce_to(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def affine(w: Tensor, x: Tensor, b: Tensor | None = None) -> Tensor:
-    """w @ x (+ b) for a 2-D weight and 1-D input."""
+    """w @ x (+ b) for a 2-D weight and a 1-D input, or for every row of a
+    2-D input. Each row runs its own matrix-vector product, so a row has the
+    bits of a one-vector call whatever the other rows."""
     if w.data.ndim != 2:
         raise ValueError(f"affine weight must be 2-D, got shape {w.data.shape}")
-    _check_vector(x, "affine input")
-    if w.data.shape[1] != x.data.shape[0]:
+    if x.data.ndim not in (1, 2):
+        raise ValueError(f"affine input must be a vector or a matrix of rows, got shape {x.data.shape}")
+    if w.data.shape[1] != x.data.shape[-1]:
         raise ValueError(
-            f"affine shape mismatch: weight {w.data.shape} applied to input of length {x.data.shape[0]}"
+            f"affine shape mismatch: weight {w.data.shape} applied to input of length {x.data.shape[-1]}"
         )
-    data = w.data @ x.data
-    parents: tuple[Tensor, ...]
     w_data, x_data = w.data, x.data
+    data = np.matmul(w_data, x_data[..., None])[..., 0]
+    parents: tuple[Tensor, ...] = (w, x)
     if b is not None:
         if b.data.shape != (w.data.shape[0],):
             raise ValueError(
                 f"affine bias shape {b.data.shape} does not match weight rows {w.data.shape[0]}"
             )
-        data = data + b.data
+        data += b.data
         parents = (w, x, b)
 
-        def bw(g):
-            return (_Rows(g, x_data), w_data.T @ g, g)
-
-    else:
-        parents = (w, x)
-
-        def bw(g):
-            return (_Rows(g, x_data), w_data.T @ g)
+    def bw(g):
+        # the bias gradient adds the rows one after another, in row order
+        db = g if g.ndim == 1 else g.sum(axis=0)
+        return (_Rows(g, x_data), np.matmul(w_data.T, g[..., None])[..., 0], db)[: len(parents)]
 
     return _make(data, parents, bw)
 
 
 def affine_rows(w: Tensor, x: Tensor, b: Tensor) -> Tensor:
-    """``affine`` for every row of a 2-D ``x`` at once: ``x @ w.T + b``,
-    through ``_block_matmul``."""
+    """``x @ w.T + b`` for every row of a 2-D ``x``, through
+    ``_block_matmul``: the relation module's form of ``affine`` over rows."""
     w_data, x_data = w.data, x.data
     data = _block_matmul(x_data, w_data)
     data += b.data
@@ -262,18 +262,6 @@ def stack(parts: Sequence[Tensor]) -> Tensor:
     return _make(data, parts, bw)
 
 
-def get(x: Tensor, index: int) -> Tensor:
-    _check_vector(x, "get input")
-    data = np.asarray(x.data[index])
-
-    def bw(g):
-        gx = np.zeros_like(x.data)
-        gx[index] = g
-        return (gx,)
-
-    return _make(data, (x,), bw)
-
-
 def take(x: Tensor, index) -> Tensor:
     """Rows of ``x`` at ``index`` along its first axis: one row for an
     integer, a matrix of rows for an integer array. Index -1 gives a row of
@@ -297,15 +285,6 @@ def leaky_relu(x: Tensor, slope: float) -> Tensor:
 
     def bw(g):
         return (g * np.where(d >= 0, 1.0, slope),)
-
-    return _make(out, (x,), bw)
-
-
-def softplus(x: Tensor) -> Tensor:
-    out = np.logaddexp(0.0, x.data)
-
-    def bw(g):
-        return (g / (1.0 + np.exp(-x.data)),)
 
     return _make(out, (x,), bw)
 

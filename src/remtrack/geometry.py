@@ -11,9 +11,9 @@ mixed units.
 hot paths. They repeat the scalar arithmetic entry by entry, in the same
 order, so every entry is bitwise equal to ``iou`` / ``scaled_distance``.
 
-``giou_loss`` is one tape node. Its forward is bitwise the chain of scalar
-``max``/``min`` and arithmetic steps that defines the loss, and its gradient
-equals that chain's gradient in value.
+``giou_loss`` is one tape node over a matrix of rows. Each row's forward is
+bitwise the chain of scalar ``max``/``min`` and arithmetic steps that defines
+the loss, and its gradient equals that chain's gradient in value.
 """
 
 from __future__ import annotations
@@ -145,26 +145,34 @@ def giou(a: BoundingBox, b: BoundingBox) -> float:
     return min(inter / union, 1.0) - max((enclosing - union) / enclosing, 0.0)
 
 
-def giou_loss(pred: Tensor | BoundingBox, target: BoundingBox) -> Tensor:
+def giou_loss(pred: Tensor | BoundingBox, target: BoundingBox | Sequence[BoundingBox]) -> Tensor:
     """1 - GIoU as a differentiable scalar; gradient flows to ``pred``.
 
-    ``pred`` is a length-4 tensor (cx, cy, w, h); sizes are clamped to
-    MIN_BOX_SIZE so degenerate intermediate boxes stay well-defined.
+    ``pred`` is a length-4 tensor (cx, cy, w, h) against one ``target``, or
+    the sum over the rows of an (n, 4) one against n targets; sizes are
+    clamped to MIN_BOX_SIZE so degenerate intermediate boxes stay well-defined.
 
-    The forward runs the scalar chain over the x and y axes at once, in the
-    chain's order. The backward keeps the chain's tie rules: a ``max`` or
-    ``min`` against the target or the size floor passes the gradient to
-    ``pred`` on a tie, and the overlap ``max(span, 0)`` passes it when
-    ``span >= 0``. Each gradient entry sums the chain's terms in its order, so
-    only the sign of a zero may differ from it.
+    The forward runs the scalar chain over the x and y axes of every row at
+    once, in the chain's order, so a row has the bits of a one-row call. The
+    backward keeps the chain's tie rules: a ``max`` or ``min`` against the
+    target or the size floor passes the gradient to ``pred`` on a tie, and
+    the overlap ``max(span, 0)`` passes it when ``span >= 0``. Each gradient
+    entry sums the chain's terms in its order, so only the sign of a zero may
+    differ from it.
     """
     if isinstance(pred, BoundingBox):
         pred = Tensor(pred.as_array())
-    if pred.data.shape != (4,):
-        raise ValueError(f"pred must be a length-4 tensor, got shape {pred.data.shape}")
-    tx1, ty1, tx2, ty2 = _corners(target)
-    t1, t2 = np.array([tx1, ty1]), np.array([tx2, ty2])
-    center, raw_size = pred.data[:2], pred.data[2:]
+    targets = _box_array([target] if isinstance(target, BoundingBox) else target)
+    shape = pred.data.shape
+    if shape[-1:] != (4,) or len(shape) > 2 or pred.data.size != targets.size:
+        raise ValueError(
+            f"pred must be a length-4 tensor or an (n, 4) matrix, one row per target; "
+            f"got shape {shape} for {len(targets)} targets"
+        )
+    rows = pred.data.reshape(-1, 4)
+    t1 = targets[:, :2] - targets[:, 2:] / 2.0
+    t2 = targets[:, :2] + targets[:, 2:] / 2.0
+    center, raw_size = rows[:, :2], rows[:, 2:]
     # Each mask marks where the chain's max/min takes the predicted side.
     size_kept = raw_size >= MIN_BOX_SIZE
     size = np.where(size_kept, raw_size, MIN_BOX_SIZE)
@@ -174,11 +182,11 @@ def giou_loss(pred: Tensor | BoundingBox, target: BoundingBox) -> Tensor:
     span = np.where(inner_hi, p2, t2) - np.where(inner_lo, p1, t1)
     overlapping = span >= 0.0
     overlap = np.where(overlapping, span, 0.0)
-    inter = overlap[0] * overlap[1]
-    union = size[0] * size[1] + target.w * target.h - inter
+    inter = overlap[:, 0] * overlap[:, 1]
+    union = size[:, 0] * size[:, 1] + targets[:, 2] * targets[:, 3] - inter
     outer_lo, outer_hi = p1 <= t1, p2 >= t2
     extent = np.where(outer_hi, p2, t2) - np.where(outer_lo, p1, t1)
-    enclosing = extent[0] * extent[1]
+    enclosing = extent[:, 0] * extent[:, 1]
     excess = enclosing - union
     loss = 1.0 - (inter / union - excess / enclosing)
 
@@ -190,11 +198,11 @@ def giou_loss(pred: Tensor | BoundingBox, target: BoundingBox) -> Tensor:
         g_union = -g_ratio * inter / (union * union) - g_excess
         g_inter = g_ratio / union - g_union
         g_enclosing = -g_penalty * excess / (enclosing * enclosing) + g_excess
-        g_overlap = np.where(overlapping, g_inter * overlap[::-1], 0.0)
-        g_extent = g_enclosing * extent[::-1]
+        g_overlap = np.where(overlapping, g_inter[:, None] * overlap[:, ::-1], 0.0)
+        g_extent = g_enclosing[:, None] * extent[:, ::-1]
         g_p1 = np.where(inner_lo, -g_overlap, 0.0) + np.where(outer_lo, -g_extent, 0.0)
         g_p2 = np.where(inner_hi, g_overlap, 0.0) + np.where(outer_hi, g_extent, 0.0)
-        g_size = (g_p2 - g_p1) * 0.5 + g_union * size[::-1]
-        return (np.concatenate([g_p1 + g_p2, np.where(size_kept, g_size, 0.0)]),)
+        g_size = (g_p2 - g_p1) * 0.5 + g_union[:, None] * size[:, ::-1]
+        return (np.concatenate([g_p1 + g_p2, np.where(size_kept, g_size, 0.0)], axis=1).reshape(shape),)
 
-    return ad._make(np.asarray(loss), (pred,), bw)
+    return ad._make(np.asarray(loss.sum()), (pred,), bw)

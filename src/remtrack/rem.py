@@ -163,17 +163,20 @@ class RemState:
         """The instances of the run's last frame."""
         return self.frames[-1] if self.frames else ()
 
-    def embedding(self, i: int, t: int | None = None) -> Tensor:
-        """Instance i's relation embedding at frame t of the run, its last
-        frame by default: one gather node on ``r``."""
-        k = len(self.frames) - 1 if t is None else t - self.first
-        if not 0 <= k < len(self.frames):
-            raise KeyError((i, t))
-        ids = self.frames[k]
-        p = bisect_left(ids, i)
-        if p == len(ids) or ids[p] != i:
-            raise KeyError(i)
-        return ad.take(self.r, self.bounds[k] + p)
+    def embedding(self, ids, t=None) -> Tensor:
+        """Relation embeddings of instances ``ids`` at frames ``t`` of the
+        run (its last frame by default), as one gather node on ``r``: a row
+        for one id, a matrix of rows for a sequence of ids."""
+        ids = np.asarray(ids, dtype=np.intp)
+        ks = np.broadcast_to(len(self.frames) - 1 if t is None else np.asarray(t) - self.first, ids.shape)
+        rows = []
+        for i, k in zip(ids.ravel().tolist(), ks.ravel().tolist()):
+            frame = self.frames[k] if 0 <= k < len(self.frames) else ()
+            p = bisect_left(frame, i)
+            if p == len(frame) or frame[p] != i:
+                raise KeyError((i, k + self.first))
+            rows.append(self.bounds[k] + p)
+        return ad.take(self.r, np.reshape(rows, ids.shape))
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,10 @@ matched detections, so an occluded track has no appearance input, while its
 relation embedding carries on: occluded instances stay in the relational
 graph with their last visible detection as input, in training and inference
 alike.
+
+Each head is called once over a matrix of rows, one per track of a frame or
+per loss term of a training window; ``ad.affine`` gives every row the bits of
+a call on that row alone, so no box depends on the other rows.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from . import autodiff as ad
 from .autodiff import ParameterStore, Tensor, adam_step, backward
 # ``iou`` is unused here but stays a name of this module: benchmarks/layers.py
 # wraps ``tracker.iou``.
-from .geometry import BoundingBox, clamped_box, giou_loss, iou, iou_matrix  # noqa: F401
+from .geometry import BoundingBox, _box_array, clamped_box, giou_loss, iou, iou_matrix  # noqa: F401
 from .rem import SIGMA_SLOPE, RemParameters, RemState, rem_step
 from .simulator import (
     DEFAULT_OCCLUSION_CUTOFF,
@@ -89,6 +93,8 @@ class TrackerParameters:
     ) -> "TrackerParameters":
         if app_dim < 1:
             raise ValueError(f"appearance dimension must be >= 1, got {app_dim}")
+        if rel_dim < 1:
+            raise ValueError(f"relation dimension must be >= 1, got {rel_dim}")
         params = cls(
             enc_w=store.matrix("trk.enc_w", app_dim, APPEARANCE_INPUTS, rng),
             enc_b=store.zeros("trk.enc_b", app_dim),
@@ -113,11 +119,11 @@ class TrackerParameters:
 
 def appearance_feature(
     params: TrackerParameters,
-    box: BoundingBox,
-    prev_box: BoundingBox,
+    boxes: Sequence[BoundingBox],
+    prev_boxes: Sequence[BoundingBox],
 ) -> Tensor:
-    """Affine encoding of [box || prev_box || 1]."""
-    x = np.concatenate([box.as_array(), prev_box.as_array(), [1.0]])
+    """Affine encoding of [box || prev_box || 1], one row per box."""
+    x = np.concatenate([_box_array(boxes), _box_array(prev_boxes), np.ones((len(boxes), 1))], axis=1)
     return ad.affine(params.enc_w, Tensor(x), params.enc_b)
 
 
@@ -145,18 +151,21 @@ def regress_from_relations(params: TrackerParameters, relation: Tensor) -> Tenso
     Sizes go through softplus so any input yields a valid box.
     """
     raw = _mlp(params.occ_w1, params.occ_b1, params.occ_w2, params.occ_b2, relation)
-    return ad.stack(
-        [ad.get(raw, 0), ad.get(raw, 1), ad.softplus(ad.get(raw, 2)), ad.softplus(ad.get(raw, 3))]
-    )
+    return _softplus_sizes(raw)
 
 
-def _offset_box(prev: BoundingBox, offset: Tensor) -> Tensor:
-    return ad.add(Tensor(prev.as_array()), offset)
+def _softplus_sizes(raw: Tensor) -> Tensor:
+    """``raw`` with softplus on its size columns (w, h), as one tape node."""
+    sizes = raw.data[..., 2:]
+    out = raw.data.copy()
+    out[..., 2:] = np.logaddexp(0.0, sizes)
 
+    def bw(g):
+        grad = g.copy()
+        grad[..., 2:] = g[..., 2:] / (1.0 + np.exp(-sizes))
+        return (grad,)
 
-def _tensor_to_box(t: Tensor) -> BoundingBox:
-    cx, cy, w, h = (float(v) for v in t.data)
-    return clamped_box(cx, cy, w, h)
+    return ad._make(out, (raw,), bw)
 
 
 # ---------------------------------------------------------------------------
@@ -169,6 +178,10 @@ class _Track:
     graph_box: BoundingBox  # last visible detection; REM input while occluded
     last_offset: np.ndarray
     missed: int = 0
+
+    def move(self, box: BoundingBox) -> None:
+        self.last_offset = box.as_array() - self.box.as_array()
+        self.box = box
 
 
 def _greedy_associate(
@@ -224,35 +237,34 @@ def track_sequence(
             dets = sorted(raw_dets, key=lambda d: (d.box.cx, d.box.cy, d.box.w, d.box.h))
             matched = _greedy_associate(tracks, dets, assoc_iou) if tracks else {}
 
-            terminated: set[int] = set()
-            for tid in sorted(tracks):
-                track = tracks[tid]
-                if tid in matched:
-                    det = dets[matched[tid]]
-                    prev = track.box
-                    feat = appearance_feature(trk, det.box, prev)
-                    if mode == "baseline":
-                        offset = regress_baseline(trk, feat)
-                    else:
-                        offset = regress_relation_aware(trk, feat, state.embedding(tid))
-                    new_box = _tensor_to_box(_offset_box(prev, offset))
-                    track.last_offset = new_box.as_array() - prev.as_array()
-                    track.box = new_box
-                    track.graph_box = det.box
-                    track.missed = 0
+            # Each head runs once per frame, over the rows of all the tracks
+            # it serves, in ascending track id.
+            live = sorted(tracks)
+            hits = [tid for tid in live if tid in matched]
+            if hits:
+                prev = [tracks[tid].box for tid in hits]
+                feat = appearance_feature(trk, [dets[matched[tid]].box for tid in hits], prev)
+                if mode == "baseline":
+                    offsets = regress_baseline(trk, feat)
                 else:
-                    track.missed += 1
-                    if track.missed > term_after:
-                        terminated.add(tid)
-                        continue
-                    if mode == "relations_for_occluded":
-                        new_box = _tensor_to_box(regress_from_relations(trk, state.embedding(tid)))
-                    else:
-                        new_box = clamped_box(*(track.box.as_array() + track.last_offset))
-                    track.last_offset = new_box.as_array() - track.box.as_array()
-                    track.box = new_box
-            for tid in terminated:
-                del tracks[tid]
+                    offsets = regress_relation_aware(trk, feat, state.embedding(hits))
+                for tid, row in zip(hits, (_box_array(prev) + offsets.data).tolist()):
+                    track = tracks[tid]
+                    track.move(clamped_box(*row))
+                    track.graph_box = dets[matched[tid]].box
+                    track.missed = 0
+            missed = [tid for tid in live if tid not in matched]
+            for tid in missed:
+                tracks[tid].missed += 1
+                if tracks[tid].missed > term_after:
+                    del tracks[tid]
+            missed = [tid for tid in missed if tid in tracks]
+            if mode == "relations_for_occluded" and missed:
+                rows = regress_from_relations(trk, state.embedding(missed)).data.tolist()
+            else:
+                rows = [tracks[tid].box.as_array() + tracks[tid].last_offset for tid in missed]
+            for tid, row in zip(missed, rows):
+                tracks[tid].move(clamped_box(*row))
 
             used = set(matched.values())
             for k, det in enumerate(dets):
@@ -374,45 +386,43 @@ def window_loss(
 
     The relation module runs over the first ``window`` frames; the regression
     heads then predict boxes at the final frame, and the occlusion head is
-    additionally supervised at every occluded frame inside the window.
+    additionally supervised at every occluded frame inside the window. Each
+    head is one call and one GIoU node, whatever its number of terms.
     """
     w = cfg.window
     seq, start, frames = sample.seq, sample.start, sample.graph.frames
     state = RemState()
     rem_step(rem_params, state, sample.graph, 0, w)
 
-    losses: list[Tensor] = []
     # Occlusion head: predict the box at t from the embedding at t-1.
-    for k in range(1, w + 1):
-        t_abs = start + k
-        for rec in seq.frames[t_abs]:
-            inst = rec.instance
-            if (t_abs, inst) in sample.det_boxes or inst not in frames[k - 1].boxes:
-                continue
-            pred = regress_from_relations(trk, state.embedding(inst, k - 1))
-            losses.append(giou_loss(pred, rec.box))
-
+    occluded = [
+        (rec.instance, k - 1, rec.box)
+        for k in range(1, w + 1)
+        for rec in seq.frames[start + k]
+        if (start + k, rec.instance) not in sample.det_boxes and rec.instance in frames[k - 1].boxes
+    ]
     # Regression heads at the frame after the window.
     t_abs = start + w
-    prev_frame = {rec.instance: rec for rec in seq.frames[t_abs - 1]}
-    for rec in seq.frames[t_abs]:
-        inst = rec.instance
-        if (t_abs, inst) not in sample.det_boxes or inst not in prev_frame or inst not in frames[w - 1].boxes:
-            continue
-        det_box = sample.det_boxes[(t_abs, inst)]
-        prev_box = prev_frame[inst].box
-        feat = appearance_feature(trk, det_box, prev_box)
-        pred_base = _offset_box(prev_box, regress_baseline(trk, feat))
-        losses.append(giou_loss(pred_base, rec.box))
-        pred_rel = _offset_box(prev_box, regress_relation_aware(trk, feat, state.embedding(inst)))
-        losses.append(giou_loss(pred_rel, rec.box))
-
-    if not losses:
+    prev_box = {rec.instance: rec.box for rec in seq.frames[t_abs - 1]}
+    seen = prev_box.keys() & frames[w - 1].boxes.keys()
+    visible = [
+        rec for rec in seq.frames[t_abs] if rec.instance in seen and (t_abs, rec.instance) in sample.det_boxes
+    ]
+    n_terms = len(occluded) + 2 * len(visible)
+    if n_terms == 0:
         return None
-    total = losses[0]
-    for term in losses[1:]:
-        total = ad.add(total, term)
-    return ad.mul(total, 1.0 / len(losses))
+    # One call per head over all of its terms, whose rows are in the order a
+    # per-term chain would visit them, then one GIoU node per head.
+    ids = [rec.instance for rec in visible]
+    targets = [rec.box for rec in visible]
+    prev_boxes = [prev_box[i] for i in ids]
+    feat = appearance_feature(trk, [sample.det_boxes[(t_abs, i)] for i in ids], prev_boxes)
+    prev = Tensor(_box_array(prev_boxes))
+    base = ad.add(prev, regress_baseline(trk, feat))
+    rel = ad.add(prev, regress_relation_aware(trk, feat, state.embedding(ids)))
+    relations = state.embedding([i for i, _, _ in occluded], [k for _, k, _ in occluded])
+    occ_loss = giou_loss(regress_from_relations(trk, relations), [box for _, _, box in occluded])
+    return ad.mul(ad.add(ad.add(occ_loss, giou_loss(base, targets)), giou_loss(rel, targets)), 1.0 / n_terms)
 
 
 def train(

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from remtrack import autodiff as ad
 from remtrack.autodiff import ParameterStore
 from remtrack.rem import RemParameters
 from remtrack.tracker import TrackerParameters
@@ -24,3 +25,8 @@ def make_rem(dim=8, seed=0):
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+def weighted_sum(x, c):
+    """sum(x * c) as one tape node, a scalar loss over a matrix of rows."""
+    return ad._make(np.asarray(np.sum(x.data * c)), (x,), lambda g: (g * c,))

@@ -269,6 +269,25 @@ class TestGiou:
         with pytest.raises(ValueError, match="length-4"):
             giou_loss(Tensor(np.zeros(3)), BoundingBox(0, 0, 1, 1))
 
+    def test_rejects_targets_that_do_not_match_the_rows(self):
+        with pytest.raises(ValueError, match=r"got shape \(2, 4\) for 1 targets"):
+            giou_loss(Tensor(np.ones((2, 4))), [BoundingBox(0, 0, 1, 1)])
+
+    @given(st.lists(st.tuples(half_grid_pred, half_grid_target), max_size=12))
+    @settings(max_examples=150)
+    def test_rows_match_scalar_oracle_row_by_row(self, pairs):
+        # one node over the rows: the sum of the oracle's losses, and each
+        # row's gradient the oracle's
+        p = Tensor(np.array([pred for pred, _ in pairs]).reshape(-1, 4), requires_grad=True)
+        loss = giou_loss(p, [target for _, target in pairs])
+        assert loss._parents == (p,)
+        ad.backward(loss)
+        oracle = [scalar_giou_loss_and_grad(pred, target) for pred, target in pairs]
+        assert same_bits(loss.data, np.asarray(np.sum([value for value, _ in oracle])))
+        for row, (_, expected_grad) in zip(p.grad, oracle):
+            expected_grad = np.array(expected_grad)
+            assert np.max(np.abs(row - expected_grad)) <= 1e-12 * np.max(np.abs(expected_grad))
+
     def test_one_tape_node(self):
         pred = Tensor(np.array([0.5, 0.0, 2.0, 1.0]), requires_grad=True)
         loss = giou_loss(pred, BoundingBox(1.0, 0.5, 2.0, 2.0))

@@ -15,8 +15,9 @@ from oracles import (
 )
 from remtrack import autodiff as ad
 from remtrack import rem as rem_module
-from remtrack.autodiff import Tensor, gradient_check
-from remtrack.geometry import BoundingBox, scaled_distance
+from remtrack import tracker
+from remtrack.autodiff import ParameterStore, Tensor, gradient_check
+from remtrack.geometry import BoundingBox, _box_array, scaled_distance
 from remtrack.rem import (
     RemState,
     _aggregate,
@@ -36,7 +37,7 @@ from remtrack.rem import (
 from remtrack.simulator import ScenarioConfig, generate
 from remtrack.st_graph import build_graph
 
-from conftest import make_rem
+from conftest import make_rem, weighted_sum
 
 
 def box(cx, cy, w=2.0, h=2.0):
@@ -762,12 +763,21 @@ class TestZeroNormCosine:
 # step: the input affine; the GRU gates, projections and second message
 # layer; the update affine.
 REM_WEIGHT_SHAPES = [(128, 8), (128, 128), (128, 256)]
+TRACKER_HEADS = [
+    "appearance_feature",
+    "regress_baseline",
+    "regress_relation_aware",
+    "regress_from_relations",
+    "_softplus_sizes",
+    "giou_loss",
+]
 
 
 class TestBlockInvariance:
     """The guard that criteria 3 and 4 rest on: a row's bits never depend on
     the rows it is computed with. If it fails on some BLAS, REM has to go
-    back to one product per node."""
+    back to one product per node, and the tracker's heads to one call per
+    row."""
 
     @given(
         st.sampled_from(REM_WEIGHT_SHAPES),
@@ -782,6 +792,60 @@ class TestBlockInvariance:
         out = ad._block_matmul(x, w)
         for p in range(m):
             assert np.array_equal(out[p], ad._block_matmul(x[p : p + 1], w)[0])
+
+    @given(st.sampled_from(TRACKER_HEADS), st.integers(0, 40), st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_tracker_head_rows_are_batch_invariant(self, head, n, seed):
+        # At the model's shapes, every row of a head, of the occlusion head's
+        # box node or of the GIoU loss has, in value and input gradient, the
+        # bits of a call on that row alone.
+        rng = np.random.default_rng(seed)
+        trk = tracker.TrackerParameters.create(ParameterStore(), rel_dim=128, app_dim=32, rng=rng)
+        for bias in (trk.enc_b, trk.base_b1, trk.base_b2, trk.rel_b1, trk.rel_b2, trk.occ_b1, trk.occ_b2):
+            bias.data[:] = rng.normal(size=bias.data.shape)
+        boxes, prevs = ([box(*rng.uniform(0, 10, 2), *rng.uniform(0.5, 3, 2)) for _ in range(n)] for _ in range(2))
+        app, rel = rng.normal(size=(n, 32)), rng.normal(size=(n, 128)) * 0.3
+        raw = _box_array(boxes) + rng.normal(size=(n, 4))
+        arrays = {
+            "regress_baseline": [app],
+            "regress_relation_aware": [app, rel],
+            "regress_from_relations": [rel],
+            "_softplus_sizes": [raw],
+            "giou_loss": [raw],
+        }.get(head, [])
+
+        def call(xs, box_args):
+            if head == "appearance_feature":
+                return tracker.appearance_feature(trk, *box_args)
+            if head == "giou_loss":
+                return tracker.giou_loss(xs[0], box_args[0])
+            if head == "_softplus_sizes":
+                return tracker._softplus_sizes(xs[0])
+            return getattr(tracker, head)(trk, *xs)
+
+        def grad_of(out, c):
+            ad.backward(out if head == "giou_loss" else weighted_sum(out, c))
+            return out.data
+
+        xs = [Tensor(a, requires_grad=True) for a in arrays]
+        out = call(xs, [boxes, prevs] if head == "appearance_feature" else [boxes])
+        c = rng.normal(size=out.data.shape)
+        rows = grad_of(out, c)
+        alone = []
+        for p in range(n):
+            xs_p = [Tensor(a[p], requires_grad=True) for a in arrays]
+            if head == "appearance_feature":
+                alone.append(grad_of(call(xs_p, [[boxes[p]], [prevs[p]]]), c[p : p + 1])[0])
+            else:
+                alone.append(grad_of(call(xs_p, [boxes[p]]), None if head == "giou_loss" else c[p]))
+            for x, x_p in zip(xs, xs_p):
+                assert np.array_equal(x.grad[p], x_p.grad)
+        if head == "giou_loss":
+            assert np.array_equal(rows, np.sum(alone))
+        else:
+            assert rows.shape[0] == n
+            for p in range(n):
+                assert np.array_equal(rows[p], alone[p])
 
     def test_rem_step_multiplies_only_guarded_shapes(self, monkeypatch):
         shapes = set()

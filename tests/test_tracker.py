@@ -4,17 +4,20 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import make_model
+from conftest import make_model, weighted_sum
 from remtrack import autodiff as ad
-from remtrack.autodiff import Tensor, backward, gradient_check
+from remtrack.autodiff import ParameterStore, Tensor, backward, gradient_check
 from remtrack import tracker
 from remtrack.geometry import BoundingBox, clamped_box, iou
 from remtrack.simulator import Detection, ScenarioConfig, detect_sequence, generate
 from remtrack.tracker import (
+    TRACK_MODES,
+    TrackerParameters,
     TrainConfig,
     _greedy_associate,
     _Track,
     appearance_feature,
+    prepare_window,
     regress_baseline,
     regress_from_relations,
     regress_relation_aware,
@@ -67,15 +70,16 @@ def gt_detections(seq):
 class TestAppearanceFeature:
     def test_zero_weights_zero_feature(self):
         _, _, trk = zero_model()
-        f = appearance_feature(trk, box(1, 2), box(3, 4))
-        assert np.array_equal(f.data, np.zeros(trk.app_dim))
+        f = appearance_feature(trk, [box(1, 2)], [box(3, 4)])
+        assert np.array_equal(f.data, np.zeros((1, trk.app_dim)))
 
     def test_gradient_through_encoder(self):
         store, _, trk = make_model(dim=4, app_dim=5, seed=3)
+        c = np.random.default_rng(4).normal(size=(2, 5))
 
         def loss():
-            f = appearance_feature(trk, box(1.3, 0.7), box(1.0, 0.5))
-            return ad.dot(f, f)
+            f = appearance_feature(trk, [box(1.3, 0.7), box(0.2, 1.1)], [box(1.0, 0.5), box(0.4, 0.9)])
+            return weighted_sum(f, c)
 
         assert gradient_check(loss, store, epsilon=1e-5) < 1e-4
 
@@ -114,6 +118,17 @@ class TestRegressionHeads:
         for _ in range(50):
             out = regress_from_relations(trk, Tensor(rng.normal(size=8) * 5))
             assert out.data[2] > 0 and out.data[3] > 0
+
+    def test_softplus_sizes_gradients(self):
+        # the occlusion head's box node: softplus on the size columns only
+        rng = np.random.default_rng(11)
+        store = ParameterStore()
+        raw = store.register("raw", Tensor(rng.normal(size=(3, 4)) * 2.0))
+        c = rng.normal(size=(3, 4))
+        out = tracker._softplus_sizes(raw)
+        assert np.array_equal(out.data[:, :2], raw.data[:, :2])
+        assert np.all(out.data[:, 2:] > 0)
+        assert gradient_check(lambda: weighted_sum(tracker._softplus_sizes(raw), c), store, epsilon=1e-5) < 1e-4
 
     def test_gradient_checks(self):
         store, _, trk = make_model(dim=5, app_dim=4, seed=7)
@@ -204,8 +219,10 @@ class TestTrackSequence:
         regress = tracker.regress_from_relations
 
         def spy(params, relation):
+            # one call per frame, whose only occluded track is B
             out = regress(params, relation)
-            recorded.append(clamped_box(*out.data.tolist()))
+            assert out.data.shape == (1, 4)
+            recorded.append(clamped_box(*out.data[0].tolist()))
             return out
 
         monkeypatch.setattr(tracker, "regress_from_relations", spy)
@@ -226,6 +243,34 @@ class TestTrackSequence:
             for t in range(5, 12):
                 prev, before = emitted[t - 1].as_array(), emitted[t - 2].as_array()
                 assert emitted[t] == clamped_box(*(prev + (prev - before)))
+
+    def test_each_head_runs_at_most_once_per_frame(self, monkeypatch):
+        calls = {}
+        for name in ("regress_baseline", "regress_relation_aware", "regress_from_relations"):
+            def spy(*args, head=getattr(tracker, name), name=name):
+                out = head(*args)
+                calls.setdefault(name, []).append(len(out.data))
+                return out
+
+            monkeypatch.setattr(tracker, name, spy)
+        cfg = ScenarioConfig(
+            n_frames=12, n_groups=3, group_size_min=2, group_size_max=3,
+            occlusion_prob=0.5, occlusion_min=2, occlusion_max=4, seed=14,
+        )
+        dets = detect_sequence(generate(cfg), cfg, seed=7)
+        store, rem_params, trk = make_model(dim=6, app_dim=5, seed=15)
+        used = {
+            "baseline": {"regress_baseline"},
+            "relation_aware": {"regress_relation_aware"},
+            "relations_for_occluded": {"regress_relation_aware", "regress_from_relations"},
+        }
+        for mode in TRACK_MODES:
+            calls.clear()
+            track_sequence(trk, rem_params, dets, mode, d_th=15.0)
+            assert set(calls) == used[mode]
+            for rows in calls.values():
+                assert len(rows) <= len(dets) and min(rows) >= 1
+            assert max(max(rows) for rows in calls.values()) > 1
 
     def test_all_boxes_valid(self):
         cfg = ScenarioConfig(n_frames=12, n_groups=3, group_size_min=1, group_size_max=3, seed=14)
@@ -324,6 +369,11 @@ class TestTrackerParameters:
         with pytest.raises(ValueError, match="appearance dimension must be >= 1"):
             make_model(dim=4, app_dim=app_dim)
 
+    @pytest.mark.parametrize("rel_dim", [0, -3])
+    def test_rejects_empty_relation_embedding(self, rel_dim):
+        with pytest.raises(ValueError, match=f"relation dimension must be >= 1, got {rel_dim}"):
+            TrackerParameters.create(ParameterStore(), rel_dim=rel_dim, rng=np.random.default_rng(0))
+
 
 class TestTrain:
     def small_data(self, n=2, seed0=30):
@@ -384,8 +434,6 @@ class TestTrain:
 
     def test_gradients_reach_attention_weights(self):
         # end-to-end: GIoU loss at the head moves the attention projections
-        from remtrack.tracker import prepare_window
-
         store, rem_params, trk = make_model(dim=6, app_dim=5, seed=26)
         seq = self.small_data(1, seed0=50)[0]
         cfg = TrainConfig(window=6, seed=6)
@@ -395,3 +443,45 @@ class TestTrain:
         backward(loss)
         grad = store["rem.w_a1"].grad
         assert grad is not None and np.any(grad != 0)
+
+
+def tape_nodes(loss):
+    """Nodes on the tape behind ``loss``: every node with a backward closure."""
+    seen, todo, count = {id(loss)}, [loss], 0
+    while todo:
+        node = todo.pop()
+        count += node._backward is not None
+        for parent in node._parents:
+            if id(parent) not in seen:
+                seen.add(id(parent))
+                todo.append(parent)
+    return count
+
+
+class TestWindowLossTape:
+    def test_node_count_does_not_grow_with_the_terms(self, monkeypatch):
+        # two windows of one group, one member occluded at frames 1-2 in the
+        # first and three in the second: more terms for every head, the
+        # same tape
+        terms = []
+        giou_loss = tracker.giou_loss
+
+        def spy(pred, targets):
+            terms.append(len(targets))
+            return giou_loss(pred, targets)
+
+        monkeypatch.setattr(tracker, "giou_loss", spy)
+        store, rem_params, trk = make_model(dim=4, app_dim=4, seed=31)
+        cfg = TrainConfig(window=3)
+        counts = []
+        for occluded in ([0.0, 1.0], [0.0, 1.0, 0.0, 1.0, 1.0]):
+            scene = ScenarioConfig(
+                n_frames=4, scene_w=10.0, scene_h=10.0, n_groups=1,
+                group_size_min=len(occluded), group_size_max=len(occluded),
+                occlusion_prob=occluded, occlusion_start=1, occlusion_min=2, occlusion_max=2,
+                occlusion_vis=(0.0, 0.0), seed=32,
+            )
+            sample = prepare_window(generate(scene), 0, cfg, np.random.default_rng(33))
+            counts.append(tape_nodes(window_loss(trk, rem_params, sample, cfg)))
+        assert min(terms) > 0 and all(a < b for a, b in zip(terms[:3], terms[3:]))
+        assert counts[0] == counts[1]
