@@ -23,6 +23,17 @@ from .simulator import GroundTruthSequence, GtRecord
 CHECKPOINT_VERSION = 1
 
 
+def _is_integer(value) -> bool:
+    """An int, or a float with an integral value; never a bool or a string.
+
+    The one check for frame indices and ids read from files: JSON ``true``,
+    ``"0"`` and ``1.7`` are not integers, and neither are NaN and infinity.
+    """
+    if isinstance(value, bool):
+        return False
+    return isinstance(value, int) or (isinstance(value, float) and value.is_integer())
+
+
 @dataclass(frozen=True)
 class MotRecord:
     """One row of a MOTChallenge file; frame is 1-based, corner format."""
@@ -63,11 +74,11 @@ def parse_mot_csv(text: str) -> list[MotRecord]:
             values = [float(p) for p in parts]
         except ValueError as exc:
             raise ValueError(f"line {lineno}: non-numeric field ({exc})") from None
-        if not (values[0].is_integer() and values[1].is_integer()):
+        if not (_is_integer(values[0]) and _is_integer(values[1])):
             raise ValueError(
                 f"line {lineno}: frame and id must be integers, got {parts[0]!r}, {parts[1]!r}"
             )
-        if len(parts) >= 9 and not values[7].is_integer():
+        if len(parts) >= 9 and not _is_integer(values[7]):
             raise ValueError(f"line {lineno}: class must be an integer, got {parts[7]!r}")
         cls = int(values[7]) if len(parts) >= 9 else -1
         vis = values[8] if len(parts) >= 9 and values[8] >= 0 else None
@@ -160,6 +171,11 @@ def read_scenario_jsonl(text: str) -> GroundTruthSequence:
         missing = [k for k in _SCENARIO_KEYS if k not in obj]
         if missing:
             raise ValueError(f"record {index}: missing fields {missing}")
+        for key in ("t", "id", "group"):
+            if not _is_integer(obj[key]):
+                raise ValueError(f"record {index}: {key} must be an integer, got {obj[key]!r}")
+        if obj["t"] < 0:
+            raise ValueError(f"record {index}: t must be >= 0, got {obj['t']!r}")
         try:
             records.append(
                 GtRecord(

@@ -12,6 +12,11 @@ once, as one ``iou_matrix`` shared by every threshold and metric. Each
 distinct alpha is matched once per frame: CLEAR MOT, MT/ML and HOTA's 0.5
 entry share the alpha = 0.5 matching, and IDF1 counts ``IoU >= alpha`` from
 the same matrices.
+
+The optimal assignment is scipy's ``linear_sum_assignment``. Only scoring
+needs it, so this module imports scipy's solver on the first assignment
+rather than when it loads: training, tracking and relation importance never
+load it.
 """
 
 from __future__ import annotations
@@ -22,7 +27,6 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 # ``iou`` is unused here but stays a name of this module: benchmarks/layers.py
 # wraps ``metrics.iou``.
@@ -35,6 +39,17 @@ TrackFrames = Sequence[FramePairs]
 DEFAULT_ALPHAS = tuple(round(0.05 * k, 2) for k in range(1, 20))
 
 _CARDINALITY_BONUS = 1e6
+
+
+def linear_sum_assignment(cost_matrix, maximize=False):
+    """``scipy.optimize.linear_sum_assignment``, imported on the first call.
+
+    ``_match`` and ``_Scoring.idf1`` call it through this module's name, so a
+    wrapper installed here (benchmarks/layers.py) sees every assignment.
+    """
+    from scipy.optimize import linear_sum_assignment as solve
+
+    return solve(cost_matrix, maximize=maximize)
 
 
 @dataclass

@@ -325,6 +325,29 @@ class TestErrors:
         assert code == 1
         assert message in self.one_line_error(capsys)
 
+    @pytest.mark.parametrize(
+        "last, message",
+        [
+            ({"t": -1, "id": 7}, "record 2: t must be >= 0, got -1"),
+            ({"t": 1, "id": True}, "record 2: id must be an integer, got True"),
+        ],
+        ids=["negative-frame", "bool-id"],
+    )
+    def test_eval_bad_scenario_frame_or_id(self, tmp_path, capsys, last, message):
+        records = [
+            {"t": t, "id": 1, "cx": 5.0 + t, "cy": 5.0, "w": 2.0, "h": 2.0, "vis": 1.0, "group": 0}
+            for t in (0, 1, 1)
+        ]
+        records[2].update(last)
+        gt = tmp_path / "gt.jsonl"
+        gt.write_text("\n".join(json.dumps(r) for r in records) + "\n")
+        pred = tmp_path / "pred.jsonl"
+        pred.write_text("\n".join(json.dumps(r) for r in records[:2]) + "\n")
+        code = run(["eval", "--gt", str(gt), "--pred", str(pred), "--out", str(tmp_path / "e")])
+        assert code == 1
+        assert message in self.one_line_error(capsys)
+        assert not (tmp_path / "e").exists()
+
     @pytest.mark.parametrize("command", ["track", "relations"])
     def test_incomplete_checkpoint(self, tmp_path, capsys, command):
         scenario, _ = write_scenario(tmp_path)

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from remtrack import io as rio
 from remtrack.autodiff import ParameterStore, Tensor
@@ -124,6 +126,49 @@ class TestScenarioJsonl:
     def test_empty_text(self):
         seq = rio.read_scenario_jsonl("")
         assert seq.n_frames == 0 and seq.frames == []
+
+
+def scenario_record(t, instance, group=0):
+    return {"t": t, "id": instance, "cx": 5.0, "cy": 5.0, "w": 2.0, "h": 2.0, "vis": 1.0, "group": group}
+
+
+# Not integers: bools, strings, fractions, non-finite floats, null, lists.
+NON_INTEGERS = [True, False, "0", "7", 1.7, -0.5, float("nan"), float("inf"), float("-inf"), None, [1]]
+# Not integers in a CSV field: non-numeric text is rejected before this check.
+NON_INTEGER_TOKENS = ["1.5", "-0.5", "nan", "inf", "-inf", "true", "x", ""]
+
+
+class TestIntegerFields:
+    """Frame indices and ids are integers; one bad field fails its record."""
+
+    RECORDS = [scenario_record(0, 1), scenario_record(1, 1, group=2), scenario_record(1, 4, group=2)]
+    CSV_LINES = ["1,1,0,0,4,4,1", "2,1,0,0,4,4,1", "2,4,0,0,4,4,1"]
+
+    @settings(max_examples=150, deadline=None)
+    @given(index=st.integers(0, 2), key=st.sampled_from(["t", "id", "group"]), data=st.data())
+    def test_scenario_field_with_a_bad_value(self, index, key, data):
+        pool = NON_INTEGERS + ([-1, -7, -1.0] if key == "t" else [])
+        bad = data.draw(st.sampled_from(pool), label="bad")
+        records = [dict(r) for r in self.RECORDS]
+        records[index][key] = bad
+        text = "\n".join(json.dumps(r) for r in records) + "\n"
+        with pytest.raises(ValueError, match=rf"^record {index}: {key} must be"):
+            rio.read_scenario_jsonl(text)
+
+    @given(index=st.integers(0, 2), key=st.sampled_from(["t", "id", "group"]))
+    def test_scenario_integral_float_reads_as_the_integer(self, index, key):
+        records = [dict(r) for r in self.RECORDS]
+        expected = rio.read_scenario_jsonl("\n".join(json.dumps(r) for r in records))
+        records[index][key] = float(records[index][key])
+        assert rio.read_scenario_jsonl("\n".join(json.dumps(r) for r in records)).frames == expected.frames
+
+    @settings(max_examples=100, deadline=None)
+    @given(index=st.integers(0, 2), field=st.sampled_from([0, 1]), bad=st.sampled_from(NON_INTEGER_TOKENS))
+    def test_csv_frame_or_id_with_a_bad_value(self, index, field, bad):
+        lines = [line.split(",") for line in self.CSV_LINES]
+        lines[index][field] = bad
+        with pytest.raises(ValueError, match=rf"^line {index + 1}: "):
+            rio.parse_mot_csv("\n".join(",".join(parts) for parts in lines) + "\n")
 
 
 class TestCheckpoints:

@@ -1,8 +1,14 @@
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
 from oracles import brute_hota_single, brute_idf1, brute_match, brute_mota
+from remtrack import metrics
 from remtrack.geometry import BoundingBox
 from remtrack.metrics import (
     DEFAULT_ALPHAS,
@@ -337,3 +343,54 @@ class TestSharedPass:
             h = hota(gt, pred, alphas=(0.1, 0.3, 0.5, 0.7))
             for k, alpha in enumerate(h.alphas):
                 assert (h.deta[k], h.assa[k], h.hota[k]) == brute_hota_single(gt, pred, alpha)
+
+
+class TestSolverLoading:
+    """scipy's solver loads on the first assignment, and only scoring assigns."""
+
+    def test_only_scoring_loads_the_solver(self):
+        # a fresh interpreter: this test process may hold scipy already
+        script = textwrap.dedent(
+            """
+            import sys
+            import remtrack
+            import remtrack.cli
+            from remtrack import metrics
+            from remtrack.cli import _build_model
+            from remtrack.simulator import ScenarioConfig, detect_sequence, generate
+            from remtrack.tracker import TRACK_MODES, TrainConfig, track_sequence, train
+
+            seq = generate(ScenarioConfig(n_frames=3, n_groups=2, seed=1))
+            detections = detect_sequence(seq, ScenarioConfig(n_frames=3), seed=2)
+            store, rem_params, trk_params = _build_model(8, 4, seed=0)
+            for mode in TRACK_MODES:
+                track_sequence(trk_params, rem_params, detections, mode)
+            train(store, trk_params, rem_params, [seq], TrainConfig(window=2, epochs=1))
+            assert "scipy.optimize" not in sys.modules, "loaded before scoring"
+            metrics.evaluate(seq.as_track_frames(), seq.as_track_frames())
+            assert "scipy.optimize" in sys.modules, "not loaded by scoring"
+            """
+        )
+        root = Path(__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(root / "src")}
+        done = subprocess.run([sys.executable, "-c", script], cwd=root, env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+
+    @pytest.mark.parametrize("alphas", [DEFAULT_ALPHAS, (0.3,), (0.5, 0.3, 0.5, 0.75)])
+    def test_a_wrapper_sees_every_assignment(self, rng, monkeypatch, alphas):
+        # benchmarks/layers.py times metrics.assignment with such a wrapper
+        gt, pred = random_scenario(rng, n_objects=4, n_frames=6)
+        gt[2], pred[4] = [], []
+        expected = evaluate(gt, pred, alphas)
+        calls = []
+        solve = metrics.linear_sum_assignment
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(metrics, "linear_sum_assignment", counting)
+        report = evaluate(gt, pred, alphas)
+        frames = sum(1 for g, p in zip(gt, pred) if g and p)
+        assert len(calls) == len(set(alphas) | {0.5}) * frames + 1  # + 1 for IDF1
+        assert report == expected
