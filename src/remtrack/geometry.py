@@ -7,9 +7,12 @@ to object size. Both squared terms are ADDED under the square root; dividing
 by the raw (not squared) extents is kept as-is, so the threshold lives in
 mixed units.
 
-``iou_matrix`` and ``scaled_distance_matrix`` are the all-pairs forms used on
-hot paths. They repeat the scalar arithmetic entry by entry, in the same
-order, so every entry is bitwise equal to ``iou`` / ``scaled_distance``.
+Inside the program a set of boxes is an (n, 4) float array of (cx, cy, w, h)
+rows; ``BoundingBox`` is the validated record where boxes enter or leave it,
+and ``_box_array`` turns a sequence of records into rows. ``iou_matrix`` and
+``scaled_distance_matrix`` are the all-pairs forms over such arrays. They
+repeat the scalar arithmetic entry by entry, in the same order, so every
+entry is bitwise equal to ``iou`` / ``scaled_distance``.
 
 ``giou_loss`` is one tape node over a matrix of rows. Each row's forward is
 bitwise the chain of scalar ``max``/``min`` and arithmetic steps that defines
@@ -75,17 +78,19 @@ def scaled_distance(a: BoundingBox, b: BoundingBox) -> float:
 
 
 def _box_array(boxes: Sequence[BoundingBox]) -> np.ndarray:
+    """(n, 4) rows of ``boxes``: the one conversion from records to rows."""
     return np.array([(b.cx, b.cy, b.w, b.h) for b in boxes], dtype=float).reshape(-1, 4)
 
 
-def scaled_distance_matrix(boxes: Sequence[BoundingBox]) -> np.ndarray:
-    """``scaled_distance`` between every pair of ``boxes``, bitwise equal to it.
+def scaled_distance_matrix(boxes: np.ndarray) -> np.ndarray:
+    """``scaled_distance`` between every pair of (n, 4) ``boxes`` rows, bitwise
+    equal to it.
 
     Each entry repeats the scalar function's operations in the same order and
     nothing is reduced across entries, so an entry does not depend on the other
     boxes; the matrix is exactly symmetric with a zero diagonal.
     """
-    cx, cy, w, h = _box_array(boxes).T
+    cx, cy, w, h = boxes.T
     w_bar = np.maximum(np.minimum(w[:, None], w[None, :]), MIN_BOX_SIZE)
     h_bar = np.maximum(np.minimum(h[:, None], h[None, :]), MIN_BOX_SIZE)
     dx = cx[:, None] - cx[None, :]
@@ -115,11 +120,12 @@ def iou(a: BoundingBox, b: BoundingBox) -> float:
     return min(inter / union, 1.0)
 
 
-def iou_matrix(a_boxes: Sequence[BoundingBox], b_boxes: Sequence[BoundingBox]) -> np.ndarray:
-    """``iou(a, b)`` for every a in ``a_boxes`` (rows) and b in ``b_boxes``
-    (columns), bitwise equal to the scalar function entry by entry."""
-    acx, acy, aw, ah = _box_array(a_boxes).T
-    bcx, bcy, bw, bh = _box_array(b_boxes).T
+def iou_matrix(a_boxes: np.ndarray, b_boxes: np.ndarray) -> np.ndarray:
+    """``iou(a, b)`` for every row a of the (n, 4) ``a_boxes`` (rows) and b of
+    the (m, 4) ``b_boxes`` (columns), bitwise equal to the scalar function
+    entry by entry."""
+    acx, acy, aw, ah = a_boxes.T
+    bcx, bcy, bw, bh = b_boxes.T
     ax1, ay1, ax2, ay2 = acx - aw / 2.0, acy - ah / 2.0, acx + aw / 2.0, acy + ah / 2.0
     bx1, by1, bx2, by2 = bcx - bw / 2.0, bcy - bh / 2.0, bcx + bw / 2.0, bcy + bh / 2.0
     iw = np.minimum(ax2[:, None], bx2[None, :]) - np.maximum(ax1[:, None], bx1[None, :])

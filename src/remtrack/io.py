@@ -22,6 +22,12 @@ from .simulator import GroundTruthSequence, GtRecord
 
 CHECKPOINT_VERSION = 1
 
+# The most frames a scenario JSONL or MOT CSV file may span. Readers size
+# their frame lists by the largest frame index, so a stray huge index would
+# allocate that many lists; the longest MOT17 and MOT20 sequences have a few
+# thousand frames.
+MAX_FRAMES = 100_000
+
 
 def _is_integer(value) -> bool:
     """An int, or a float with an integral value; never a bool or a string.
@@ -49,8 +55,8 @@ class MotRecord:
     visibility: float | None = None
 
     def __post_init__(self):
-        if self.frame < 1:
-            raise ValueError(f"frame must be >= 1, got {self.frame}")
+        if not 1 <= self.frame <= MAX_FRAMES:
+            raise ValueError(f"frame must be in [1, {MAX_FRAMES}], got {self.frame}")
         if self.bb_width <= 0 or self.bb_height <= 0:
             raise ValueError("box width and height must be positive")
         if self.visibility is not None and not 0.0 <= self.visibility <= 1.0:
@@ -176,6 +182,8 @@ def read_scenario_jsonl(text: str) -> GroundTruthSequence:
                 raise ValueError(f"record {index}: {key} must be an integer, got {obj[key]!r}")
         if obj["t"] < 0:
             raise ValueError(f"record {index}: t must be >= 0, got {obj['t']!r}")
+        if obj["t"] >= MAX_FRAMES:
+            raise ValueError(f"record {index}: t must be < {MAX_FRAMES}, got {obj['t']!r}")
         try:
             records.append(
                 GtRecord(

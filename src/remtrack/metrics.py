@@ -30,7 +30,7 @@ import numpy as np
 
 # ``iou`` is unused here but stays a name of this module: benchmarks/layers.py
 # wraps ``metrics.iou``.
-from .geometry import BoundingBox, iou, iou_matrix  # noqa: F401
+from .geometry import BoundingBox, _box_array, iou, iou_matrix  # noqa: F401
 
 FramePairs = Sequence[tuple[int, BoundingBox]]
 TrackFrames = Sequence[FramePairs]
@@ -77,7 +77,7 @@ def _frame(gt: FramePairs, pred: FramePairs) -> _Frame:
     pred_ids = [p for p, _ in pred]
     if len(set(gt_ids)) != len(gt_ids) or len(set(pred_ids)) != len(pred_ids):
         raise ValueError("duplicate ids within one frame")
-    return _Frame(gt_ids, pred_ids, iou_matrix([b for _, b in gt], [b for _, b in pred]))
+    return _Frame(gt_ids, pred_ids, iou_matrix(_box_array([b for _, b in gt]), _box_array([b for _, b in pred])))
 
 
 def _check_alpha(alpha: float) -> None:

@@ -33,6 +33,9 @@ because no number of a node depends on anything but its own rows:
 * A receiver's senders come in a canonical order, distance then content
   rank, that never depends on instance ids; the content rank orders nodes by
   box, then by the bytes of the node feature, equal content sharing a rank.
+  It is one ``lexsort`` per frame over the box columns and a void view of
+  the feature rows, whose order is that of the rows' bytes; ``-0.0`` and
+  ``0.0`` tie in a box column, as they do as numbers.
   One sort per run, over both directions of every frame's edge arrays, puts
   every receiver's senders in that order as one contiguous segment; the
   receiver's row is the first key, so a segment never spans frames.
@@ -63,7 +66,6 @@ batch in it, which bounds the working set of a long or dense sequence.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -148,35 +150,40 @@ class RemState:
     """Recurrent per-instance state after the last run of frames stepped
     through. ``v`` (node hidden states) and ``r`` (relation embeddings) hold
     one row per instance per frame of the run: frame ``first + k`` has the
-    instances ``frames[k]``, ascending, at rows ``bounds[k]`` onwards. Before
-    the first run ``v`` and ``r`` are None. Boxes are read from the graph,
-    not kept here."""
+    instances ``frames[k]``, an ascending id array, at rows ``bounds[k]``
+    onwards. Before the first run ``v`` and ``r`` are None. Boxes are read
+    from the graph, not kept here."""
 
-    frames: tuple[tuple[int, ...], ...] = ()
+    frames: tuple[np.ndarray, ...] = ()
     v: Tensor | None = None
     r: Tensor | None = None
     bounds: tuple[int, ...] = (0,)
     first: int = 0
 
     @property
-    def ids(self) -> tuple[int, ...]:
+    def ids(self) -> np.ndarray:
         """The instances of the run's last frame."""
-        return self.frames[-1] if self.frames else ()
+        return self.frames[-1] if self.frames else np.zeros(0, dtype=np.intp)
 
     def embedding(self, ids, t=None) -> Tensor:
         """Relation embeddings of instances ``ids`` at frames ``t`` of the
         run (its last frame by default), as one gather node on ``r``: a row
-        for one id, a matrix of rows for a sequence of ids."""
+        for one id, a matrix of rows for a sequence of ids. The first absent
+        (id, frame), in the order of ``ids``, raises ``KeyError``."""
         ids = np.asarray(ids, dtype=np.intp)
-        ks = np.broadcast_to(len(self.frames) - 1 if t is None else np.asarray(t) - self.first, ids.shape)
-        rows = []
-        for i, k in zip(ids.ravel().tolist(), ks.ravel().tolist()):
-            frame = self.frames[k] if 0 <= k < len(self.frames) else ()
-            p = bisect_left(frame, i)
-            if p == len(frame) or frame[p] != i:
-                raise KeyError((i, k + self.first))
-            rows.append(self.bounds[k] + p)
-        return ad.take(self.r, np.reshape(rows, ids.shape))
+        flat = ids.ravel()
+        ks = np.broadcast_to(len(self.frames) - 1 if t is None else np.asarray(t) - self.first, ids.shape).ravel()
+        rows = np.full(len(flat), -1, dtype=np.intp)
+        for k, frame in enumerate(self.frames):
+            at = np.flatnonzero(ks == k)
+            p = np.searchsorted(frame, flat[at])
+            found = p < len(frame)
+            found[found] = frame[p[found]] == flat[at[found]]
+            rows[at[found]] = self.bounds[k] + p[found]
+        if np.any(rows < 0):
+            a = int(np.argmax(rows < 0))
+            raise KeyError((int(flat[a]), int(ks[a]) + self.first))
+        return ad.take(self.r, rows.reshape(ids.shape))
 
 
 @dataclass(frozen=True)
@@ -299,19 +306,17 @@ def _project(params: RemParameters, v: Tensor) -> Tensor:
     return ad._make(proj, (p.w_m1, p.b_m1, p.w_a1, p.w_a2, v), bw)
 
 
-def _content_rank(frame: GraphFrame, v: np.ndarray) -> np.ndarray:
-    """Rank of each node by (cx, cy, w, h, bytes of its node feature); nodes
-    equal in all of these share a rank."""
-    keys = []
-    for i, row in zip(frame.ids, v):
-        b = frame.boxes[i]
-        keys.append((b.cx, b.cy, b.w, b.h, row.tobytes()))
-    rank = np.empty(len(keys), dtype=np.intp)
-    prev, r = None, -1
-    for n in sorted(range(len(keys)), key=keys.__getitem__):
-        if keys[n] != prev:
-            prev, r = keys[n], r + 1
-        rank[n] = r
+def _content_rank(boxes: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Rank of each node by (cx, cy, w, h, bytes of its node feature), from
+    its (n, 4) box and (n, f) feature rows; nodes equal in all of these share
+    a rank."""
+    v = np.ascontiguousarray(v)
+    content = v.view(np.dtype((np.void, v.itemsize * v.shape[1])))[:, 0]
+    order = np.lexsort((content, *boxes.T[::-1]))
+    boxes, words = boxes[order], v.view(np.uint64)[order]
+    changed = np.any(boxes[1:] != boxes[:-1], axis=1) | np.any(words[1:] != words[:-1], axis=1)
+    rank = np.empty(len(order), dtype=np.intp)
+    rank[order] = np.concatenate([[0], np.cumsum(changed)])
     return rank
 
 
@@ -326,20 +331,20 @@ def _run_nodes(
     frames = graph.frames[t:stop]
     h0 = state.v if state.v is not None else Tensor(np.zeros((0, params.dim)))
     m = len(h0.data)
-    rows = {i: m - len(state.ids) + q for q, i in enumerate(state.ids)}  # rows of the frame before
-    before = graph.frames[t - 1].boxes if state.ids else {}
-    prev, now, then = [], [], []
-    for frame in frames:
-        for i in frame.ids:
-            prev.append(rows.get(i, -1))
-            now.append(frame.boxes[i])
-            then.append(before[i] if i in rows else frame.boxes[i])  # zero offset for a start
-        rows = {i: m + len(prev) - len(frame.ids) + q for q, i in enumerate(frame.ids)}
-        before = frame.boxes
     bounds = np.cumsum([0] + [len(frame.ids) for frame in frames])
-    ids = np.array([i for frame in frames for i in frame.ids], dtype=np.intp)
-    prev = np.array(prev, dtype=np.intp)
-    boxes, prev_boxes = (np.array([(b.cx, b.cy, b.w, b.h) for b in bs]).reshape(-1, 4) for bs in (now, then))
+    ids = np.concatenate([frame.ids for frame in frames])
+    boxes = np.concatenate([frame.boxes for frame in frames])
+    prev = np.full(len(ids), -1, dtype=np.intp)
+    prev_boxes = boxes.copy()  # zero offset for a start
+    # the frame before each frame of the run, and where its rows start
+    before, at = (graph.frames[t - 1], m - len(state.ids)) if len(state.ids) else (None, 0)
+    for k, frame in enumerate(frames):
+        if before is not None and len(before.ids):
+            p = np.minimum(np.searchsorted(before.ids, frame.ids), len(before.ids) - 1)
+            kept = np.flatnonzero(before.ids[p] == frame.ids)
+            prev[bounds[k] + kept] = at + p[kept]
+            prev_boxes[bounds[k] + kept] = before.boxes[p[kept]]
+        before, at = frame, m + bounds[k]
     scaled = np.concatenate([boxes, boxes - prev_boxes], axis=1) / INPUT_SCALE
     x = ad.leaky_relu(ad.affine_rows(params.w_in, Tensor(scaled), params.b_in), SIGMA_SLOPE)
     v = ad.gru_scan(params.gru_in, x, h0, prev, bounds)
@@ -365,7 +370,7 @@ def _sender_segments(
     distance = np.concatenate([frame.edge_distance for frame in frames])
     distances = np.concatenate([distance, distance])
     rank = np.concatenate(
-        [_content_rank(frame, v[at:end]) for frame, at, end in zip(frames, bounds, bounds[1:])]
+        [_content_rank(frame.boxes, v[at:end]) for frame, at, end in zip(frames, bounds, bounds[1:])]
     )
     order = np.lexsort((senders, rank[senders], distances, receivers))
     start = np.searchsorted(receivers[order], np.arange(len(v) + 1))
@@ -536,11 +541,10 @@ def rem_step(
     stop = t + 1 if stop is None else stop
     if not 0 <= t < stop <= graph.n_frames:
         raise ValueError(f"cannot run frames {t} to {stop - 1} of a graph of {graph.n_frames} frames")
-    prev_ids = graph.frames[t - 1].ids if t > 0 else ()
-    if state.ids != prev_ids:
+    prev_ids = graph.frames[t - 1].ids if t > 0 else np.zeros(0, dtype=np.intp)
+    if not np.array_equal(state.ids, prev_ids):
         raise ValueError(
-            f"state instances {sorted(state.ids)} do not match frame {t - 1} "
-            f"instances {sorted(prev_ids)}"
+            f"state instances {state.ids.tolist()} do not match frame {t - 1} instances {prev_ids.tolist()}"
         )
     nodes = _run_nodes(params, graph, t, stop, state)
     r0 = state.r if state.r is not None else Tensor(np.zeros((0, params.dim)))
@@ -551,7 +555,7 @@ def rem_step(
     return [
         RelationEmbedding(i, t + k, row)
         for k, frame in enumerate(graph.frames[t:stop])
-        for i, row in zip(frame.ids, rows[nodes.bounds[k] : nodes.bounds[k + 1]])
+        for i, row in zip(frame.ids.tolist(), rows[nodes.bounds[k] : nodes.bounds[k + 1]])
     ]
 
 
@@ -671,8 +675,7 @@ def _window_rows(
     """
     def linked(s):
         frame = graph.frames[s]
-        degree = np.bincount(frame.edges.ravel(), minlength=len(frame.ids))
-        return np.array(frame.ids, dtype=np.intp), degree
+        return frame.ids, np.bincount(frame.edges.ravel(), minlength=len(frame.ids))
 
     ids, degree = linked(t)
     receivers, width = ids[degree > 0], 1 + degree[degree > 0]
@@ -740,7 +743,7 @@ def _stack_graph(
     keyed, receivers, base = [], [], 0
     for t0, t, part, _ in stack:
         window = graph.frames[t0 : t + 1]
-        ids = np.unique(np.concatenate([np.array(frame.ids, dtype=np.intp) for frame in window]))
+        ids = np.unique(np.concatenate([frame.ids for frame in window]))
         for s, frame in enumerate(window, start=steps - len(window)):
             parts[s].append((base + np.searchsorted(ids, frame.ids), frame))
         keyed.append((base, ids))
@@ -749,14 +752,11 @@ def _stack_graph(
     frames = []
     for part in parts:
         at = np.cumsum([0] + [len(frame.ids) for _, frame in part])
-        keys = np.concatenate([keys for keys, _ in part]).tolist()
-        boxes = [frame.boxes[i] for _, frame in part for i in frame.ids]
-        edges = [frame.edges + a for (_, frame), a in zip(part, at)]
         frames.append(
             GraphFrame(
-                ids=tuple(keys),
-                boxes=dict(zip(keys, boxes)),
-                edges=np.concatenate(edges),
+                ids=np.concatenate([keys for keys, _ in part]),
+                boxes=np.concatenate([frame.boxes for _, frame in part]),
+                edges=np.concatenate([frame.edges + a for (_, frame), a in zip(part, at)]),
                 edge_distance=np.concatenate([frame.edge_distance for _, frame in part]),
             )
         )

@@ -6,11 +6,13 @@ link the *same* instance across *consecutive* frames only. An instance that
 disappears and later re-enters gets no edge across the gap, and downstream
 recurrent state is reset on re-entry.
 
-A frame holds its spatial edges as two arrays, the edge list layout of graph
-message-passing libraries: ``edges`` is (E, 2) positions into ``ids``, each
-pair once with a < b, in row-major order; ``edge_distance`` is the scaled
-distance of each pair. Temporal edges are not stored: they are the ids two
-consecutive frames share.
+A frame is a handful of arrays. ``ids`` holds its instances, ascending, and
+``boxes`` their (cx, cy, w, h) boxes as an (n, 4) array, row q for ``ids[q]``;
+``build_graph`` takes ``BoundingBox`` records and converts them once. Spatial
+edges take the edge list layout of graph message-passing libraries: ``edges``
+is (E, 2) positions into ``ids``, each pair once with a < b, in row-major
+order; ``edge_distance`` is the scaled distance of each pair. Temporal edges
+are not stored: they are the ids two consecutive frames share.
 
 The graph is the one record of which instances exist at each frame and
 where their boxes are; callers read presence and previous boxes from it
@@ -22,17 +24,17 @@ traversal.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .geometry import BoundingBox, scaled_distance_matrix
+from .geometry import BoundingBox, _box_array, scaled_distance_matrix
 
 
 @dataclass(frozen=True, eq=False)
 class GraphFrame:
-    ids: tuple[int, ...]  # ascending
-    boxes: dict[int, BoundingBox]
+    ids: np.ndarray  # (n,) instance ids, ascending
+    boxes: np.ndarray  # (n, 4) (cx, cy, w, h), row q the box of ids[q]
     edges: np.ndarray  # (E, 2) positions (a, b) into ids, a < b, row-major
     edge_distance: np.ndarray  # (E,) scaled distance of each edge
 
@@ -40,8 +42,8 @@ class GraphFrame:
         if not isinstance(other, GraphFrame):
             return NotImplemented
         return (
-            self.ids == other.ids
-            and self.boxes == other.boxes
+            np.array_equal(self.ids, other.ids)
+            and np.array_equal(self.boxes, other.boxes)
             and np.array_equal(self.edges, other.edges)
             and np.array_equal(self.edge_distance, other.edge_distance)
         )
@@ -61,14 +63,6 @@ class SpatioTemporalGraph:
         return len(self.frames)
 
 
-def _build_frame(nodes: Mapping[int, BoundingBox], d_th: float) -> GraphFrame:
-    ids = tuple(sorted(nodes))
-    dist = scaled_distance_matrix([nodes[i] for i in ids])
-    edges = np.argwhere(np.triu(dist <= d_th, k=1))
-    distance = dist[edges[:, 0], edges[:, 1]]
-    return GraphFrame(ids=ids, boxes=dict(nodes), edges=edges, edge_distance=distance)
-
-
 def build_graph(
     frames: Sequence[Iterable[tuple[int, BoundingBox]]], d_th: float
 ) -> SpatioTemporalGraph:
@@ -80,20 +74,27 @@ def build_graph(
             if instance in nodes:
                 raise ValueError(f"duplicate instance id {instance} in frame {t}")
             nodes[instance] = box
-        graph.frames.append(_build_frame(nodes, d_th))
+        ids = sorted(nodes)
+        update_graph(graph, t, ids, _box_array([nodes[i] for i in ids]))
     return graph
 
 
 def update_graph(
-    graph: SpatioTemporalGraph,
-    t: int,
-    boxes: Mapping[int, BoundingBox],
+    graph: SpatioTemporalGraph, t: int, ids: np.ndarray, boxes: np.ndarray
 ) -> SpatioTemporalGraph:
-    """Append frame t, which holds exactly the instances keyed in ``boxes``.
+    """Append frame t, which holds exactly the instances ``ids``, ascending,
+    with the (n, 4) ``boxes`` rows; the graph keeps copies of both.
 
     An instance absent from frame t-1 starts with no incoming temporal edge.
     """
     if t != graph.n_frames:
         raise ValueError(f"can only update the latest frame {graph.n_frames}, got t={t}")
-    graph.frames.append(_build_frame(boxes, graph.d_th))
+    ids, boxes = np.array(ids, dtype=np.intp), np.array(boxes, dtype=float)
+    if ids.ndim != 1 or boxes.shape != (len(ids), 4):
+        raise ValueError(f"boxes must be one (cx, cy, w, h) row per id, got {boxes.shape} for ids {ids.shape}")
+    if np.any(ids[1:] <= ids[:-1]):
+        raise ValueError(f"ids must be strictly ascending, got {ids.tolist()}")
+    dist = scaled_distance_matrix(boxes)
+    edges = np.argwhere(np.triu(dist <= graph.d_th, k=1))
+    graph.frames.append(GraphFrame(ids, boxes, edges, dist[edges[:, 0], edges[:, 1]]))
     return graph

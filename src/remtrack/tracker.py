@@ -20,6 +20,13 @@ alike.
 Each head is called once over a matrix of rows, one per track of a frame or
 per loss term of a training window; ``ad.affine`` gives every row the bits of
 a call on that row alone, so no box depends on the other rows.
+
+The online tracker keeps its tracks as a table of arrays, one row per live
+track in ascending track id: ``ids``, the emitted ``box``, the ``graph_box``
+fed to the graph (the last matched detection), the ``last_offset`` between
+the last two emitted boxes, and the ``missed`` frame count. Boxes are
+(cx, cy, w, h) rows; a frame's detections become rows once, and the boxes it
+moved become ``BoundingBox`` records once, which validates every emitted box.
 """
 
 from __future__ import annotations
@@ -35,7 +42,7 @@ from . import autodiff as ad
 from .autodiff import ParameterStore, Tensor, adam_step, backward
 # ``iou`` is unused here but stays a name of this module: benchmarks/layers.py
 # wraps ``tracker.iou``.
-from .geometry import BoundingBox, _box_array, clamped_box, giou_loss, iou, iou_matrix  # noqa: F401
+from .geometry import MIN_BOX_SIZE, BoundingBox, _box_array, clamped_box, giou_loss, iou, iou_matrix  # noqa: F401
 from .rem import SIGMA_SLOPE, RemParameters, RemState, rem_step
 from .simulator import (
     DEFAULT_OCCLUSION_CUTOFF,
@@ -117,13 +124,9 @@ class TrackerParameters:
         return params
 
 
-def appearance_feature(
-    params: TrackerParameters,
-    boxes: Sequence[BoundingBox],
-    prev_boxes: Sequence[BoundingBox],
-) -> Tensor:
-    """Affine encoding of [box || prev_box || 1], one row per box."""
-    x = np.concatenate([_box_array(boxes), _box_array(prev_boxes), np.ones((len(boxes), 1))], axis=1)
+def appearance_feature(params: TrackerParameters, boxes: np.ndarray, prev_boxes: np.ndarray) -> Tensor:
+    """Affine encoding of [box || prev_box || 1], one row per (n, 4) box row."""
+    x = np.concatenate([boxes, prev_boxes, np.ones((len(boxes), 1))], axis=1)
     return ad.affine(params.enc_w, Tensor(x), params.enc_b)
 
 
@@ -172,36 +175,20 @@ def _softplus_sizes(raw: Tensor) -> Tensor:
 # online tracking
 
 
-@dataclass
-class _Track:
-    box: BoundingBox
-    graph_box: BoundingBox  # last visible detection; REM input while occluded
-    last_offset: np.ndarray
-    missed: int = 0
-
-    def move(self, box: BoundingBox) -> None:
-        self.last_offset = box.as_array() - self.box.as_array()
-        self.box = box
-
-
-def _greedy_associate(
-    tracks: dict[int, _Track], detections: Sequence[Detection], min_iou: float
-) -> dict[int, int]:
-    """Greedy best-IoU matching; returns track id -> detection index."""
-    tids = list(tracks)
-    overlap = iou_matrix([det.box for det in detections], [tracks[tid].box for tid in tids])
-    ks, cols = np.nonzero(overlap >= min_iou)
-    candidates = sorted(
-        zip((-overlap[ks, cols]).tolist(), [tids[c] for c in cols.tolist()], ks.tolist())
-    )
-    matched: dict[int, int] = {}
-    used: set[int] = set()
-    for _, tid, k in candidates:
-        if tid in matched or k in used:
-            continue
-        matched[tid] = k
-        used.add(k)
-    return matched
+def _greedy_associate(track_boxes: np.ndarray, det_boxes: np.ndarray, min_iou: float) -> np.ndarray:
+    """Greedy best-IoU matching of track rows to detection rows, best overlap
+    first, ties to the lower track row, then the lower detection; returns the
+    (m, 2) matched (track row, detection row) pairs by ascending track row."""
+    overlap = iou_matrix(det_boxes, track_boxes)
+    ks, rows = np.nonzero(overlap >= min_iou)
+    order = np.lexsort((ks, rows, -overlap[ks, rows]))
+    pairs, matched, used = [], set(), set()
+    for row, k in zip(rows[order].tolist(), ks[order].tolist()):
+        if row not in matched and k not in used:
+            pairs.append((row, k))
+            matched.add(row)
+            used.add(k)
+    return np.array(sorted(pairs), dtype=np.intp).reshape(-1, 2)
 
 
 def track_sequence(
@@ -226,7 +213,9 @@ def track_sequence(
 
     graph = SpatioTemporalGraph(d_th=d_th)
     state = RemState()
-    tracks: dict[int, _Track] = {}
+    # the track table, one row per live track, ascending id
+    ids, missed = np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp)
+    box, graph_box, last_offset = np.zeros((0, 4)), np.zeros((0, 4)), np.zeros((0, 4))
     next_id = 0
     outputs: list[list[tuple[int, BoundingBox]]] = []
 
@@ -234,48 +223,42 @@ def track_sequence(
         for t, raw_dets in enumerate(detections_per_frame):
             # Canonical detection order makes the result independent of the
             # order detections arrive in.
-            dets = sorted(raw_dets, key=lambda d: (d.box.cx, d.box.cy, d.box.w, d.box.h))
-            matched = _greedy_associate(tracks, dets, assoc_iou) if tracks else {}
-
+            records = sorted([det.box for det in raw_dets], key=lambda b: (b.cx, b.cy, b.w, b.h))
+            dets = _box_array(records)
+            hits, ks = _greedy_associate(box, dets, assoc_iou).T
+            missed = missed + 1
+            missed[hits] = 0
+            moved = box + last_offset  # coasting, unless a head places the track
             # Each head runs once per frame, over the rows of all the tracks
             # it serves, in ascending track id.
-            live = sorted(tracks)
-            hits = [tid for tid in live if tid in matched]
-            if hits:
-                prev = [tracks[tid].box for tid in hits]
-                feat = appearance_feature(trk, [dets[matched[tid]].box for tid in hits], prev)
+            if len(hits):
+                feat = appearance_feature(trk, dets[ks], box[hits])
                 if mode == "baseline":
                     offsets = regress_baseline(trk, feat)
                 else:
-                    offsets = regress_relation_aware(trk, feat, state.embedding(hits))
-                for tid, row in zip(hits, (_box_array(prev) + offsets.data).tolist()):
-                    track = tracks[tid]
-                    track.move(clamped_box(*row))
-                    track.graph_box = dets[matched[tid]].box
-                    track.missed = 0
-            missed = [tid for tid in live if tid not in matched]
-            for tid in missed:
-                tracks[tid].missed += 1
-                if tracks[tid].missed > term_after:
-                    del tracks[tid]
-            missed = [tid for tid in missed if tid in tracks]
-            if mode == "relations_for_occluded" and missed:
-                rows = regress_from_relations(trk, state.embedding(missed)).data.tolist()
-            else:
-                rows = [tracks[tid].box.as_array() + tracks[tid].last_offset for tid in missed]
-            for tid, row in zip(missed, rows):
-                tracks[tid].move(clamped_box(*row))
+                    offsets = regress_relation_aware(trk, feat, state.embedding(ids[hits]))
+                moved[hits] = box[hits] + offsets.data
+                graph_box[hits] = dets[ks]
+            alive = (missed == 0) | (missed <= term_after)
+            ids, box, moved, graph_box, missed = (a[alive] for a in (ids, box, moved, graph_box, missed))
+            lost = np.flatnonzero(missed > 0)
+            if mode == "relations_for_occluded" and len(lost):
+                moved[lost] = regress_from_relations(trk, state.embedding(ids[lost])).data
+            moved[:, 2:] = np.maximum(moved[:, 2:], MIN_BOX_SIZE)
 
-            used = set(matched.values())
-            for k, det in enumerate(dets):
-                if k in used:
-                    continue
-                tracks[next_id] = _Track(box=det.box, graph_box=det.box, last_offset=np.zeros(4))
-                next_id += 1
+            # every detection left unmatched starts a track
+            new = np.setdiff1d(np.arange(len(dets)), ks)
+            last_offset = np.concatenate([moved - box, np.zeros((len(new), 4))])
+            box, graph_box = np.concatenate([moved, dets[new]]), np.concatenate([graph_box, dets[new]])
+            ids = np.concatenate([ids, next_id + np.arange(len(new))])
+            missed = np.concatenate([missed, np.zeros(len(new), dtype=np.intp)])
+            next_id += len(new)
 
-            update_graph(graph, t, {tid: tr.graph_box for tid, tr in tracks.items()})
+            # a new track emits its detection's record; a moved box is validated here
+            emitted = [BoundingBox(*row) for row in moved.tolist()] + [records[k] for k in new.tolist()]
+            outputs.append(list(zip(ids.tolist(), emitted)))
+            update_graph(graph, t, ids, graph_box)
             rem_step(rem_params, state, graph, t)
-            outputs.append([(tid, tracks[tid].box) for tid in sorted(tracks)])
     return outputs
 
 
@@ -394,17 +377,18 @@ def window_loss(
     state = RemState()
     rem_step(rem_params, state, sample.graph, 0, w)
 
+    present = [set(frame.ids.tolist()) for frame in frames]
     # Occlusion head: predict the box at t from the embedding at t-1.
     occluded = [
         (rec.instance, k - 1, rec.box)
         for k in range(1, w + 1)
         for rec in seq.frames[start + k]
-        if (start + k, rec.instance) not in sample.det_boxes and rec.instance in frames[k - 1].boxes
+        if (start + k, rec.instance) not in sample.det_boxes and rec.instance in present[k - 1]
     ]
     # Regression heads at the frame after the window.
     t_abs = start + w
     prev_box = {rec.instance: rec.box for rec in seq.frames[t_abs - 1]}
-    seen = prev_box.keys() & frames[w - 1].boxes.keys()
+    seen = prev_box.keys() & present[w - 1]
     visible = [
         rec for rec in seq.frames[t_abs] if rec.instance in seen and (t_abs, rec.instance) in sample.det_boxes
     ]
@@ -415,9 +399,9 @@ def window_loss(
     # per-term chain would visit them, then one GIoU node per head.
     ids = [rec.instance for rec in visible]
     targets = [rec.box for rec in visible]
-    prev_boxes = [prev_box[i] for i in ids]
-    feat = appearance_feature(trk, [sample.det_boxes[(t_abs, i)] for i in ids], prev_boxes)
-    prev = Tensor(_box_array(prev_boxes))
+    prev_boxes = _box_array([prev_box[i] for i in ids])
+    feat = appearance_feature(trk, _box_array([sample.det_boxes[(t_abs, i)] for i in ids]), prev_boxes)
+    prev = Tensor(prev_boxes)
     base = ad.add(prev, regress_baseline(trk, feat))
     rel = ad.add(prev, regress_relation_aware(trk, feat, state.embedding(ids)))
     relations = state.embedding([i for i, _, _ in occluded], [k for _, k, _ in occluded])

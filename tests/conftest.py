@@ -3,6 +3,7 @@ import pytest
 
 from remtrack import autodiff as ad
 from remtrack.autodiff import ParameterStore
+from remtrack.geometry import BoundingBox
 from remtrack.rem import RemParameters
 from remtrack.tracker import TrackerParameters
 
@@ -30,3 +31,9 @@ def rng():
 def weighted_sum(x, c):
     """sum(x * c) as one tape node, a scalar loss over a matrix of rows."""
     return ad._make(np.asarray(np.sum(x.data * c)), (x,), lambda g: (g * c,))
+
+
+def frame_box(frame, i):
+    """Instance ``i``'s box in the graph frame ``frame``, as a record."""
+    (q,) = np.flatnonzero(frame.ids == i)
+    return BoundingBox(*frame.boxes[q].tolist())

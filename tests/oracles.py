@@ -123,12 +123,27 @@ def scalar_rem_transcription(params, frames, d_th, slope=0.1, att_slope=0.2):
 def canonical_sender_order(frame, v, i):
     """i's spatial neighbors sorted by the tuple (distance, cx, cy, w, h,
     bytes of the node feature), equal tuples kept in ascending id order."""
+    ids = frame.ids.tolist()
     keyed = []
     for j, d in sorted(neighbor_distances(frame, i).items()):
-        b = frame.boxes[j]
-        keyed.append(((d, b.cx, b.cy, b.w, b.h, v[j].data.tobytes()), j))
+        cx, cy, w, h = frame.boxes[ids.index(j)].tolist()
+        keyed.append(((d, cx, cy, w, h, v[j].data.tobytes()), j))
     keyed.sort(key=lambda pair: pair[0])
     return [j for _, j in keyed]
+
+
+def content_rank(boxes, v):
+    """Rank of each row by the tuple (cx, cy, w, h, bytes of its ``v`` row),
+    from (n, 4) boxes and (n, f) features, in Python: equal tuples share a
+    rank, and ranks count the distinct tuples below."""
+    keys = [(*b, row.tobytes()) for b, row in zip(boxes.tolist(), v)]
+    rank = [0] * len(keys)
+    prev, r = None, -1
+    for n in sorted(range(len(keys)), key=keys.__getitem__):
+        if keys[n] != prev:
+            prev, r = keys[n], r + 1
+        rank[n] = r
+    return rank
 
 
 # ---------------------------------------------------------------------------
@@ -138,11 +153,12 @@ def canonical_sender_order(frame, v, i):
 def neighbor_distances(frame, i):
     """{j: scaled distance} over instance i's spatial neighbors."""
     out = {}
+    ids = frame.ids.tolist()
     for (a, b), d in zip(frame.edges.tolist(), frame.edge_distance.tolist()):
-        if frame.ids[a] == i:
-            out[frame.ids[b]] = d
-        elif frame.ids[b] == i:
-            out[frame.ids[a]] = d
+        if ids[a] == i:
+            out[ids[b]] = d
+        elif ids[b] == i:
+            out[ids[a]] = d
     return out
 
 
@@ -153,7 +169,7 @@ def neighbors(frame, i):
 
 def spatial_edges(graph, t):
     """Undirected edges at frame t as (i, j) id pairs with i < j, sorted."""
-    ids = graph.frames[t].ids
+    ids = graph.frames[t].ids.tolist()
     return tuple(sorted((ids[a], ids[b]) for a, b in graph.frames[t].edges.tolist()))
 
 
@@ -161,8 +177,8 @@ def temporal_edges(graph, t):
     """Instances linked from frame t to frame t+1."""
     if not 0 <= t < graph.n_frames - 1:
         return ()
-    here = set(graph.frames[t].ids)
-    return tuple(i for i in graph.frames[t + 1].ids if i in here)
+    here = set(graph.frames[t].ids.tolist())
+    return tuple(i for i in graph.frames[t + 1].ids.tolist() if i in here)
 
 
 # ---------------------------------------------------------------------------

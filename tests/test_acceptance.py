@@ -13,7 +13,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from conftest import make_rem
+from conftest import frame_box, make_rem
 from oracles import brute_hota_single, brute_idf1, brute_mota, neighbors, spatial_edges
 from remtrack.autodiff import GruCellParams, ParameterStore, Tensor, gradient_check, gru_cell
 from remtrack.cli import gradcheck_loss_builder, run
@@ -141,7 +141,7 @@ def test_criterion_2_attention_normalization():
             for i in range(n)
         ]
         graph = build_graph([frame], d_th=float(rng.uniform(2.0, 12.0)))
-        feats = {i: node_feature(params, graph.frames[0].boxes[i], None, None) for i in graph.frames[0].ids}
+        feats = {i: node_feature(params, frame_box(graph.frames[0], i), None, None) for i in graph.frames[0].ids}
         for i in graph.frames[0].ids:
             nbrs = neighbors(graph.frames[0], i)
             if not nbrs:
@@ -178,7 +178,7 @@ def test_criterion_3_permutation_equivariance():
         ]
         perm = {i: int(p) for i, p in zip(range(n), rng.permutation(1000)[:n])}
         relabeled = build_graph(
-            [[(perm[i], frame.boxes[i]) for i in frame.ids] for frame in graph.frames], d_th=6.0
+            [[(perm[i], frame_box(frame, i)) for i in frame.ids] for frame in graph.frames], d_th=6.0
         )
         state = RemState()
         permuted = [

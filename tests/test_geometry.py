@@ -12,6 +12,7 @@ from remtrack.st_graph import build_graph
 from remtrack.geometry import (
     MIN_BOX_SIZE,
     BoundingBox,
+    _box_array,
     clamped_box,
     giou,
     giou_loss,
@@ -127,25 +128,27 @@ class TestMatrices:
     @given(grid_boxes(), grid_boxes())
     @settings(max_examples=150)
     def test_iou_matrix_bitwise(self, rows, cols):
-        assert same_bits(iou_matrix(rows, cols), scalar_table(iou, rows, cols))
+        assert same_bits(iou_matrix(_box_array(rows), _box_array(cols)), scalar_table(iou, rows, cols))
 
     @given(grid_boxes())
     @settings(max_examples=150)
     def test_scaled_distance_matrix_bitwise_and_symmetric(self, bs):
-        dm = scaled_distance_matrix(bs)
+        dm = scaled_distance_matrix(_box_array(bs))
         assert same_bits(dm, scalar_table(scaled_distance, bs, bs))
         assert same_bits(dm, dm.T.copy())
 
     def test_empty_inputs(self):
-        b = BoundingBox(0.0, 0.0, 1.0, 1.0)
-        assert iou_matrix([], [b, b]).shape == (0, 2)
-        assert iou_matrix([b], []).shape == (1, 0)
-        assert scaled_distance_matrix([]).shape == (0, 0)
+        b = np.array([[0.0, 0.0, 1.0, 1.0]])
+        none = np.zeros((0, 4))
+        assert _box_array([]).shape == (0, 4)
+        assert iou_matrix(none, np.concatenate([b, b])).shape == (0, 2)
+        assert iou_matrix(b, none).shape == (1, 0)
+        assert scaled_distance_matrix(none).shape == (0, 0)
 
     def test_touching_edges_zero(self):
         a = BoundingBox.from_corner(0, 0, 1, 1)
         b = BoundingBox.from_corner(1, 0, 1, 1)
-        assert iou_matrix([a], [b])[0, 0] == 0.0 == iou(a, b)
+        assert iou_matrix(_box_array([a]), _box_array([b]))[0, 0] == 0.0 == iou(a, b)
 
 
 def one_frame(boxes, d_th):

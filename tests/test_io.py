@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -169,6 +173,62 @@ class TestIntegerFields:
         lines[index][field] = bad
         with pytest.raises(ValueError, match=rf"^line {index + 1}: "):
             rio.parse_mot_csv("\n".join(",".join(parts) for parts in lines) + "\n")
+
+
+class TestFrameCountBound:
+    """A frame index past ``MAX_FRAMES`` fails its record before any frame
+    list is sized by it."""
+
+    # Address space of the child process that reads a huge frame index: a
+    # reader that sized its frames by the index fails the test with a
+    # MemoryError instead of exhausting the machine.
+    ADDRESS_SPACE = 1 << 30
+    SRC = Path(__file__).resolve().parent.parent / "src"
+
+    def test_largest_frame_is_accepted_and_the_next_rejected(self):
+        last = rio.MAX_FRAMES - 1
+        assert rio.read_scenario_jsonl(json.dumps(scenario_record(last, 1))).n_frames == rio.MAX_FRAMES
+        with pytest.raises(ValueError, match=rf"^record 0: t must be < {rio.MAX_FRAMES}, got {rio.MAX_FRAMES}$"):
+            rio.read_scenario_jsonl(json.dumps(scenario_record(rio.MAX_FRAMES, 1)))
+        records = rio.parse_mot_csv(f"{rio.MAX_FRAMES},1,0,0,4,4,1\n")
+        assert len(rio.records_to_frames(records)) == rio.MAX_FRAMES
+        with pytest.raises(ValueError, match=rf"^line 2: frame must be in \[1, {rio.MAX_FRAMES}\]"):
+            rio.parse_mot_csv(f"1,1,0,0,4,4,1\n{rio.MAX_FRAMES + 1},1,0,0,4,4,1\n")
+
+    @pytest.mark.parametrize(
+        "name, text, message",
+        [
+            (
+                "gt.jsonl",
+                json.dumps(scenario_record(0, 1)) + "\n" + json.dumps(scenario_record(10**9, 2)) + "\n",
+                f"error: record 1: t must be < {rio.MAX_FRAMES}, got 1000000000",
+            ),
+            (
+                "gt.txt",
+                "1,1,0,0,4,4,1\n1000000000,2,0,0,4,4,1\n",
+                f"error: line 2: frame must be in [1, {rio.MAX_FRAMES}], got 1000000000",
+            ),
+        ],
+        ids=["scenario-jsonl", "mot-csv"],
+    )
+    def test_eval_with_a_huge_frame_exits_with_one_line(self, tmp_path, name, text, message):
+        gt = tmp_path / name
+        gt.write_text(text)
+        pred = tmp_path / "pred.csv"
+        pred.write_text("1,1,0,0,4,4,1,-1,-1,-1\n")
+        script = (
+            "import resource, sys\n"
+            f"resource.setrlimit(resource.RLIMIT_AS, ({self.ADDRESS_SPACE}, {self.ADDRESS_SPACE}))\n"
+            "from remtrack.cli import run\n"
+            "sys.exit(run(sys.argv[1:]))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(self.SRC))
+        args = ["eval", "--gt", str(gt), "--pred", str(pred), "--out", str(tmp_path / "out")]
+        proc = subprocess.run(
+            [sys.executable, "-c", script, *args], capture_output=True, text=True, env=env, timeout=120
+        )
+        assert (proc.returncode, proc.stderr) == (1, message + "\n")
+        assert not (tmp_path / "out").exists()
 
 
 class TestCheckpoints:

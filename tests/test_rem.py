@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from oracles import (
     canonical_sender_order,
+    content_rank,
     neighbor_distances,
     neighbors,
     scalar_rem_transcription,
@@ -21,6 +22,7 @@ from remtrack.geometry import BoundingBox, _box_array, scaled_distance
 from remtrack.rem import (
     RemState,
     _aggregate,
+    _content_rank,
     _leave_one_out,
     _Nodes,
     _project,
@@ -37,7 +39,7 @@ from remtrack.rem import (
 from remtrack.simulator import ScenarioConfig, generate
 from remtrack.st_graph import build_graph
 
-from conftest import make_rem, weighted_sum
+from conftest import frame_box, make_rem, weighted_sum
 
 
 def box(cx, cy, w=2.0, h=2.0):
@@ -212,7 +214,7 @@ def reference_replay(params, graph, t, window, i, exclude=None):
         frame = graph.frames[s]
         at = slice(nodes.bounds[s - t0], nodes.bounds[s - t0 + 1])
         v = {j: Tensor(row) for j, row in zip(frame.ids, nodes.v.data[at])}
-        if i not in frame.boxes:
+        if i not in frame.ids:
             r = None
             continue
         dist = neighbor_distances(frame, i)
@@ -381,6 +383,39 @@ class TestCanonicalSenders:
             dist = neighbor_distances(frame, i)
             assert [d.hex() for d in distances[at].tolist()] == [dist[j].hex() for j in expected]
 
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from([0.0, -0.0, 1.0, 2.5]),
+                st.sampled_from([0.0, -0.0, 1.0]),
+                st.sampled_from([1.0, 2.0]),
+                st.sampled_from([1.0, 2.0]),
+                st.integers(0, 4),
+            ),
+            max_size=12,
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_content_rank_equals_tuple_and_bytes_rank(self, nodes):
+        # small pools, so every key ties often; the features differ in their
+        # sign of zero, their last bit, or a byte that orders differently
+        # as a number and as bytes
+        features = [
+            np.array([1.0, 0.0]),
+            np.array([1.0, -0.0]),
+            np.array([np.nextafter(1.0, 2.0), 0.0]),
+            np.array([1.0, 256.0]),
+            np.array([-1.0, 0.5]),
+        ]
+        boxes = np.array([node[:4] for node in nodes], dtype=float).reshape(-1, 4)
+        v = np.array([features[node[4]] for node in nodes]).reshape(-1, 2)
+        rank = _content_rank(boxes, v)
+        assert rank.dtype == np.intp
+        assert rank.tolist() == content_rank(boxes, v)
+        # a strided view of the rows ranks as its copy
+        wide = np.repeat(v, 2, axis=1)[:, ::2]
+        assert rank.tolist() == _content_rank(boxes, wide).tolist()
+
     def test_rem_step_projects_each_node_with_neighbors_once(self, monkeypatch):
         store, params = make_rem(dim=8, seed=56)
         rng = np.random.default_rng(57)
@@ -477,7 +512,7 @@ class TestRemStep:
             before, _ = run_rem(params, graph)
             perm = {i: int(p) for i, p in zip(range(5), rng.permutation(100)[:5])}
             relabeled = [
-                [(perm[i], frame.boxes[i]) for i in frame.ids] for frame in graph.frames
+                [(perm[i], frame_box(frame, i)) for i in frame.ids] for frame in graph.frames
             ]
             after, _ = run_rem(params, build_graph(relabeled, d_th=7.0))
             for t in range(3):
@@ -525,9 +560,33 @@ class TestRemStep:
         graph = build_graph(frames, d_th=15)
         state = RemState()
         rem_step(params, state, graph, 0)
-        assert state.ids == (0, 1)
+        assert state.ids.tolist() == [0, 1]
         rem_step(params, state, graph, 1)
-        assert state.ids == (1, 5)
+        assert state.ids.tolist() == [1, 5]
+
+    def test_embedding_gathers_rows_and_names_the_first_absent_instance(self):
+        store, params = make_rem(dim=4, seed=23)
+        frames = [[(0, box(1, 1)), (1, box(2, 1))], [(1, box(2.2, 1)), (5, box(4, 4))]]
+        graph = build_graph(frames, d_th=15)
+        state = RemState()
+        rows = {(e.instance, e.t): e.vector for e in rem_step(params, state, graph, 0, 2)}
+        got = state.embedding([[5, 0], [1, 1]], [[1, 0], [1, 0]])
+        assert np.array_equal(got.data, np.array([[rows[5, 1], rows[0, 0]], [rows[1, 1], rows[1, 0]]]))
+        assert np.array_equal(state.embedding(1).data, rows[1, 1])
+        assert np.array_equal(state.embedding([5, 1]).data, np.array([rows[5, 1], rows[1, 1]]))
+        cases = [
+            ([1, 0], None, (0, 1)),
+            ([1, 7, 0], [0, 0, 1], (7, 0)),
+            ([1], [2], (1, 2)),
+            ([1], [-1], (1, -1)),
+        ]
+        for ids, t, missing in cases:
+            with pytest.raises(KeyError) as info:
+                state.embedding(ids, t)
+            assert info.value.args[0] == missing
+        with pytest.raises(KeyError) as info:
+            RemState().embedding([3])
+        assert info.value.args[0] == (3, -1)
 
     def test_zero_history_first_frame_depends_on_own_box_only(self):
         store, params = make_rem(dim=4, seed=24)
@@ -643,7 +702,7 @@ class TestRelationImportance:
         )
         perm = dict(zip(range(6), random.sample(range(1000), 6)))
         relabeled = build_graph(
-            [[(perm[i], frame.boxes[i]) for i in frame.ids] for frame in graph.frames], d_th=6.0
+            [[(perm[i], frame_box(frame, i)) for i in frame.ids] for frame in graph.frames], d_th=6.0
         )
         frames = range(1, 5)
         before = relation_importance_records(params, graph, window=3, frames=frames)
@@ -816,7 +875,7 @@ class TestBlockInvariance:
 
         def call(xs, box_args):
             if head == "appearance_feature":
-                return tracker.appearance_feature(trk, *box_args)
+                return tracker.appearance_feature(trk, *map(_box_array, box_args))
             if head == "giou_loss":
                 return tracker.giou_loss(xs[0], box_args[0])
             if head == "_softplus_sizes":
@@ -895,9 +954,9 @@ def per_node_rem(params, graph):
         v = {}
         for i in frame.ids:
             if i in v_prev:
-                v[i] = node_feature(params, frame.boxes[i], graph.frames[t - 1].boxes[i], v_prev[i])
+                v[i] = node_feature(params, frame_box(frame, i), frame_box(graph.frames[t - 1], i), v_prev[i])
             else:
-                v[i] = node_feature(params, frame.boxes[i], None, None)
+                v[i] = node_feature(params, frame_box(frame, i), None, None)
         r = {}
         for i in frame.ids:
             dist = neighbor_distances(frame, i)
@@ -1051,7 +1110,7 @@ class TestRunEquivalence:
         t, stop = run_bounds(graph, end, length)
         store, params = make_rem(dim=5, seed=65)
         one_by_one, runs, state = chained_then_run(params, graph, t, stop)
-        assert state.ids == graph.frames[stop - 1].ids
+        assert np.array_equal(state.ids, graph.frames[stop - 1].ids)
         assert len(runs) == stop - t
         for (v, r, returned), (v_run, r_run, returned_run) in zip(one_by_one, runs):
             assert np.array_equal(v.data, v_run)
@@ -1061,7 +1120,7 @@ class TestRunEquivalence:
             ]
         for s in range(t, stop):
             for i in graph.frames[s].ids:
-                row = runs[s - t][1][graph.frames[s].ids.index(i)]
+                row = runs[s - t][1][graph.frames[s].ids.tolist().index(i)]
                 assert np.array_equal(state.embedding(i, s).data, row)
 
     @given(run_frames, st.integers(1, 9), st.integers(1, 6))

@@ -4,7 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import spatial_edges, temporal_edges
-from remtrack.geometry import BoundingBox, scaled_distance, scaled_distance_matrix
+from remtrack.geometry import BoundingBox, _box_array, scaled_distance, scaled_distance_matrix
 from remtrack.st_graph import SpatioTemporalGraph, build_graph, update_graph
 
 
@@ -22,6 +22,13 @@ def random_frames(rng, n_frames=6, n_instances=5, p_present=0.8, spread=12.0):
         ]
         frames.append(frame)
     return frames
+
+
+def frame_arrays(frame):
+    """A frame's (id, box) pairs as update_graph takes them: ids ascending and
+    their (n, 4) box rows."""
+    frame = sorted(frame, key=lambda pair: pair[0])
+    return np.array([i for i, _ in frame], dtype=np.intp), _box_array([b for _, b in frame])
 
 
 def brute_force_edges(ids, boxes, d_th):
@@ -85,7 +92,8 @@ class TestBuildGraph:
         assert g.edges.shape == (len(pairs), 2)
         assert [tuple(e) for e in g.edges.tolist()] == pairs
         assert len(g.edge_distance) == len(pairs)
-        dist = scaled_distance_matrix([boxes[i] for i in g.ids])
+        dist = scaled_distance_matrix(_box_array([boxes[i] for i in g.ids]))
+        assert np.array_equal(g.boxes, _box_array([boxes[i] for i in g.ids]))
         assert [d.hex() for d in g.edge_distance.tolist()] == [dist[a, b].hex() for a, b in pairs]
 
     @pytest.mark.parametrize("d_th", [0.0, -5.0, float("nan")])
@@ -134,13 +142,13 @@ class TestUpdateGraph:
         b0, b1 = box(1, 1), box(2, 1)
         batch = build_graph([[(0, b0)], [(0, b1)]], d_th=15)
         inc = build_graph([[(0, b0)]], d_th=15)
-        update_graph(inc, 1, {0: b1})
+        update_graph(inc, 1, *frame_arrays([(0, b1)]))
         assert inc == batch
 
     def test_leaving_instance_has_no_node(self):
         g = build_graph([[(0, box(1, 1)), (1, box(2, 1))]], d_th=15)
-        update_graph(g, 1, {0: box(1.2, 1)})
-        assert g.frames[1].ids == (0,)
+        update_graph(g, 1, *frame_arrays([(0, box(1.2, 1))]))
+        assert g.frames[1].ids.tolist() == [0]
 
     def test_random_schedule_matches_batch(self, rng):
         for _ in range(15):
@@ -148,7 +156,7 @@ class TestUpdateGraph:
             batch = build_graph(frames, d_th=4.0)
             inc = build_graph([], d_th=4.0)
             for t, frame in enumerate(frames):
-                update_graph(inc, t, dict(frame))
+                update_graph(inc, t, *frame_arrays(frame))
             assert inc == batch
 
     @given(presence_schedules())
@@ -157,7 +165,7 @@ class TestUpdateGraph:
     def test_appending_equals_batch_and_links_only_consecutive_presence(self, frames):
         inc = SpatioTemporalGraph(d_th=4.0)
         for t, frame in enumerate(frames):
-            assert update_graph(inc, t, dict(frame)) is inc
+            assert update_graph(inc, t, *frame_arrays(frame)) is inc
         assert inc == build_graph(frames, d_th=4.0)
         ids = [{i for i, _ in frame} for frame in frames]
         for t in range(len(frames)):
@@ -167,9 +175,33 @@ class TestUpdateGraph:
     def test_rejects_non_latest_frame(self):
         g = build_graph([[(0, box(1, 1))]], d_th=15)
         with pytest.raises(ValueError, match="latest"):
-            update_graph(g, 0, {0: box(1, 1)})
+            update_graph(g, 0, *frame_arrays([(0, box(1, 1))]))
         with pytest.raises(ValueError, match="latest"):
-            update_graph(g, 5, {0: box(1, 1)})
+            update_graph(g, 5, *frame_arrays([(0, box(1, 1))]))
+
+    @pytest.mark.parametrize(
+        "ids, rows, message",
+        [
+            ([1, 0], 2, "strictly ascending"),
+            ([0, 2, 2], 3, "strictly ascending"),
+            ([0, 1], (2, 3), "one \\(cx, cy, w, h\\) row per id"),
+            ([0, 1], 3, "one \\(cx, cy, w, h\\) row per id"),
+            ([[0, 1]], 2, "one \\(cx, cy, w, h\\) row per id"),
+        ],
+    )
+    def test_rejects_unsorted_ids_and_misshapen_boxes(self, ids, rows, message):
+        g = build_graph([[(0, box(1, 1))]], d_th=15)
+        boxes = np.ones(rows if isinstance(rows, tuple) else (rows, 4))
+        with pytest.raises(ValueError, match=message) as info:
+            update_graph(g, 1, np.array(ids), boxes)
+        assert "\n" not in str(info.value)
+        assert g.n_frames == 1
+
+    def test_keeps_its_own_copy_of_the_arrays(self):
+        ids, boxes = frame_arrays([(0, box(1, 1)), (3, box(2, 1))])
+        g = update_graph(SpatioTemporalGraph(d_th=15), 0, ids, boxes)
+        ids[0], boxes[0, 0] = 5, 9.0
+        assert g.frames[0].ids.tolist() == [0, 3] and g.frames[0].boxes[0, 0] == 1.0
 
 
 class TestNeighbors:
@@ -190,7 +222,8 @@ class TestNeighbors:
 
     def test_missing_node_raises(self):
         g = build_graph([[(0, box(1, 1))]], d_th=15)
-        with pytest.raises(KeyError):
+        assert g.frames[0].boxes[g.frames[0].ids == 7].shape == (0, 4)
+        with pytest.raises(IndexError):
             g.frames[0].boxes[7]
         with pytest.raises(IndexError):
             g.frames[3]

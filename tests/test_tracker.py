@@ -8,14 +8,15 @@ from conftest import make_model, weighted_sum
 from remtrack import autodiff as ad
 from remtrack.autodiff import ParameterStore, Tensor, backward, gradient_check
 from remtrack import tracker
-from remtrack.geometry import BoundingBox, clamped_box, iou
+from remtrack.geometry import BoundingBox, _box_array, clamped_box, iou
+from remtrack.rem import RemState, rem_step
 from remtrack.simulator import Detection, ScenarioConfig, detect_sequence, generate
+from remtrack.st_graph import SpatioTemporalGraph, update_graph
 from remtrack.tracker import (
     TRACK_MODES,
     TrackerParameters,
     TrainConfig,
     _greedy_associate,
-    _Track,
     appearance_feature,
     prepare_window,
     regress_baseline,
@@ -70,7 +71,7 @@ def gt_detections(seq):
 class TestAppearanceFeature:
     def test_zero_weights_zero_feature(self):
         _, _, trk = zero_model()
-        f = appearance_feature(trk, [box(1, 2)], [box(3, 4)])
+        f = appearance_feature(trk, _box_array([box(1, 2)]), _box_array([box(3, 4)]))
         assert np.array_equal(f.data, np.zeros((1, trk.app_dim)))
 
     def test_gradient_through_encoder(self):
@@ -78,7 +79,9 @@ class TestAppearanceFeature:
         c = np.random.default_rng(4).normal(size=(2, 5))
 
         def loss():
-            f = appearance_feature(trk, [box(1.3, 0.7), box(0.2, 1.1)], [box(1.0, 0.5), box(0.4, 0.9)])
+            f = appearance_feature(
+                trk, _box_array([box(1.3, 0.7), box(0.2, 1.1)]), _box_array([box(1.0, 0.5), box(0.4, 0.9)])
+            )
             return weighted_sum(f, c)
 
         assert gradient_check(loss, store, epsilon=1e-5) < 1e-4
@@ -146,11 +149,12 @@ class TestRegressionHeads:
 
 
 def scalar_greedy_associate(tracks, detections, min_iou):
-    """The association rule written as a loop over scalar ``iou`` calls."""
+    """The association rule written as a loop over scalar ``iou`` calls, on
+    a {track id: box} dict and a list of detections."""
     candidates = []
-    for tid, track in tracks.items():
+    for tid, track_box in tracks.items():
         for k, det in enumerate(detections):
-            overlap = iou(det.box, track.box)
+            overlap = iou(det.box, track_box)
             if overlap >= min_iou:
                 candidates.append((-overlap, tid, k))
     matched, used = {}, set()
@@ -165,16 +169,105 @@ class TestGreedyAssociate:
     def test_equals_scalar_loop_with_ties(self, rng):
         for _ in range(200):
             # grid boxes: equal overlaps and repeated boxes are frequent
-            tids = rng.permutation(50)[: int(rng.integers(1, 8))]
-            tracks = {
-                int(tid): _Track(box(*rng.integers(0, 5, 2) * 0.5), box(0, 0), np.zeros(4))
-                for tid in tids
-            }
+            # the tracker's table: ascending track ids and their box rows
+            tids = np.sort(rng.permutation(50)[: int(rng.integers(0, 8))])
+            tracks = {int(tid): box(*rng.integers(0, 5, 2) * 0.5) for tid in tids}
             dets = [Detection(box(*rng.integers(0, 5, 2) * 0.5)) for _ in range(int(rng.integers(0, 8)))]
             min_iou = float(rng.choice([0.1, 0.3, 1.0 / 3.0, 0.5]))
-            got = _greedy_associate(tracks, dets, min_iou)
-            assert got == scalar_greedy_associate(tracks, dets, min_iou)
-            assert all(type(tid) is int and type(k) is int for tid, k in got.items())
+            got = _greedy_associate(_box_array(list(tracks.values())), _box_array([d.box for d in dets]), min_iou)
+            assert got.shape == (len(got), 2) and got.dtype == np.intp
+            assert got[:, 0].tolist() == sorted(got[:, 0].tolist())
+            assert {int(tids[row]): k for row, k in got.tolist()} == scalar_greedy_associate(tracks, dets, min_iou)
+
+
+def record_track_sequence(trk, rem_params, detections_per_frame, mode, d_th=15.0, assoc_iou=0.3, term_after=15):
+    """``track_sequence`` with one record per track, a dict keyed by track
+    id, moved one track at a time through ``clamped_box``: the reference for
+    the tracker's table of arrays."""
+    graph, state = SpatioTemporalGraph(d_th=d_th), RemState()
+    tracks, next_id, outputs = {}, 0, []
+    with ad.no_grad():
+        for t, raw in enumerate(detections_per_frame):
+            dets = sorted(raw, key=lambda d: (d.box.cx, d.box.cy, d.box.w, d.box.h))
+            matched = scalar_greedy_associate({tid: tr["box"] for tid, tr in tracks.items()}, dets, assoc_iou)
+            live = sorted(tracks)
+            hits = [tid for tid in live if tid in matched]
+            moves = {}
+            if hits:
+                prev = _box_array([tracks[tid]["box"] for tid in hits])
+                feat = appearance_feature(trk, _box_array([dets[matched[tid]].box for tid in hits]), prev)
+                if mode == "baseline":
+                    offsets = regress_baseline(trk, feat)
+                else:
+                    offsets = regress_relation_aware(trk, feat, state.embedding(hits))
+                moves.update(zip(hits, (prev + offsets.data).tolist()))
+                for tid in hits:
+                    tracks[tid].update(graph_box=dets[matched[tid]].box, missed=0)
+            missed = [tid for tid in live if tid not in matched]
+            for tid in missed:
+                tracks[tid]["missed"] += 1
+                if tracks[tid]["missed"] > term_after:
+                    del tracks[tid]
+            missed = [tid for tid in missed if tid in tracks]
+            if mode == "relations_for_occluded" and missed:
+                moves.update(zip(missed, regress_from_relations(trk, state.embedding(missed)).data.tolist()))
+            else:
+                moves.update((tid, (tracks[tid]["box"].as_array() + tracks[tid]["offset"]).tolist()) for tid in missed)
+            for tid, row in moves.items():
+                moved = clamped_box(*row)
+                tracks[tid].update(offset=moved.as_array() - tracks[tid]["box"].as_array(), box=moved)
+            used = set(matched.values())
+            for k, det in enumerate(dets):
+                if k not in used:
+                    tracks[next_id] = {"box": det.box, "graph_box": det.box, "offset": np.zeros(4), "missed": 0}
+                    next_id += 1
+            ids = sorted(tracks)
+            update_graph(graph, t, ids, _box_array([tracks[tid]["graph_box"] for tid in ids]))
+            rem_step(rem_params, state, graph, t)
+            outputs.append([(tid, tracks[tid]["box"]) for tid in ids])
+    return outputs
+
+
+def track_bits(tracks):
+    return [[(tid, tuple(float(v).hex() for v in (b.cx, b.cy, b.w, b.h))) for tid, b in frame] for frame in tracks]
+
+
+class TestTrackTable:
+    @pytest.mark.parametrize("mode", TRACK_MODES)
+    def test_equals_one_record_per_track(self, mode):
+        # occlusions make tracks coast, recover and terminate; a negative
+        # term_after ends every unmatched track at once but keeps matched ones
+        cfg = ScenarioConfig(
+            n_frames=14, n_groups=3, group_size_min=2, group_size_max=3,
+            occlusion_prob=0.5, occlusion_min=2, occlusion_max=4, seed=14,
+        )
+        dets = detect_sequence(generate(cfg), cfg, seed=7)
+        store, rem_params, trk = make_model(dim=6, app_dim=5, seed=15)
+        for term_after in (-1, 0, 2, 15):
+            got = track_sequence(trk, rem_params, dets, mode, term_after=term_after)
+            want = record_track_sequence(trk, rem_params, dets, mode, term_after=term_after)
+            assert track_bits(got) == track_bits(want)
+            assert all(type(tid) is int for frame in got for tid, _ in frame)
+
+    def test_non_finite_box_raises_in_its_frame(self, monkeypatch):
+        # a head that returns NaN from frame 3 on: the output of frame 3
+        # fails validation, as one record per track would
+        store, rem_params, trk = make_model(dim=6, app_dim=5, seed=15)
+        frames = [[Detection(box=box(2.0 + 0.1 * t, 2.0))] for t in range(6)]
+        calls = []
+        regress = tracker.regress_baseline
+
+        def poisoned(params, feat):
+            calls.append(1)
+            out = regress(params, feat)
+            if len(calls) >= 3:
+                out.data[:] = np.nan
+            return out
+
+        monkeypatch.setattr(tracker, "regress_baseline", poisoned)
+        with pytest.raises(ValueError, match="box field cx is not finite"):
+            track_sequence(trk, rem_params, frames, "baseline")
+        assert len(calls) == 3
 
 
 class TestTrackSequence:
