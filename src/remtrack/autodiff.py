@@ -138,6 +138,22 @@ def _block_matmul(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     return out[:m]
 
 
+def _add_at(x: np.ndarray, index: np.ndarray, rows: np.ndarray) -> None:
+    """``np.add.at(x, index, rows)`` with its bits: each entry of ``x`` adds
+    the rows aimed at it one after another, in their order in ``index``. The
+    rows that are the k-th aimed at their entry go as one fancy add, one per
+    k, whose targets are distinct."""
+    order = np.argsort(index, kind="stable")
+    grouped = index[order]
+    rank = np.arange(len(index)) - np.searchsorted(grouped, grouped)
+    by_rank = order[np.argsort(rank, kind="stable")]
+    first = 0
+    for end in np.cumsum(np.bincount(rank)).tolist():
+        at = by_rank[first:end]
+        x[index[at]] += rows[at]
+        first = end
+
+
 def _check_vector(x: Tensor, name: str) -> None:
     if x.data.ndim != 1:
         raise ValueError(f"{name} must be a 1-D vector, got shape {x.data.shape}")
@@ -584,7 +600,8 @@ def gru_scan(
     Frame k's rows are ``bounds[k]:bounds[k + 1]`` of ``x`` and of the
     result. Row p's previous state is row ``prev[p]`` of ``h0``'s rows
     followed by the run's own output rows (which must lie in an earlier
-    frame), or zeros where ``prev[p]`` is -1. The input-side product of each
+    frame), or zeros where ``prev[p]`` is -1; a frame names each previous row
+    at most once. The input-side product of each
     gate runs once over every row; only the state-side products run frame by
     frame. Each row is computed in ``gru_cell``'s operation order
     (``x w^T + b``, then ``+ h u^T``), every product through
@@ -633,8 +650,8 @@ def gru_scan(
             dh = gs * (1.0 - zs) + daz[a:b] @ p.u_z.data + dar[a:b] @ p.u_r.data + drh * rs
             at = prev[a:b]
             old, new = (at >= 0) & (at < m), at >= m
-            np.add.at(dh0, at[old], dh[old])
-            np.add.at(g, at[new] - m, dh[new])
+            dh0[at[old]] += dh[old]  # a frame names a previous row at most once
+            g[at[new] - m] += dh[new]
             biases += [d[a:b].sum(axis=0) for d in (daz, dar, dah)]
         dx = daz @ p.w_z.data + dar @ p.w_r.data + dah @ p.w_h.data
         # Weight-gradient rows and bias sums go last frame first, the order

@@ -151,7 +151,7 @@ def giou(a: BoundingBox, b: BoundingBox) -> float:
     return min(inter / union, 1.0) - max((enclosing - union) / enclosing, 0.0)
 
 
-def giou_loss(pred: Tensor | BoundingBox, target: BoundingBox | Sequence[BoundingBox]) -> Tensor:
+def giou_loss(pred: Tensor, target: BoundingBox | Sequence[BoundingBox]) -> Tensor:
     """1 - GIoU as a differentiable scalar; gradient flows to ``pred``.
 
     ``pred`` is a length-4 tensor (cx, cy, w, h) against one ``target``, or
@@ -166,8 +166,6 @@ def giou_loss(pred: Tensor | BoundingBox, target: BoundingBox | Sequence[Boundin
     entry sums the chain's terms in its order, so only the sign of a zero may
     differ from it.
     """
-    if isinstance(pred, BoundingBox):
-        pred = Tensor(pred.as_array())
     targets = _box_array([target] if isinstance(target, BoundingBox) else target)
     shape = pred.data.shape
     if shape[-1:] != (4,) or len(shape) > 2 or pred.data.size != targets.size:

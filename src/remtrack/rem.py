@@ -36,15 +36,20 @@ because no number of a node depends on anything but its own rows:
   It is one ``lexsort`` per frame over the box columns and a void view of
   the feature rows, whose order is that of the rows' bytes; ``-0.0`` and
   ``0.0`` tie in a box column, as they do as numbers.
-  One sort per run, over both directions of every frame's edge arrays, puts
-  every receiver's senders in that order as one contiguous segment; the
-  receiver's row is the first key, so a segment never spans frames.
-  Neighbors equal in both keys give identical rows; the sort's last key puts
-  them in ascending id order only so that each segment is fully determined.
-* The message rows are cut into chunks of whole segments, about
-  ``CHUNK_ROWS`` rows each, which bounds the working set; a segment's
-  softmax and weighted sum (``reduceat``) depend only on the segment's own
-  rows, not on where it sits in its chunk.
+  One ``argsort`` per run, over both directions of every frame's edge
+  arrays, puts every receiver's senders in that order as one contiguous
+  segment. Its key packs (receiver row, dense rank of the distance, the
+  sender's place by content rank and row) into one int64, distinct for
+  every row; the receiver's row is the first field, so a segment never
+  spans frames. Neighbors equal in both keys give identical rows; the last
+  field puts them in ascending id order only so that each segment is fully
+  determined.
+* The attention weights of a run come from one segment softmax over the
+  attention logits of all its message rows; a segment's weights depend on
+  its own logits alone. The message rows run in chunks of whole segments,
+  about ``CHUNK_ROWS`` rows each, which only bounds the working set: each
+  segment's weighted sum (``reduceat``) depends on the segment's own rows,
+  not on where it sits in its chunk.
 
 Relation importance replays the trailing window of each requested frame
 from zero states. The windows of many frames run as one stack, a disjoint
@@ -53,7 +58,7 @@ frame at that step, with instances keyed per window, so no edge and no
 recurrence crosses windows. Node features never depend on relation
 embeddings, so one run gives the node features, projections and sender
 segments of every window, shared by all of its receivers. Every receiver's
-message rows at every step come from one ``_message_block``; its full row
+message rows at every step are computed once (``_messages``); its full row
 and each leave-one-out drop re-weight them in one ``_segment_softmax_sum``
 over all segments of the stack, and one affine and one ``gru_scan`` update
 every full and drop row of every step (once per batch of receivers where a
@@ -66,6 +71,7 @@ batch in it, which bounds the working set of a long or dense sequence.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -357,99 +363,141 @@ def _sender_segments(
     """``_Nodes.senders``, ``distances`` and ``start`` of the node rows ``v``
     of ``frames``, whose rows are ``bounds[k]:bounds[k + 1]``.
 
-    Both directions of every frame's edges are ordered by one sort on
-    (receiver row, distance, sender content rank, sender row). The receiver
-    comes first, so a segment never spans frames, and content ranks are
-    taken within each frame. Senders that reach the last key are equal in
-    distance, box and node feature, so they give identical rows; the key
-    only fixes their order to ascending id.
+    Both directions of every frame's edges are ordered by one ``argsort`` of
+    a packed key: (receiver row, distance, sender content rank, sender row).
+    The distance enters as its dense rank in the run, and the last two as one
+    field, the sender's place among the run's rows ordered by frame, content
+    rank and row; a receiver's senders share its frame, so that place orders
+    them as the two keys do. A row is one (receiver, sender) pair, so every
+    key is distinct and the order is that of a ``lexsort`` on the four keys.
+    The receiver comes first, so a segment never spans frames, and content
+    ranks are taken within each frame. Senders that reach the last key are
+    equal in distance, box and node feature, so they give identical rows;
+    the key only fixes their order to ascending id.
     """
     a, b = np.concatenate([frame.edges + at for frame, at in zip(frames, bounds)]).T
     receivers = np.concatenate([a, b])
     senders = np.concatenate([b, a])
     distance = np.concatenate([frame.edge_distance for frame in frames])
     distances = np.concatenate([distance, distance])
-    rank = np.concatenate(
-        [_content_rank(frame.boxes, v[at:end]) for frame, at, end in zip(frames, bounds, bounds[1:])]
+    levels, level = np.unique(distance, return_inverse=True)
+    content = np.concatenate(
+        [_content_rank(frame.boxes, v[at:end]) + at for frame, at, end in zip(frames, bounds, bounds[1:])]
     )
-    order = np.lexsort((senders, rank[senders], distances, receivers))
+    place = np.empty(len(v), dtype=np.intp)
+    place[np.argsort(content, kind="stable")] = np.arange(len(v))
+    # For n rows and D distinct distances the key is below n * D * n. D is at
+    # most the run's edge count, below n * n / 2, so every run of at most
+    # 2**16 rows fits in int64, and ``_pack`` rejects a larger run whose key
+    # would not.
+    key = _pack((receivers, len(v)), (np.concatenate([level, level]), len(levels)), (place[senders], len(v)))
+    order = np.argsort(key)
     start = np.searchsorted(receivers[order], np.arange(len(v) + 1))
     return senders[order], distances[order], start
 
 
-def _leaky(x: np.ndarray, slope: float) -> np.ndarray:
+def _pack(*fields: tuple[np.ndarray, int]) -> np.ndarray:
+    """One int64 key per row that orders the rows as the tuple of
+    ``fields``, most significant first; a field is (values, size), its values
+    in ``[0, size)``. A key is below the product of the sizes, which must not
+    exceed ``2**63``."""
+    if math.prod(int(size) for _, size in fields) > 2**63:
+        raise ValueError(f"a sort key over sizes {[int(size) for _, size in fields]} does not fit in int64")
+    key = np.zeros(len(fields[0][0]), dtype=np.int64)
+    for values, size in fields:
+        key *= size
+        key += values
+    return key
+
+
+def _leaky(x: np.ndarray, slope: float, out: np.ndarray | None = None) -> np.ndarray:
     # for 0 < slope < 1 the same bits as np.where(x >= 0, x, slope * x)
-    out = slope * x
-    return np.maximum(x, out, out=out)
+    scaled = slope * x
+    return np.maximum(x, scaled, out=scaled if out is None else out)
 
 
 def _slope(x: np.ndarray, slope: float) -> np.ndarray:
     return np.where(x >= 0, 1.0, slope)
 
 
-class _Block(NamedTuple):
-    """Message rows: one per (receiver, sender) pair."""
-
-    a1: np.ndarray
-    hidden: np.ndarray
-    a2: np.ndarray
-    msgs: np.ndarray
-    query: np.ndarray
-    keys: np.ndarray
-    scores: np.ndarray
-    logits: np.ndarray
+def _scores(
+    proj: np.ndarray, receivers: np.ndarray, senders: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    """The dot product of receiver query and sender key, from the nodes'
+    ``_Nodes.proj`` rows, for every (receiver, sender) row: the attention
+    logit before its LeakyReLU."""
+    return np.einsum("ij,ij->i", proj[3, senders], proj[1, receivers], out=out)
 
 
-def _message_block(
+def _messages(
     params: RemParameters,
     proj: np.ndarray,
     receivers: np.ndarray,
     senders: np.ndarray,
     distances: np.ndarray,
-) -> _Block:
-    """The maths of ``message`` and ``attention_coefficients`` for every
-    (receiver, sender, distance) row, from the two nodes' ``_Nodes.proj``
-    rows; only the second message layer is a matrix product."""
+    slopes: bool = False,
+):
+    """``message`` for every (receiver, sender, distance) row, from the two
+    nodes' ``_Nodes.proj`` rows; only the second layer is a matrix product,
+    and both LeakyReLUs run in place. With ``slopes``, returns the hidden
+    rows, the messages, and the slope each LeakyReLU took at every entry,
+    which the backward needs."""
     p, f = params, params.dim
-    a1 = proj[2, senders]
-    a1 += proj[0, receivers]
-    a1 += distances[:, None] * p.w_m1.data[:, 2 * f]
-    hidden = _leaky(a1, SIGMA_SLOPE)
-    a2 = ad._block_matmul(hidden, p.w_m2.data)
-    a2 += p.b_m2.data
-    msgs = _leaky(a2, SIGMA_SLOPE)
-    query, keys = proj[1, receivers], proj[3, senders]
-    scores = np.einsum("ij,ij->i", keys, query)
-    return _Block(a1, hidden, a2, msgs, query, keys, scores, _leaky(scores, ATTENTION_SLOPE))
+    x = proj[2, senders]
+    x += proj[0, receivers]
+    x += distances[:, None] * np.ascontiguousarray(p.w_m1.data[:, 2 * f])
+    s1 = _slope(x, SIGMA_SLOPE) if slopes else None
+    hidden = _leaky(x, SIGMA_SLOPE, out=x)
+    x = ad._block_matmul(hidden, p.w_m2.data)
+    x += p.b_m2.data
+    s2 = _slope(x, SIGMA_SLOPE) if slopes else None
+    msgs = _leaky(x, SIGMA_SLOPE, out=x)
+    return (hidden, msgs, s1, s2) if slopes else msgs
+
+
+def _segment_softmax(logits: np.ndarray, start: np.ndarray) -> np.ndarray:
+    """Attention weights within each segment ``start[s]:start[s + 1]`` of
+    ``logits``. A segment's weights depend on its own rows alone."""
+    lengths = np.diff(start)
+    linked = lengths > 0
+    heads = start[:-1][linked]
+    segment = np.repeat(np.arange(len(heads)), lengths[linked])
+    exps = logits - np.maximum.reduceat(logits, heads)[segment]
+    np.exp(exps, out=exps)
+    exps /= np.add.reduceat(exps, heads)[segment]
+    return exps
+
+
+def _segment_sums(rows: np.ndarray, start: np.ndarray, out: np.ndarray) -> None:
+    """Each segment's sum of ``rows`` into its row of ``out``; the row of an
+    empty segment is left as it is. A sum depends on its segment's rows
+    alone, not on where the segment lies."""
+    linked = np.diff(start) > 0
+    out[linked] = np.add.reduceat(rows, start[:-1][linked], axis=0)
 
 
 def _segment_softmax_sum(
     logits: np.ndarray, msgs: np.ndarray, start: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Attention weights within each segment ``start[s]:start[s + 1]`` of
-    the rows, and each segment's weighted sum of ``msgs``; a zero row for an
-    empty segment. A segment's numbers depend on its own rows alone."""
-    lengths = np.diff(start)
-    linked = lengths > 0
-    heads = start[:-1][linked]
-    segment = np.repeat(np.arange(len(heads)), lengths[linked])
-    exps = np.exp(logits - np.maximum.reduceat(logits, heads)[segment])
-    alphas = exps / np.add.reduceat(exps, heads)[segment]
-    sums = np.zeros((len(lengths), msgs.shape[1]))
-    sums[linked] = np.add.reduceat(alphas[:, None] * msgs, heads, axis=0)
+    """``_segment_softmax`` of the logits, and each segment's weighted sum of
+    ``msgs``; a zero row for an empty segment."""
+    alphas = _segment_softmax(logits, start)
+    sums = np.zeros((len(start) - 1, msgs.shape[1]))
+    _segment_sums(alphas[:, None] * msgs, start, sums)
     return alphas, sums
 
 
 def _chunks(start: np.ndarray):
-    """(first, end, receivers) of consecutive receiver ranges whose sender
-    segments hold about ``CHUNK_ROWS`` rows together; a segment is never
-    split, so one longer than a chunk is a chunk of its own."""
+    """(first, end, rows) of consecutive receiver ranges whose sender
+    segments, message rows ``rows``, hold about ``CHUNK_ROWS`` rows together;
+    a segment is never split, so one longer than a chunk is a chunk of its
+    own."""
     n = len(start) - 1
     first = 0
     while first < n:
         end = int(np.searchsorted(start, start[first] + CHUNK_ROWS, side="right")) - 1
         end = min(max(end, first + 1), n)
-        yield first, end, np.repeat(np.arange(first, end), np.diff(start[first : end + 1]))
+        yield first, end, slice(start[first], start[end])
         first = end
 
 
@@ -457,51 +505,56 @@ def _aggregate(params: RemParameters, nodes: _Nodes) -> Tensor:
     """sum_j alpha_ij m_ij for every receiver i of the run (a zero row for
     a node without neighbors), as one tape node.
 
-    The forward runs chunk by chunk and keeps only the sums; the backward
-    computes each chunk's rows again instead of holding the whole run's.
-    Weight gradients come back as row factors: one row per message for
-    ``w_m2``, and one row for the distance column of ``w_m1``.
+    The attention scores of every message row are computed chunk by chunk,
+    and one ``_segment_softmax`` over the run gives every weight. The message
+    rows then run chunk by chunk, each chunk's weighted sums going straight
+    into its output rows. The backward keeps the weights and scores and
+    computes each chunk's message rows again instead of holding the whole
+    run's. Weight gradients come back as row factors: one row per message
+    for ``w_m2``, and one row for the distance column of ``w_m1``.
     """
     p, f = params, params.dim
     proj = nodes.proj.data
     start, senders, distances = nodes.start, nodes.senders, nodes.distances
+    receivers = np.repeat(np.arange(len(nodes.ids)), np.diff(start))
+    chunks = list(_chunks(start))
 
-    def chunk_rows(first, end, receivers):
-        at = slice(start[first], start[end])
-        block = _message_block(p, proj, receivers, senders[at], distances[at])
-        alphas, sums = _segment_softmax_sum(block.logits, block.msgs, start[first : end + 1] - start[first])
-        return at, block, alphas, sums
-
+    scores = np.empty(len(senders))
+    for _, _, at in chunks:
+        _scores(proj, receivers[at], senders[at], out=scores[at])
+    alphas = _segment_softmax(_leaky(scores, ATTENTION_SLOPE), start)
     out = np.zeros((len(nodes.ids), f))
-    for first, end, receivers in _chunks(start):
-        out[first:end] = chunk_rows(first, end, receivers)[3]
+    for first, end, at in chunks:
+        msgs = _messages(p, proj, receivers[at], senders[at], distances[at])
+        msgs *= alphas[at, None]
+        _segment_sums(msgs, start[first : end + 1] - start[first], out[first:end])
 
     def bw(g):
-        d_proj = np.zeros_like(proj)
+        hidden, d_a2, d_a1 = (np.empty((len(senders), f)) for _ in range(3))
+        d_alphas = np.empty(len(senders))
         d_distance = np.zeros(f)
-        d_a2s, hiddens = [np.zeros((0, f))], [np.zeros((0, f))]  # a run may have no messages
-        for first, end, receivers in _chunks(start):
-            at, block, alphas, _ = chunk_rows(first, end, receivers)
-            g_rows = g[receivers]
-            d_alphas = np.einsum("ij,ij->i", block.msgs, g_rows)
-            inner = np.zeros(len(g))
-            np.add.at(inner, receivers, alphas * d_alphas)
-            d_scores = alphas * (d_alphas - inner[receivers]) * _slope(block.scores, ATTENTION_SLOPE)
-            d_a2 = alphas[:, None] * g_rows * _slope(block.a2, SIGMA_SLOPE)
-            d_a1 = (d_a2 @ p.w_m2.data) * _slope(block.a1, SIGMA_SLOPE)
-            np.add.at(d_proj[0], receivers, d_a1)
-            np.add.at(d_proj[1], receivers, d_scores[:, None] * block.keys)
-            np.add.at(d_proj[2], senders[at], d_a1)
-            np.add.at(d_proj[3], senders[at], d_scores[:, None] * block.query)
-            d_distance += distances[at] @ d_a1
-            d_a2s.append(d_a2)
-            hiddens.append(block.hidden)
+        for _, _, at in chunks:
+            hidden[at], msgs, s1, s2 = _messages(p, proj, receivers[at], senders[at], distances[at], slopes=True)
+            g_rows = g[receivers[at]]
+            np.einsum("ij,ij->i", msgs, g_rows, out=d_alphas[at])
+            d_a2_at = alphas[at, None] * g_rows * s2
+            d_a1_at = (d_a2_at @ p.w_m2.data) * s1
+            d_distance += distances[at] @ d_a1_at
+            d_a2[at], d_a1[at] = d_a2_at, d_a1_at
+        inner = np.zeros(len(g))
+        ad._add_at(inner, receivers, alphas * d_alphas)
+        d_scores = alphas * (d_alphas - inner[receivers]) * _slope(scores, ATTENTION_SLOPE)
+        d_proj = np.zeros_like(proj)
+        ad._add_at(d_proj[0], receivers, d_a1)
+        ad._add_at(d_proj[2], senders, d_a1)
+        del d_a1  # frees its rows before the attention's
+        ad._add_at(d_proj[1], receivers, d_scores[:, None] * proj[3, senders])
+        ad._add_at(d_proj[3], senders, d_scores[:, None] * proj[1, receivers])
         distance_column = np.zeros(2 * f + 1)
         distance_column[2 * f] = 1.0
-        d_a2 = np.concatenate(d_a2s)
         return (
             ad._Rows(d_distance, distance_column),  # w_m1
-            ad._Rows(d_a2, np.concatenate(hiddens)),  # w_m2
+            ad._Rows(d_a2, hidden),  # w_m2
             d_a2.sum(axis=0),  # b_m2
             d_proj,
         )
@@ -591,8 +644,8 @@ def _leave_one_out(
 
     Every receiver owns one full row and one drop row per sender at the last
     frame, in canonical order, at each frame it is in. Each of its message
-    rows at a frame is computed once, in one ``_message_block`` over all
-    receivers and frames. Its full row aggregates all of them; the drop row
+    rows at a frame is computed once, in one ``_messages`` over all receivers
+    and frames. Its full row aggregates all of them; the drop row
     of each j that is a sender at that frame aggregates all but j's, and
     every other drop row takes the full row's aggregate. All full and drop
     segments go through one ``_segment_softmax_sum``. Aggregates never
@@ -632,13 +685,11 @@ def _leave_one_out(
     dropped += dropped >= np.repeat(gone, lengths)
     segments = np.concatenate([np.arange(msg_first[-1]), dropped])
     start = np.concatenate([msg_first, msg_first[-1] + np.cumsum(lengths)])
-    block = _message_block(
-        params, nodes.proj.data, np.repeat(rows, k), nodes.senders[slots], nodes.distances[slots]
-    )
-    logits, msgs = block.logits[segments], block.msgs[segments]
-    del block  # frees the message layer's rows before the softmax allocates its own
+    receiver_rows, sender_rows = np.repeat(rows, k), nodes.senders[slots]
+    logits = _leaky(_scores(nodes.proj.data, receiver_rows, sender_rows), ATTENTION_SLOPE)[segments]
+    msgs = _messages(params, nodes.proj.data, receiver_rows, sender_rows, nodes.distances[slots])[segments]
     sums = _segment_softmax_sum(logits, msgs, start)[1]
-    del logits, msgs  # and the gathered rows before the update
+    del logits, msgs  # frees the gathered rows before the update
     # update rows: per receiver row, the full row, then one drop row per sender at the last frame
     width = 1 + n_drops
     first = np.concatenate([[0], np.cumsum(width)])

@@ -3,7 +3,8 @@
 Three modes share one machinery:
 
 * ``baseline`` — regress each track's offset from an appearance proxy alone;
-  occluded tracks coast with their last offset.
+  occluded tracks coast with their last offset. No head reads relations, so
+  this mode builds no graph and runs no relation module.
 * ``relation_aware`` — the regression head additionally sees the track's
   relation embedding; occluded tracks still coast.
 * ``relations_for_occluded`` — visible tracks behave as in relation-aware
@@ -257,8 +258,9 @@ def track_sequence(
             # a new track emits its detection's record; a moved box is validated here
             emitted = [BoundingBox(*row) for row in moved.tolist()] + [records[k] for k in new.tolist()]
             outputs.append(list(zip(ids.tolist(), emitted)))
-            update_graph(graph, t, ids, graph_box)
-            rem_step(rem_params, state, graph, t)
+            if mode != "baseline":  # no baseline head reads the relation state
+                update_graph(graph, t, ids, graph_box)
+                rem_step(rem_params, state, graph, t)
     return outputs
 
 

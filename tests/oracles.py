@@ -2,13 +2,18 @@
 
 Everything here is deliberately written from the definitions with plain
 Python loops and exhaustive enumeration, sharing no code with the package's
-computation paths.
+computation paths. The exceptions are the bitwise references of the relation
+module's array code in the section "former array paths", which keep an
+earlier, simpler form of that code.
 """
 
 from __future__ import annotations
 
 import math
 
+import numpy as np
+
+from remtrack import autodiff as ad
 from remtrack.geometry import MIN_BOX_SIZE, BoundingBox, iou
 from remtrack.rem import INPUT_SCALE
 
@@ -243,6 +248,113 @@ def scalar_giou_loss_and_grad(pred, target: BoundingBox) -> tuple[float, list[fl
     raw = (raw_w, raw_h)
     grad = d_center + [d_size[a] if raw[a] >= MIN_BOX_SIZE else 0.0 for a in range(2)]
     return loss, grad
+
+
+# ---------------------------------------------------------------------------
+# former array paths of the relation module, kept as bitwise references
+
+
+def lexsort_sender_segments(frames, bounds, v):
+    """``rem._sender_segments`` as one ``np.lexsort`` on the four keys
+    (receiver row, distance, sender content rank, sender row), with content
+    ranks from ``content_rank`` within each frame."""
+    a, b = np.concatenate([frame.edges + at for frame, at in zip(frames, bounds)]).T
+    receivers, senders = np.concatenate([a, b]), np.concatenate([b, a])
+    distance = np.concatenate([frame.edge_distance for frame in frames])
+    distances = np.concatenate([distance, distance])
+    rank = np.concatenate(
+        [
+            np.array(content_rank(frame.boxes, v[at:end]), dtype=np.intp)
+            for frame, at, end in zip(frames, bounds, bounds[1:])
+        ]
+    )
+    order = np.lexsort((senders, rank[senders], distances, receivers))
+    start = np.searchsorted(receivers[order], np.arange(len(v) + 1))
+    return senders[order], distances[order], start
+
+
+def _leaky_rows(x, slope):
+    out = slope * x
+    return np.maximum(x, out, out=out)
+
+
+def _slope_rows(x, slope):
+    return np.where(x >= 0, 1.0, slope)
+
+
+def chunked_aggregate(params, nodes, chunk_rows, sigma_slope=0.1, attention_slope=0.2):
+    """``rem._aggregate`` computed chunk by chunk of about ``chunk_rows``
+    message rows: each chunk's own message layer, attention, segment softmax
+    and weighted sums, and a backward that scatters with ``np.add.at``."""
+    p, f = params, params.dim
+    proj = nodes.proj.data
+    start, senders, distances = nodes.start, nodes.senders, nodes.distances
+
+    def chunks():
+        n, first = len(start) - 1, 0
+        while first < n:
+            end = int(np.searchsorted(start, start[first] + chunk_rows, side="right")) - 1
+            end = min(max(end, first + 1), n)
+            yield first, end, np.repeat(np.arange(first, end), np.diff(start[first : end + 1]))
+            first = end
+
+    def chunk_rows_of(first, end, receivers):
+        at = slice(start[first], start[end])
+        a1 = proj[2, senders[at]]
+        a1 += proj[0, receivers]
+        a1 += distances[at][:, None] * p.w_m1.data[:, 2 * f]
+        hidden = _leaky_rows(a1, sigma_slope)
+        a2 = ad._block_matmul(hidden, p.w_m2.data)
+        a2 += p.b_m2.data
+        msgs = _leaky_rows(a2, sigma_slope)
+        query, keys = proj[1, receivers], proj[3, senders[at]]
+        scores = np.einsum("ij,ij->i", keys, query)
+        logits = _leaky_rows(scores, attention_slope)
+        lengths = np.diff(start[first : end + 1])
+        linked = lengths > 0
+        heads = (start[first:end] - start[first])[linked]
+        segment = np.repeat(np.arange(len(heads)), lengths[linked])
+        exps = np.exp(logits - np.maximum.reduceat(logits, heads)[segment])
+        alphas = exps / np.add.reduceat(exps, heads)[segment]
+        sums = np.zeros((len(lengths), f))
+        sums[linked] = np.add.reduceat(alphas[:, None] * msgs, heads, axis=0)
+        return at, (a1, hidden, a2, msgs, query, keys, scores), alphas, sums
+
+    out = np.zeros((len(nodes.ids), f))
+    for first, end, receivers in chunks():
+        out[first:end] = chunk_rows_of(first, end, receivers)[3]
+
+    def bw(g):
+        d_proj = np.zeros_like(proj)
+        d_distance = np.zeros(f)
+        d_a2s, hiddens = [np.zeros((0, f))], [np.zeros((0, f))]
+        for first, end, receivers in chunks():
+            at, (a1, hidden, a2, msgs, query, keys, scores), alphas, _ = chunk_rows_of(first, end, receivers)
+            g_rows = g[receivers]
+            d_alphas = np.einsum("ij,ij->i", msgs, g_rows)
+            inner = np.zeros(len(g))
+            np.add.at(inner, receivers, alphas * d_alphas)
+            d_scores = alphas * (d_alphas - inner[receivers]) * _slope_rows(scores, attention_slope)
+            d_a2 = alphas[:, None] * g_rows * _slope_rows(a2, sigma_slope)
+            d_a1 = (d_a2 @ p.w_m2.data) * _slope_rows(a1, sigma_slope)
+            np.add.at(d_proj[0], receivers, d_a1)
+            np.add.at(d_proj[1], receivers, d_scores[:, None] * keys)
+            np.add.at(d_proj[2], senders[at], d_a1)
+            np.add.at(d_proj[3], senders[at], d_scores[:, None] * query)
+            d_distance += distances[at] @ d_a1
+            d_a2s.append(d_a2)
+            hiddens.append(hidden)
+        distance_column = np.zeros(2 * f + 1)
+        distance_column[2 * f] = 1.0
+        d_a2 = np.concatenate(d_a2s)
+        return (
+            ad._Rows(d_distance, distance_column),
+            ad._Rows(d_a2, np.concatenate(hiddens)),
+            d_a2.sum(axis=0),
+            d_proj,
+        )
+
+    return ad._make(out, (p.w_m1, p.w_m2, p.b_m2, nodes.proj), bw)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import weighted_sum
 from remtrack import autodiff as ad
@@ -472,3 +474,30 @@ class TestGruScan:
         assert gradient_check(loss, store, epsilon=1e-5) < 1e-6
         backward(loss())
         assert all(np.any(store[name].grad != 0) for name in store.names())
+
+
+class TestOrderedScatter:
+    """``ad._add_at`` has the bits of ``np.add.at``: every target adds its
+    rows one after another, in their order."""
+
+    # 1e16 + 1.0 - 1e16 depends on the order of the terms, and -0.0 on a
+    # zero target stays a zero of the target's sign only in order
+    VALUES = [1e16, -1e16, 1.0, 3.5, 1e-300, 0.0, -0.0]
+
+    @given(
+        st.lists(st.tuples(st.integers(0, 5), st.integers(0, len(VALUES) - 1)), max_size=40),
+        st.sampled_from([None, 3]),
+        st.booleans(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_equals_np_add_at_bitwise(self, pairs, width, negative_zero_targets):
+        index = np.array([i for i, _ in pairs], dtype=np.intp)
+        values = np.array([self.VALUES[v] for _, v in pairs])
+        rows = values if width is None else np.stack([values, -values, values[::-1]][:width], axis=1)
+        shape = (6,) if width is None else (6, width)
+        expected = np.full(shape, -0.0 if negative_zero_targets else 0.0)
+        got = expected.copy()
+        np.add.at(expected, index, rows)
+        ad._add_at(got, index, rows)
+        assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+

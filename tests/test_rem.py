@@ -1,4 +1,5 @@
 from dataclasses import replace
+from functools import partial
 from unittest import mock
 
 import numpy as np
@@ -8,7 +9,9 @@ from hypothesis import strategies as st
 
 from oracles import (
     canonical_sender_order,
+    chunked_aggregate,
     content_rank,
+    lexsort_sender_segments,
     neighbor_distances,
     neighbors,
     scalar_rem_transcription,
@@ -25,6 +28,7 @@ from remtrack.rem import (
     _content_rank,
     _leave_one_out,
     _Nodes,
+    _pack,
     _project,
     _run_nodes,
     _segment_softmax_sum,
@@ -1169,6 +1173,124 @@ class TestRunEquivalence:
             with pytest.raises(ValueError, match="cannot run frames"):
                 rem_step(params, RemState(), graph, t, stop)
 
+
+
+# few grid positions, sizes and features, so senders tie in distance, in box
+# and in feature bytes; features 2 and 3 differ only in the sign of a zero,
+# and 0 and 1 only in their last bit
+SENDER_FEATURES = [
+    [1.0, 2.0, 3.0],
+    [1.0, 2.0, float(np.nextafter(3.0, 4.0))],
+    [-1.0, 0.5, 0.0],
+    [-1.0, 0.5, -0.0],
+    [0.0, -0.0, 0.0],
+]
+sender_frames = st.lists(
+    st.lists(
+        st.tuples(
+            st.booleans(),
+            st.integers(0, 3),
+            st.integers(0, 3),
+            st.sampled_from([1.0, 2.0]),
+            st.integers(0, len(SENDER_FEATURES) - 1),
+        ),
+        min_size=7,
+        max_size=7,
+    ),
+    min_size=1,
+    max_size=3,
+)
+
+
+def aggregate_bits(params, store, graph, aggregate, weights):
+    """``aggregate``'s rows over every frame of ``graph`` as one run, the
+    gradient of a weighted sum of them at the run's projections, and every
+    parameter's gradient."""
+    store.clear_grads()
+    nodes = _run_nodes(params, graph, 0, graph.n_frames, RemState())
+    out = aggregate(params, nodes)
+    ad.backward(weighted_sum(out, weights[: len(out.data)]))
+    grads = {name: p.grad for name, p in store.items()}
+    return out.data, nodes.proj.grad, grads
+
+
+class TestRunAggregation:
+    """The sender sort and the aggregation of a run keep the bits of their
+    former forms: a four-key ``lexsort``, and message rows, attention and
+    softmax computed chunk by chunk with ``np.add.at`` scatters
+    (``tests/oracles.py``)."""
+
+    @given(sender_frames)
+    @settings(max_examples=150, deadline=None)
+    def test_sender_order_equals_four_key_lexsort(self, frames):
+        graph = build_graph(
+            [[(i, box(x, y, size, size)) for i, (here, x, y, size, _) in enumerate(f) if here] for f in frames],
+            d_th=4.0,
+        )
+        bounds = np.cumsum([0] + [len(frame.ids) for frame in graph.frames])
+        v = np.array(
+            [SENDER_FEATURES[f[i][4]] for f, frame in zip(frames, graph.frames) for i in frame.ids], dtype=float
+        ).reshape(-1, 3)
+        got = _sender_segments(graph.frames, bounds, v)
+        expected = lexsort_sender_segments(graph.frames, bounds, v)
+        assert np.array_equal(got[0], expected[0])
+        assert np.array_equal(got[1].view(np.int64), expected[1].view(np.int64))
+        assert np.array_equal(got[2], expected[2])
+
+    def test_sender_key_fits_int64_for_runs_of_up_to_2_16_rows(self):
+        # n rows have fewer than n * n / 2 edges, so at most that many
+        # distinct distances; the key's sizes are n, that and n
+        n = 2**16
+        distances = n * (n - 1) // 2
+        key = _pack(
+            (np.array([n - 1, n - 1, 0]), n),
+            (np.array([distances - 1, distances - 2, 0]), distances),
+            (np.array([n - 1, n - 1, 0]), n),
+        )
+        assert key.dtype == np.int64
+        assert key.tolist() == [n * distances * n - 1, n * distances * n - 1 - n, 0]
+        assert n * distances * n <= 2**63
+        n += 1
+        zero = np.zeros(1, dtype=np.intp)
+        with pytest.raises(ValueError, match="does not fit in int64"):
+            _pack((zero, n), (zero, n * (n - 1) // 2), (zero, n))
+
+    @given(run_frames, st.sampled_from([1, 2, 5, 16, 256]))
+    @example(EVERY_CASE, 1)
+    @settings(max_examples=40, deadline=None)
+    def test_aggregate_equals_chunked_path_bitwise(self, frames, chunk_rows):
+        graph = run_graph(frames)
+        store, params = make_rem(dim=5, seed=72)
+        weights = np.random.default_rng(73).normal(size=(6 * graph.n_frames, 5))
+        with mock.patch.object(rem_module, "CHUNK_ROWS", chunk_rows):
+            got = aggregate_bits(params, store, graph, _aggregate, weights)
+        expected = aggregate_bits(params, store, graph, partial(chunked_aggregate, chunk_rows=chunk_rows), weights)
+        assert np.array_equal(got[0], expected[0])
+        assert (got[1] is None) == (expected[1] is None)
+        if got[1] is not None:
+            assert np.array_equal(got[1], expected[1])
+        for name, grad in expected[2].items():
+            assert (grad is None) == (got[2][name] is None)
+            assert grad is None or np.array_equal(got[2][name], grad)
+
+    @pytest.mark.parametrize("chunk_rows", [1, 2, 5, 16, 256])
+    def test_crowd_aggregate_equals_chunked_path_bitwise(self, chunk_rows):
+        # dim 128 and segments longer than most chunks: three frames of a crowd
+        # where instances come and go
+        rng = np.random.default_rng(74)
+        frames = [
+            [(i, box(*rng.uniform(0, 14, 2), *rng.uniform(1.5, 3, 2))) for i in range(24) if rng.random() < 0.8]
+            for _ in range(3)
+        ]
+        graph = build_graph(frames, d_th=6.0)
+        store, params = make_rem(dim=128, seed=75)
+        weights = rng.normal(size=(72, 128))
+        with mock.patch.object(rem_module, "CHUNK_ROWS", chunk_rows):
+            got = aggregate_bits(params, store, graph, _aggregate, weights)
+        expected = aggregate_bits(params, store, graph, partial(chunked_aggregate, chunk_rows=chunk_rows), weights)
+        assert np.array_equal(got[0], expected[0]) and np.array_equal(got[1], expected[1])
+        for name, grad in expected[2].items():
+            assert np.array_equal(got[2][name], grad)
 
 
 def hexed(records):

@@ -249,6 +249,28 @@ class TestTrackTable:
             assert track_bits(got) == track_bits(want)
             assert all(type(tid) is int for frame in got for tid, _ in frame)
 
+    def test_baseline_runs_no_relation_module(self, monkeypatch):
+        # no baseline head reads the relation state, so baseline tracks keep
+        # their bits with NaN in every REM weight and without the graph or REM
+        cfg = ScenarioConfig(
+            n_frames=14, n_groups=3, group_size_min=2, group_size_max=3,
+            occlusion_prob=0.5, occlusion_min=2, occlusion_max=4, seed=14,
+        )
+        dets = detect_sequence(generate(cfg), cfg, seed=7)
+        store, rem_params, trk = make_model(dim=6, app_dim=5, seed=15)
+        want = record_track_sequence(trk, rem_params, dets, "baseline")
+        for name in store.names():
+            if name.startswith("rem."):
+                store[name].data[:] = np.nan
+        assert track_bits(track_sequence(trk, rem_params, dets, "baseline")) == track_bits(want)
+
+        def unused(*args, **kwargs):
+            raise AssertionError("baseline tracking ran the relation module")
+
+        monkeypatch.setattr(tracker, "rem_step", unused)
+        monkeypatch.setattr(tracker, "update_graph", unused)
+        assert track_bits(track_sequence(trk, rem_params, dets, "baseline")) == track_bits(want)
+
     def test_non_finite_box_raises_in_its_frame(self, monkeypatch):
         # a head that returns NaN from frame 3 on: the output of frame 3
         # fails validation, as one record per track would
