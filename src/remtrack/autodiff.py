@@ -138,20 +138,25 @@ def _block_matmul(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     return out[:m]
 
 
-def _add_at(x: np.ndarray, index: np.ndarray, rows: np.ndarray) -> None:
-    """``np.add.at(x, index, rows)`` with its bits: each entry of ``x`` adds
-    the rows aimed at it one after another, in their order in ``index``. The
-    rows that are the k-th aimed at their entry go as one fancy add, one per
-    k, whose targets are distinct."""
+def _scatter_ranks(index: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The order in which ``np.add.at`` adds rows along ``index``, for
+    ``_add_at``: one (positions, targets) pair per k, holding the rows that
+    are the k-th aimed at their target, whose targets are distinct. One
+    ranking serves every scatter along the same index."""
     order = np.argsort(index, kind="stable")
     grouped = index[order]
     rank = np.arange(len(index)) - np.searchsorted(grouped, grouped)
     by_rank = order[np.argsort(rank, kind="stable")]
-    first = 0
-    for end in np.cumsum(np.bincount(rank)).tolist():
-        at = by_rank[first:end]
-        x[index[at]] += rows[at]
-        first = end
+    return [(at, index[at]) for at in np.split(by_rank, np.cumsum(np.bincount(rank))[:-1])]
+
+
+def _add_at(x: np.ndarray, ranks: list[tuple[np.ndarray, np.ndarray]], rows: np.ndarray) -> None:
+    """``np.add.at(x, index, rows)`` with its bits, for the ``ranks`` of
+    ``_scatter_ranks(index)``: each entry of ``x`` adds the rows aimed at it
+    one after another, in their order in ``index``, as one fancy add per
+    rank."""
+    for at, targets in ranks:
+        x[targets] += rows[at]
 
 
 def _check_vector(x: Tensor, name: str) -> None:

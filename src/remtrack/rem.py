@@ -541,15 +541,16 @@ def _aggregate(params: RemParameters, nodes: _Nodes) -> Tensor:
             d_a1_at = (d_a2_at @ p.w_m2.data) * s1
             d_distance += distances[at] @ d_a1_at
             d_a2[at], d_a1[at] = d_a2_at, d_a1_at
+        by_receiver, by_sender = ad._scatter_ranks(receivers), ad._scatter_ranks(senders)
         inner = np.zeros(len(g))
-        ad._add_at(inner, receivers, alphas * d_alphas)
+        ad._add_at(inner, by_receiver, alphas * d_alphas)
         d_scores = alphas * (d_alphas - inner[receivers]) * _slope(scores, ATTENTION_SLOPE)
         d_proj = np.zeros_like(proj)
-        ad._add_at(d_proj[0], receivers, d_a1)
-        ad._add_at(d_proj[2], senders, d_a1)
+        ad._add_at(d_proj[0], by_receiver, d_a1)
+        ad._add_at(d_proj[2], by_sender, d_a1)
         del d_a1  # frees its rows before the attention's
-        ad._add_at(d_proj[1], receivers, d_scores[:, None] * proj[3, senders])
-        ad._add_at(d_proj[3], senders, d_scores[:, None] * proj[1, receivers])
+        ad._add_at(d_proj[1], by_receiver, d_scores[:, None] * proj[3, senders])
+        ad._add_at(d_proj[3], by_sender, d_scores[:, None] * proj[1, receivers])
         distance_column = np.zeros(2 * f + 1)
         distance_column[2 * f] = 1.0
         return (

@@ -11,6 +11,9 @@ Three modes share one machinery:
   mode, while occluded tracks are re-regressed *absolutely* from their
   relation embedding alone.
 
+The relation module runs online: the embeddings of frame t feed the heads at
+frame t + 1, so the relation state after the last frame is not computed.
+
 The appearance proxy is an affine encoding of [detection box || previous box
 || 1]; it stands in for backbone appearance features. It is computed only for
 matched detections, so an occluded track has no appearance input, while its
@@ -206,6 +209,10 @@ def track_sequence(
     Tracks with no detection for more than ``term_after`` frames terminate.
     Occluded-but-alive tracks keep emitting boxes (coasted or recovered from
     relations, depending on the mode).
+
+    In the relation modes each frame but the last then enters the graph and
+    advances REM, whose embeddings the heads of the next frame read; the
+    relation state after the last frame is never read, so it is not computed.
     """
     if mode not in TRACK_MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {TRACK_MODES}")
@@ -217,7 +224,7 @@ def track_sequence(
     # the track table, one row per live track, ascending id
     ids, missed = np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp)
     box, graph_box, last_offset = np.zeros((0, 4)), np.zeros((0, 4)), np.zeros((0, 4))
-    next_id = 0
+    next_id, last = 0, len(detections_per_frame) - 1
     outputs: list[list[tuple[int, BoundingBox]]] = []
 
     with ad.no_grad():
@@ -258,7 +265,9 @@ def track_sequence(
             # a new track emits its detection's record; a moved box is validated here
             emitted = [BoundingBox(*row) for row in moved.tolist()] + [records[k] for k in new.tolist()]
             outputs.append(list(zip(ids.tolist(), emitted)))
-            if mode != "baseline":  # no baseline head reads the relation state
+            # frame t's relation state feeds the heads of frame t + 1 only:
+            # no baseline head reads it, and no frame follows the last
+            if mode != "baseline" and t < last:
                 update_graph(graph, t, ids, graph_box)
                 rem_step(rem_params, state, graph, t)
     return outputs
@@ -426,7 +435,9 @@ def train(
     """
     if not sequences:
         raise ValueError("training needs at least one sequence")
-    usable = []
+    usable = [seq for seq in sequences if seq.n_frames >= cfg.window + 1]
+    if not usable:
+        raise ValueError(f"no sequence is at least {cfg.window + 1} frames long")
     for idx, seq in enumerate(sequences):
         if seq.n_frames < cfg.window + 1:
             warnings.warn(
@@ -434,10 +445,6 @@ def train(
                 f"{cfg.window + 1}-frame training window; skipping",
                 stacklevel=2,
             )
-            continue
-        usable.append(seq)
-    if not usable:
-        raise ValueError(f"no sequence is at least {cfg.window + 1} frames long")
 
     rng = np.random.default_rng(cfg.seed)
     samples = [

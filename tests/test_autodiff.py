@@ -477,27 +477,30 @@ class TestGruScan:
 
 
 class TestOrderedScatter:
-    """``ad._add_at`` has the bits of ``np.add.at``: every target adds its
-    rows one after another, in their order."""
+    """``ad._add_at`` over ``ad._scatter_ranks(index)`` has the bits of
+    ``np.add.at`` along ``index``: every target adds its rows one after
+    another, in their order, however many scatters share one ranking."""
 
     # 1e16 + 1.0 - 1e16 depends on the order of the terms, and -0.0 on a
     # zero target stays a zero of the target's sign only in order
     VALUES = [1e16, -1e16, 1.0, 3.5, 1e-300, 0.0, -0.0]
 
     @given(
-        st.lists(st.tuples(st.integers(0, 5), st.integers(0, len(VALUES) - 1)), max_size=40),
-        st.sampled_from([None, 3]),
+        st.lists(st.integers(0, 5), max_size=40),
+        st.lists(st.lists(st.integers(0, len(VALUES) - 1), min_size=40, max_size=40), min_size=1, max_size=4),
         st.booleans(),
     )
     @settings(max_examples=200, deadline=None)
-    def test_equals_np_add_at_bitwise(self, pairs, width, negative_zero_targets):
-        index = np.array([i for i, _ in pairs], dtype=np.intp)
-        values = np.array([self.VALUES[v] for _, v in pairs])
-        rows = values if width is None else np.stack([values, -values, values[::-1]][:width], axis=1)
-        shape = (6,) if width is None else (6, width)
-        expected = np.full(shape, -0.0 if negative_zero_targets else 0.0)
-        got = expected.copy()
-        np.add.at(expected, index, rows)
-        ad._add_at(got, index, rows)
-        assert np.array_equal(got.view(np.int64), expected.view(np.int64))
-
+    def test_equals_np_add_at_bitwise(self, targets, terms, negative_zero_targets):
+        # as in REM's backward: one ranking of an index, then scatters of
+        # different rows, 1-D and 2-D, into different arrays along it
+        index = np.array(targets, dtype=np.intp)
+        ranks = ad._scatter_ranks(index)
+        for k, term in enumerate(terms):
+            values = np.array([self.VALUES[v] for v in term[: len(index)]])
+            rows = values if k % 2 == 0 else np.stack([values, -values, values[::-1]], axis=1)
+            expected = np.full((6,) + rows.shape[1:], -0.0 if negative_zero_targets else 0.0)
+            got = expected.copy()
+            np.add.at(expected, index, rows)
+            ad._add_at(got, ranks, rows)
+            assert np.array_equal(got.view(np.int64), expected.view(np.int64))

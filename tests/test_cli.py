@@ -428,6 +428,28 @@ class TestErrors:
         assert message in self.one_line_error(capsys)
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ["train", "ablate"])
+    def test_no_sequence_fits_the_window_in_a_process(self, tmp_path, command):
+        # a subprocess, because pytest captures the warnings a user would
+        # see: no per-sequence warning comes before the one-line error
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import remtrack
+
+        src = str(Path(remtrack.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        out = tmp_path / "out"
+        proc = subprocess.run(
+            [sys.executable, "-m", "remtrack", command, "--gen-sequences", "2", "--window", "100", "--out", str(out)],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.splitlines() == ["error: no sequence is at least 101 frames long"]
+        assert not out.exists()
+
     def test_gradcheck_empty_appearance_encoder(self, capsys):
         code = run(["gradcheck", "--dim", "3", "--app-dim", "0"])
         assert code == 1

@@ -32,6 +32,7 @@ from remtrack.rem import (
     _project,
     _run_nodes,
     _segment_softmax_sum,
+    _segment_sums,
     _sender_segments,
     attention_coefficients,
     message,
@@ -1291,6 +1292,39 @@ class TestRunAggregation:
         assert np.array_equal(got[0], expected[0]) and np.array_equal(got[1], expected[1])
         for name, grad in expected[2].items():
             assert np.array_equal(got[2][name], grad)
+
+
+class TestSegmentSums:
+    """``_segment_sums`` sums with ``np.add.reduceat``, whose order numpy does
+    not document; REM's bits, and with them the seeded training curve,
+    rest on each segment's sum being that of ``reduceat`` over the segment
+    alone, wherever it lies among other segments. A numpy whose ``reduceat``
+    order depends on the surrounding rows fails here."""
+
+    @given(
+        st.lists(st.integers(0, 60), min_size=1, max_size=8),
+        st.integers(1, 128),
+        st.integers(0, 3),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_each_segment_has_the_bits_of_reduceat_alone(self, lengths, width, lead, seed):
+        # rows of mixed magnitude with exact zeros of both signs; ``lead``
+        # rows before the first segment belong to none
+        rng = np.random.default_rng(seed)
+        n = lead + sum(lengths)
+        rows = rng.normal(size=(n, width)) * 10.0 ** rng.integers(-8, 9, size=(n, width))
+        rows[rng.random((n, width)) < 0.05] = 0.0
+        rows[rng.random((n, width)) < 0.05] = -0.0
+        start = lead + np.cumsum([0] + lengths)
+        out = np.full((len(lengths), width), np.nan)
+        _segment_sums(rows, start, out)
+        for s, (a, b) in enumerate(zip(start[:-1].tolist(), start[1:].tolist())):
+            if a == b:
+                assert np.isnan(out[s]).all()  # an empty segment's row is left as it is
+            else:
+                alone = np.add.reduceat(rows[a:b], [0], axis=0)[0]
+                assert np.array_equal(out[s].view(np.int64), alone.view(np.int64))
 
 
 def hexed(records):

@@ -271,6 +271,32 @@ class TestTrackTable:
         monkeypatch.setattr(tracker, "update_graph", unused)
         assert track_bits(track_sequence(trk, rem_params, dets, "baseline")) == track_bits(want)
 
+    @pytest.mark.parametrize("mode", ["relation_aware", "relations_for_occluded"])
+    def test_relation_state_is_computed_only_for_a_later_frame(self, monkeypatch, mode):
+        # frame t's relation state feeds the heads of frame t + 1, so frames
+        # 0..T-2 enter the graph and advance REM, in order, and the last
+        # frame does neither; the tracks keep the bits of stepping every frame
+        cfg = ScenarioConfig(
+            n_frames=14, n_groups=3, group_size_min=2, group_size_max=3,
+            occlusion_prob=0.5, occlusion_min=2, occlusion_max=4, seed=14,
+        )
+        dets = detect_sequence(generate(cfg), cfg, seed=7)
+        store, rem_params, trk = make_model(dim=6, app_dim=5, seed=15)
+        calls = []
+
+        # update_graph(graph, t, ids, boxes) and rem_step(params, state, graph, t)
+        for name, frame_arg in (("update_graph", 1), ("rem_step", 3)):
+            def spy(*args, fn=getattr(tracker, name), name=name, frame_arg=frame_arg):
+                calls.append((name, args[frame_arg]))
+                return fn(*args)
+
+            monkeypatch.setattr(tracker, name, spy)
+        for frames in (dets, dets[:1]):
+            calls.clear()
+            got = track_sequence(trk, rem_params, frames, mode)
+            assert calls == [(name, t) for t in range(len(frames) - 1) for name in ("update_graph", "rem_step")]
+            assert track_bits(got) == track_bits(record_track_sequence(trk, rem_params, frames, mode))
+
     def test_non_finite_box_raises_in_its_frame(self, monkeypatch):
         # a head that returns NaN from frame 3 on: the output of frame 3
         # fails validation, as one record per track would
@@ -537,8 +563,9 @@ class TestTrain:
         store, rem_params, trk = make_model(dim=4, app_dim=4, seed=24)
         short = generate(ScenarioConfig(n_frames=4, n_groups=1, group_size_min=1, group_size_max=1, seed=41))
         cfg = TrainConfig(window=10, epochs=1, seed=5)
+        # the one error comes before any per-sequence warning
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
+            warnings.simplefilter("error")
             with pytest.raises(ValueError, match="at least 11 frames"):
                 train(store, trk, rem_params, [short], cfg)
 
