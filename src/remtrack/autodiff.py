@@ -435,18 +435,14 @@ class ParameterStore:
         return sum(p.data.size for p in self._params.values())
 
 
-def adam_step(
-    store: ParameterStore,
-    lr: float = 1e-4,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
-) -> None:
-    """Bias-corrected Adam update in place; clears gradients afterwards.
+# Adam's conventional beta1, beta2 and eps
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
-    The default learning rate matches the training recipe used throughout
-    this package. beta1/beta2/eps are the conventional defaults.
-    """
+
+def adam_step(store: ParameterStore, lr: float) -> None:
+    """Bias-corrected Adam update in place; clears gradients afterwards."""
     for name in store.names():
         param = store[name]
         if param.grad is None:
@@ -460,17 +456,17 @@ def adam_step(
         t = store._adam_t[name] = store._adam_t.get(name, 0) + 1
         # Two work arrays per parameter instead of a temporary per
         # operation, in the operation order of lr * m_hat / (sqrt(v_hat) + eps).
-        step = np.multiply(g, 1.0 - beta1)
-        m *= beta1
+        step = np.multiply(g, 1.0 - ADAM_BETA1)
+        m *= ADAM_BETA1
         m += step
-        np.multiply(g, 1.0 - beta2, out=step)
+        np.multiply(g, 1.0 - ADAM_BETA2, out=step)
         step *= g
-        v *= beta2
+        v *= ADAM_BETA2
         v += step
-        denom = np.divide(v, 1.0 - beta2**t)
+        denom = np.divide(v, 1.0 - ADAM_BETA2**t)
         np.sqrt(denom, out=denom)
-        denom += eps
-        np.divide(m, 1.0 - beta1**t, out=step)
+        denom += ADAM_EPS
+        np.divide(m, 1.0 - ADAM_BETA1**t, out=step)
         step *= lr
         step /= denom
         param.data -= step

@@ -14,9 +14,9 @@ and ``_box_array`` turns a sequence of records into rows. ``iou_matrix`` and
 repeat the scalar arithmetic entry by entry, in the same order, so every
 entry is bitwise equal to ``iou`` / ``scaled_distance``.
 
-``giou_loss`` is one tape node over a matrix of rows. Each row's forward is
-bitwise the chain of scalar ``max``/``min`` and arithmetic steps that defines
-the loss, and its gradient equals that chain's gradient in value.
+``giou_loss`` is one tape node over predicted against target rows. Each row's
+forward is bitwise the chain of scalar ``max``/``min`` and arithmetic steps
+that defines the loss, and its gradient equals that chain's gradient in value.
 """
 
 from __future__ import annotations
@@ -151,11 +151,11 @@ def giou(a: BoundingBox, b: BoundingBox) -> float:
     return min(inter / union, 1.0) - max((enclosing - union) / enclosing, 0.0)
 
 
-def giou_loss(pred: Tensor, target: BoundingBox | Sequence[BoundingBox]) -> Tensor:
+def giou_loss(pred: Tensor, target: np.ndarray) -> Tensor:
     """1 - GIoU as a differentiable scalar; gradient flows to ``pred``.
 
-    ``pred`` is a length-4 tensor (cx, cy, w, h) against one ``target``, or
-    the sum over the rows of an (n, 4) one against n targets; sizes are
+    ``pred`` is a length-4 tensor (cx, cy, w, h), or an (n, 4) matrix whose
+    row losses are summed, against a ``target`` array of its shape; sizes are
     clamped to MIN_BOX_SIZE so degenerate intermediate boxes stay well-defined.
 
     The forward runs the scalar chain over the x and y axes of every row at
@@ -166,13 +166,13 @@ def giou_loss(pred: Tensor, target: BoundingBox | Sequence[BoundingBox]) -> Tens
     entry sums the chain's terms in its order, so only the sign of a zero may
     differ from it.
     """
-    targets = _box_array([target] if isinstance(target, BoundingBox) else target)
     shape = pred.data.shape
-    if shape[-1:] != (4,) or len(shape) > 2 or pred.data.size != targets.size:
+    if shape[-1:] != (4,) or len(shape) > 2 or np.shape(target) != shape:
         raise ValueError(
-            f"pred must be a length-4 tensor or an (n, 4) matrix, one row per target; "
-            f"got shape {shape} for {len(targets)} targets"
+            f"pred must be a length-4 tensor or an (n, 4) matrix, and target rows of its shape; "
+            f"got shape {shape} for targets of shape {np.shape(target)}"
         )
+    targets = np.reshape(target, (-1, 4))
     rows = pred.data.reshape(-1, 4)
     t1 = targets[:, :2] - targets[:, 2:] / 2.0
     t2 = targets[:, :2] + targets[:, 2:] / 2.0

@@ -40,6 +40,11 @@ def _is_integer(value) -> bool:
     return isinstance(value, int) or (isinstance(value, float) and value.is_integer())
 
 
+def _is_number(value) -> bool:
+    """An int or a float, never a bool or a string: the box and visibility check."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class MotRecord:
     """One row of a MOTChallenge file; frame is 1-based, corner format."""
@@ -180,6 +185,9 @@ def read_scenario_jsonl(text: str) -> GroundTruthSequence:
         for key in ("t", "id", "group"):
             if not _is_integer(obj[key]):
                 raise ValueError(f"record {index}: {key} must be an integer, got {obj[key]!r}")
+        for key in ("cx", "cy", "w", "h", "vis"):
+            if not _is_number(obj[key]):
+                raise ValueError(f"record {index}: {key} must be a number, got {obj[key]!r}")
         if obj["t"] < 0:
             raise ValueError(f"record {index}: t must be >= 0, got {obj['t']!r}")
         if obj["t"] >= MAX_FRAMES:
@@ -194,7 +202,7 @@ def read_scenario_jsonl(text: str) -> GroundTruthSequence:
                     group=int(obj["group"]),
                 )
             )
-        except (TypeError, ValueError) as exc:
+        except (OverflowError, ValueError) as exc:
             raise ValueError(f"record {index}: {exc}") from None
         if not 0.0 <= records[-1].vis <= 1.0:
             raise ValueError(f"record {index}: visibility {records[-1].vis} outside [0, 1]")

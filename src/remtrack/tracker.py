@@ -22,8 +22,8 @@ graph with their last visible detection as input, in training and inference
 alike.
 
 Each head is called once over a matrix of rows, one per track of a frame or
-per loss term of a training window; ``ad.affine`` gives every row the bits of
-a call on that row alone, so no box depends on the other rows.
+per loss term that ``prepare_window`` chose; ``ad.affine`` gives every row the
+bits of a call on that row alone, so no box depends on the other rows.
 
 The online tracker keeps its tracks as a table of arrays, one row per live
 track in ascending track id: ``ids``, the emitted ``box``, the ``graph_box``
@@ -70,6 +70,10 @@ DEFAULT_APPEARANCE_DIM = 32
 # first occlusion-head layer is initialized with this gain so its
 # pre-activations start in the unit range instead of vanishing.
 EMBEDDING_GAIN = 6.0
+
+# a track matches a detection at IoU >= ASSOC_IOU and ends after more than TERM_AFTER misses
+ASSOC_IOU = 0.3
+TERM_AFTER = 15
 
 
 @dataclass
@@ -201,12 +205,10 @@ def track_sequence(
     detections_per_frame: Sequence[Sequence[Detection]],
     mode: TrackMode,
     d_th: float = 15.0,
-    assoc_iou: float = 0.3,
-    term_after: int = 15,
 ) -> list[list[tuple[int, BoundingBox]]]:
     """Run the tracker over per-frame detections; ids are the tracker's own.
 
-    Tracks with no detection for more than ``term_after`` frames terminate.
+    Tracks with no detection for more than ``TERM_AFTER`` frames terminate.
     Occluded-but-alive tracks keep emitting boxes (coasted or recovered from
     relations, depending on the mode).
 
@@ -233,7 +235,7 @@ def track_sequence(
             # order detections arrive in.
             records = sorted([det.box for det in raw_dets], key=lambda b: (b.cx, b.cy, b.w, b.h))
             dets = _box_array(records)
-            hits, ks = _greedy_associate(box, dets, assoc_iou).T
+            hits, ks = _greedy_associate(box, dets, ASSOC_IOU).T
             missed = missed + 1
             missed[hits] = 0
             moved = box + last_offset  # coasting, unless a head places the track
@@ -247,7 +249,7 @@ def track_sequence(
                     offsets = regress_relation_aware(trk, feat, state.embedding(ids[hits]))
                 moved[hits] = box[hits] + offsets.data
                 graph_box[hits] = dets[ks]
-            alive = (missed == 0) | (missed <= term_after)
+            alive = (missed == 0) | (missed <= TERM_AFTER)
             ids, box, moved, graph_box, missed = (a[alive] for a in (ids, box, moved, graph_box, missed))
             lost = np.flatnonzero(missed > 0)
             if mode == "relations_for_occluded" and len(lost):
@@ -314,15 +316,18 @@ class TrainResult:
 
 @dataclass
 class WindowSample:
-    """One training window: frozen graph inputs and detections.
+    """One window of ``window + 1`` frames: the graph of its first ``window``
+    and each head's loss terms as rows, by frame, then record, in each frame.
+    Frames count from the window start, and boxes are (cx, cy, w, h) rows."""
 
-    ``det_boxes`` is keyed (frame, instance) for exactly the visible
-    instances, so an instance is visible at t iff ``(t, inst)`` is a key."""
-
-    seq: GroundTruthSequence
-    start: int
     graph: SpatioTemporalGraph
-    det_boxes: dict[tuple[int, int], BoundingBox]
+    ids: np.ndarray  # (n,) offset heads: detected at frame ``window``, present at ``window - 1``
+    det: np.ndarray  # (n, 4) their detection at ``window``
+    anchor: np.ndarray  # (n, 4) their ground truth at ``window - 1``
+    target: np.ndarray  # (n, 4) their ground truth at ``window``
+    occ_ids: np.ndarray  # (m,) occlusion head: hidden at a frame k >= 1, present at k - 1
+    occ_frames: np.ndarray  # (m,) k - 1, the graph frame of the embedding
+    occ_target: np.ndarray  # (m, 4) their ground truth at k
 
 
 def prepare_window(
@@ -331,43 +336,54 @@ def prepare_window(
     cfg: TrainConfig,
     rng: np.random.Generator,
 ) -> WindowSample:
-    """Draw detections for one window and freeze the graph inputs.
+    """Draw one window's detections, freeze its graph and choose its terms.
 
     Visible instances contribute a noisy detection; occluded ones keep their
     last visible detection (or a pseudo-detection at the window start),
     exactly as the online tracker feeds its graph.
     """
+    w, n = cfg.window, seq.n_frames
+    if not 0 <= start < n - w:
+        raise ValueError(f"window start {start} outside 0..{n - w - 1} for {w + 1} of {n} frames")
     det_cfg = ScenarioConfig(
-        n_frames=seq.n_frames,
         det_center_std=cfg.det_center_std,
         det_size_std=cfg.det_size_std,
         occlusion_cutoff=cfg.occlusion_cutoff,
     )
-    node_frames: list[list[tuple[int, BoundingBox]]] = []
-    det_boxes: dict[tuple[int, int], BoundingBox] = {}
-    frozen: dict[int, BoundingBox] = {}
-    for t in range(start, start + cfg.window + 1):
-        nodes: list[tuple[int, BoundingBox]] = []
-        dets = {d.gt_id: d for d in detect(seq.frames[t], det_cfg, rng)}
-        for rec in seq.frames[t]:
+    frames = seq.frames[start : start + w + 1]
+    # ``present`` holds the instances of the frame before
+    node_frames, frozen, occluded, present = [], {}, [], set()
+    for k, frame in enumerate(frames):
+        dets = {d.gt_id: d.box for d in detect(frame, det_cfg, rng)}
+        for rec in frame:
             inst = rec.instance
-            det = dets.get(inst)
-            if det is not None:
-                det_boxes[(t, inst)] = det.box
-                frozen[inst] = det.box
-                nodes.append((inst, det.box))
-            else:
-                if inst not in frozen:
-                    # Occluded at window start: pretend it was seen just before.
-                    dc = rng.normal(0.0, cfg.det_center_std, size=2)
-                    ds = rng.normal(0.0, cfg.det_size_std, size=2)
-                    frozen[inst] = clamped_box(
-                        rec.box.cx + dc[0], rec.box.cy + dc[1], rec.box.w + ds[0], rec.box.h + ds[1]
-                    )
-                nodes.append((inst, frozen[inst]))
-        node_frames.append(nodes)
-    graph = build_graph(node_frames[: cfg.window], cfg.d_th)
-    return WindowSample(seq=seq, start=start, graph=graph, det_boxes=det_boxes)
+            if inst in dets:
+                frozen[inst] = dets[inst]
+                continue
+            if inst in present:
+                occluded.append((inst, k - 1, rec.box))
+            if inst not in frozen:
+                # Occluded at window start: pretend it was seen just before.
+                dc = rng.normal(0.0, cfg.det_center_std, size=2)
+                ds = rng.normal(0.0, cfg.det_size_std, size=2)
+                frozen[inst] = clamped_box(
+                    rec.box.cx + dc[0], rec.box.cy + dc[1], rec.box.w + ds[0], rec.box.h + ds[1]
+                )
+        node_frames.append([(rec.instance, frozen[rec.instance]) for rec in frame])
+        present = {rec.instance for rec in frame}
+    # ``dets`` now holds the detections of frame ``window``
+    anchors = {rec.instance: rec.box for rec in frames[w - 1]}
+    visible = [rec for rec in frames[w] if rec.instance in dets and rec.instance in anchors]
+    return WindowSample(
+        graph=build_graph(node_frames[:w], cfg.d_th),
+        ids=np.array([rec.instance for rec in visible], dtype=np.intp),
+        det=_box_array([dets[rec.instance] for rec in visible]),
+        anchor=_box_array([anchors[rec.instance] for rec in visible]),
+        target=_box_array([rec.box for rec in visible]),
+        occ_ids=np.array([inst for inst, _, _ in occluded], dtype=np.intp),
+        occ_frames=np.array([k for _, k, _ in occluded], dtype=np.intp),
+        occ_target=_box_array([box for _, _, box in occluded]),
+    )
 
 
 def window_loss(
@@ -376,48 +392,26 @@ def window_loss(
     sample: WindowSample,
     cfg: TrainConfig,
 ) -> Tensor | None:
-    """Mean GIoU loss over one prepared window of ``window + 1`` frames.
+    """Mean GIoU loss over the terms of one prepared window, or ``None`` for a
+    window without terms, before the relation module runs.
 
-    The relation module runs over the first ``window`` frames; the regression
-    heads then predict boxes at the final frame, and the occlusion head is
-    additionally supervised at every occluded frame inside the window. Each
-    head is one call and one GIoU node, whatever its number of terms.
+    The relation module runs over the first ``window`` frames; the offset
+    heads then move each anchor to the frame after the window, and the
+    occlusion head predicts each hidden box from the embedding one frame
+    before it. Each head is one call and one GIoU node over its term rows.
     """
-    w = cfg.window
-    seq, start, frames = sample.seq, sample.start, sample.graph.frames
-    state = RemState()
-    rem_step(rem_params, state, sample.graph, 0, w)
-
-    present = [set(frame.ids.tolist()) for frame in frames]
-    # Occlusion head: predict the box at t from the embedding at t-1.
-    occluded = [
-        (rec.instance, k - 1, rec.box)
-        for k in range(1, w + 1)
-        for rec in seq.frames[start + k]
-        if (start + k, rec.instance) not in sample.det_boxes and rec.instance in present[k - 1]
-    ]
-    # Regression heads at the frame after the window.
-    t_abs = start + w
-    prev_box = {rec.instance: rec.box for rec in seq.frames[t_abs - 1]}
-    seen = prev_box.keys() & present[w - 1]
-    visible = [
-        rec for rec in seq.frames[t_abs] if rec.instance in seen and (t_abs, rec.instance) in sample.det_boxes
-    ]
-    n_terms = len(occluded) + 2 * len(visible)
+    n_terms = len(sample.occ_ids) + 2 * len(sample.ids)
     if n_terms == 0:
         return None
-    # One call per head over all of its terms, whose rows are in the order a
-    # per-term chain would visit them, then one GIoU node per head.
-    ids = [rec.instance for rec in visible]
-    targets = [rec.box for rec in visible]
-    prev_boxes = _box_array([prev_box[i] for i in ids])
-    feat = appearance_feature(trk, _box_array([sample.det_boxes[(t_abs, i)] for i in ids]), prev_boxes)
-    prev = Tensor(prev_boxes)
-    base = ad.add(prev, regress_baseline(trk, feat))
-    rel = ad.add(prev, regress_relation_aware(trk, feat, state.embedding(ids)))
-    relations = state.embedding([i for i, _, _ in occluded], [k for _, k, _ in occluded])
-    occ_loss = giou_loss(regress_from_relations(trk, relations), [box for _, _, box in occluded])
-    return ad.mul(ad.add(ad.add(occ_loss, giou_loss(base, targets)), giou_loss(rel, targets)), 1.0 / n_terms)
+    state = RemState()
+    rem_step(rem_params, state, sample.graph, 0, cfg.window)
+    feat = appearance_feature(trk, sample.det, sample.anchor)
+    anchor = Tensor(sample.anchor)
+    base = ad.add(anchor, regress_baseline(trk, feat))
+    rel = ad.add(anchor, regress_relation_aware(trk, feat, state.embedding(sample.ids)))
+    occ = regress_from_relations(trk, state.embedding(sample.occ_ids, sample.occ_frames))
+    loss = ad.add(giou_loss(occ, sample.occ_target), giou_loss(base, sample.target))
+    return ad.mul(ad.add(loss, giou_loss(rel, sample.target)), 1.0 / n_terms)
 
 
 def train(

@@ -4,18 +4,24 @@ Everything here is deliberately written from the definitions with plain
 Python loops and exhaustive enumeration, sharing no code with the package's
 computation paths. The exceptions are the bitwise references of the relation
 module's array code in the section "former array paths", which keep an
-earlier, simpler form of that code.
+earlier, simpler form of that code, and the record form of a training
+window, which chooses its loss terms from records and runs the package's
+heads on them.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from remtrack import autodiff as ad
-from remtrack.geometry import MIN_BOX_SIZE, BoundingBox, iou
-from remtrack.rem import INPUT_SCALE
+from remtrack import tracker
+from remtrack.geometry import MIN_BOX_SIZE, BoundingBox, _box_array, clamped_box, giou_loss, iou
+from remtrack.rem import INPUT_SCALE, RemState, rem_step
+from remtrack.simulator import GroundTruthSequence, ScenarioConfig, detect
+from remtrack.st_graph import SpatioTemporalGraph, build_graph
 
 
 # ---------------------------------------------------------------------------
@@ -248,6 +254,97 @@ def scalar_giou_loss_and_grad(pred, target: BoundingBox) -> tuple[float, list[fl
     raw = (raw_w, raw_h)
     grad = d_center + [d_size[a] if raw[a] >= MIN_BOX_SIZE else 0.0 for a in range(2)]
     return loss, grad
+
+
+# ---------------------------------------------------------------------------
+# the former record form of a training window, kept as the bitwise reference
+
+
+@dataclass
+class RecordWindow:
+    """A prepared window as records: the detection boxes keyed (frame,
+    instance) for exactly the visible instances."""
+
+    seq: GroundTruthSequence
+    start: int
+    graph: SpatioTemporalGraph
+    det_boxes: dict[tuple[int, int], BoundingBox]
+
+
+def record_prepare_window(seq, start, cfg, rng) -> RecordWindow:
+    """``tracker.prepare_window`` drawing the same detections, which keeps
+    them as records and chooses no loss term."""
+    det_cfg = ScenarioConfig(
+        n_frames=seq.n_frames,
+        det_center_std=cfg.det_center_std,
+        det_size_std=cfg.det_size_std,
+        occlusion_cutoff=cfg.occlusion_cutoff,
+    )
+    node_frames, det_boxes, frozen = [], {}, {}
+    for t in range(start, start + cfg.window + 1):
+        nodes = []
+        dets = {d.gt_id: d for d in detect(seq.frames[t], det_cfg, rng)}
+        for rec in seq.frames[t]:
+            inst = rec.instance
+            det = dets.get(inst)
+            if det is not None:
+                det_boxes[(t, inst)] = det.box
+                frozen[inst] = det.box
+                nodes.append((inst, det.box))
+            else:
+                if inst not in frozen:
+                    dc = rng.normal(0.0, cfg.det_center_std, size=2)
+                    ds = rng.normal(0.0, cfg.det_size_std, size=2)
+                    frozen[inst] = clamped_box(
+                        rec.box.cx + dc[0], rec.box.cy + dc[1], rec.box.w + ds[0], rec.box.h + ds[1]
+                    )
+                nodes.append((inst, frozen[inst]))
+        node_frames.append(nodes)
+    graph = build_graph(node_frames[: cfg.window], cfg.d_th)
+    return RecordWindow(seq=seq, start=start, graph=graph, det_boxes=det_boxes)
+
+
+def record_window_loss(trk, rem_params, sample: RecordWindow, cfg):
+    """``tracker.window_loss`` choosing its terms from the window's records
+    on every call: the occlusion terms by frame, then record; the offset
+    terms from the records of the frame after the window."""
+    w = cfg.window
+    seq, start, frames = sample.seq, sample.start, sample.graph.frames
+    state = RemState()
+    rem_step(rem_params, state, sample.graph, 0, w)
+
+    present = [set(frame.ids.tolist()) for frame in frames]
+    occluded = [
+        (rec.instance, k - 1, rec.box)
+        for k in range(1, w + 1)
+        for rec in seq.frames[start + k]
+        if (start + k, rec.instance) not in sample.det_boxes and rec.instance in present[k - 1]
+    ]
+    t_abs = start + w
+    prev_box = {rec.instance: rec.box for rec in seq.frames[t_abs - 1]}
+    seen = prev_box.keys() & present[w - 1]
+    visible = [
+        rec for rec in seq.frames[t_abs] if rec.instance in seen and (t_abs, rec.instance) in sample.det_boxes
+    ]
+    n_terms = len(occluded) + 2 * len(visible)
+    if n_terms == 0:
+        return None
+    ids = [rec.instance for rec in visible]
+    targets = _box_array([rec.box for rec in visible])
+    prev_boxes = _box_array([prev_box[i] for i in ids])
+    feat = tracker.appearance_feature(
+        trk, _box_array([sample.det_boxes[(t_abs, i)] for i in ids]), prev_boxes
+    )
+    prev = ad.Tensor(prev_boxes)
+    base = ad.add(prev, tracker.regress_baseline(trk, feat))
+    rel = ad.add(prev, tracker.regress_relation_aware(trk, feat, state.embedding(ids)))
+    relations = state.embedding([i for i, _, _ in occluded], [k for _, k, _ in occluded])
+    occ_loss = giou_loss(
+        tracker.regress_from_relations(trk, relations), _box_array([box for _, _, box in occluded])
+    )
+    return ad.mul(
+        ad.add(ad.add(occ_loss, giou_loss(base, targets)), giou_loss(rel, targets)), 1.0 / n_terms
+    )
 
 
 # ---------------------------------------------------------------------------

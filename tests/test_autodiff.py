@@ -171,7 +171,13 @@ class TestAdam:
     def test_default_learning_rate_matches_recipe(self):
         import inspect
 
-        assert inspect.signature(adam_step).parameters["lr"].default == 1e-4
+        from remtrack.autodiff import ADAM_BETA1, ADAM_BETA2, ADAM_EPS
+        from remtrack.tracker import TrainConfig
+
+        # the learning rate is the recipe's, never a default of the step
+        assert inspect.signature(adam_step).parameters["lr"].default is inspect.Parameter.empty
+        assert TrainConfig().lr == 1e-4
+        assert (ADAM_BETA1, ADAM_BETA2, ADAM_EPS) == (0.9, 0.999, 1e-8)
 
     def test_missing_gradient_names_parameter(self):
         store = ParameterStore()
@@ -179,7 +185,7 @@ class TestAdam:
         store.register("beta", Tensor(np.zeros(2)))
         store["alpha"].grad = np.zeros(2)
         with pytest.raises(ValueError, match="'beta'"):
-            adam_step(store)
+            adam_step(store, lr=1e-3)
 
     def test_matches_textbook_update_bitwise(self):
         rng = np.random.default_rng(55)
@@ -190,7 +196,7 @@ class TestAdam:
         for t in range(1, 6):
             g = rng.normal(size=(5, 3)) * 10.0 ** rng.integers(-6, 3)
             p.grad = g.copy()
-            adam_step(store, lr=lr, beta1=beta1, beta2=beta2, eps=eps)
+            adam_step(store, lr=lr)
             m = beta1 * m + (1.0 - beta1) * g
             v = beta2 * v + (1.0 - beta2) * g * g
             data = data - lr * (m / (1.0 - beta1**t)) / (np.sqrt(v / (1.0 - beta2**t)) + eps)
@@ -200,7 +206,7 @@ class TestAdam:
         store = ParameterStore()
         p = store.register("p", Tensor(np.ones(2)))
         p.grad = np.ones(2)
-        adam_step(store)
+        adam_step(store, lr=1e-3)
         assert p.grad is None
 
 

@@ -450,6 +450,29 @@ class TestErrors:
         assert proc.stderr.splitlines() == ["error: no sequence is at least 101 frames long"]
         assert not out.exists()
 
+    def test_scenario_field_that_is_not_a_number_in_a_process(self, tmp_path):
+        # a subprocess, so the test sees all a user sees: the exit code and
+        # exactly one stderr line
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import remtrack
+
+        src = str(Path(remtrack.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        gt = tmp_path / "gt.jsonl"
+        gt.write_text(json.dumps({"t": 0, "id": 1, "cx": "1.5", "cy": 5.0, "w": 2.0, "h": 2.0, "vis": 1.0, "group": 0}))
+        out = tmp_path / "out"
+        proc = subprocess.run(
+            [sys.executable, "-m", "remtrack", "eval", "--gt", str(gt), "--pred", str(gt), "--out", str(out)],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.splitlines() == ["error: record 0: cx must be a number, got '1.5'"]
+        assert not out.exists()
+
     def test_gradcheck_empty_appearance_encoder(self, capsys):
         code = run(["gradcheck", "--dim", "3", "--app-dim", "0"])
         assert code == 1

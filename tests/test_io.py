@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -143,7 +144,8 @@ NON_INTEGER_TOKENS = ["1.5", "-0.5", "nan", "inf", "-inf", "true", "x", ""]
 
 
 class TestIntegerFields:
-    """Frame indices and ids are integers; one bad field fails its record."""
+    """Frame indices and ids are integers, and box and visibility fields are
+    numbers; one bad field fails its record."""
 
     RECORDS = [scenario_record(0, 1), scenario_record(1, 1, group=2), scenario_record(1, 4, group=2)]
     CSV_LINES = ["1,1,0,0,4,4,1", "2,1,0,0,4,4,1", "2,4,0,0,4,4,1"]
@@ -165,6 +167,26 @@ class TestIntegerFields:
         expected = rio.read_scenario_jsonl("\n".join(json.dumps(r) for r in records))
         records[index][key] = float(records[index][key])
         assert rio.read_scenario_jsonl("\n".join(json.dumps(r) for r in records)).frames == expected.frames
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        index=st.integers(0, 2),
+        key=st.sampled_from(["cx", "cy", "w", "h", "vis"]),
+        bad=st.sampled_from(["1.5", "0", True, False, None, [1], {"x": 1}]),
+    )
+    def test_scenario_box_field_that_is_not_a_number(self, index, key, bad):
+        records = [dict(r) for r in self.RECORDS]
+        records[index][key] = bad
+        text = "\n".join(json.dumps(r) for r in records) + "\n"
+        with pytest.raises(ValueError, match=rf"^record {index}: {key} must be a number, got {re.escape(repr(bad))}$"):
+            rio.read_scenario_jsonl(text)
+
+    def test_scenario_box_fields_take_ints_and_reject_an_unrepresentable_one(self):
+        records = [dict(r, cx=5, w=2, vis=1) for r in self.RECORDS]
+        back = rio.read_scenario_jsonl("\n".join(json.dumps(r) for r in records))
+        assert back.frames == rio.read_scenario_jsonl("\n".join(json.dumps(r) for r in self.RECORDS)).frames
+        with pytest.raises(ValueError, match=r"^record 0: int too large to convert to float$"):
+            rio.read_scenario_jsonl(json.dumps(dict(self.RECORDS[0], cy=10**400)))
 
     @settings(max_examples=100, deadline=None)
     @given(index=st.integers(0, 2), field=st.sampled_from([0, 1]), bad=st.sampled_from(NON_INTEGER_TOKENS))

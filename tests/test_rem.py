@@ -882,7 +882,7 @@ class TestBlockInvariance:
             if head == "appearance_feature":
                 return tracker.appearance_feature(trk, *map(_box_array, box_args))
             if head == "giou_loss":
-                return tracker.giou_loss(xs[0], box_args[0])
+                return tracker.giou_loss(xs[0], _box_array(box_args[0]).reshape(xs[0].data.shape))
             if head == "_softplus_sizes":
                 return tracker._softplus_sizes(xs[0])
             return getattr(tracker, head)(trk, *xs)
@@ -901,7 +901,7 @@ class TestBlockInvariance:
             if head == "appearance_feature":
                 alone.append(grad_of(call(xs_p, [[boxes[p]], [prevs[p]]]), c[p : p + 1])[0])
             else:
-                alone.append(grad_of(call(xs_p, [boxes[p]]), None if head == "giou_loss" else c[p]))
+                alone.append(grad_of(call(xs_p, [[boxes[p]]]), None if head == "giou_loss" else c[p]))
             for x, x_p in zip(xs, xs_p):
                 assert np.array_equal(x.grad[p], x_p.grad)
         if head == "giou_loss":

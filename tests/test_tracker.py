@@ -3,14 +3,17 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_model, weighted_sum
+from oracles import record_prepare_window, record_window_loss
 from remtrack import autodiff as ad
 from remtrack.autodiff import ParameterStore, Tensor, backward, gradient_check
 from remtrack import tracker
 from remtrack.geometry import BoundingBox, _box_array, clamped_box, iou
 from remtrack.rem import RemState, rem_step
-from remtrack.simulator import Detection, ScenarioConfig, detect_sequence, generate
+from remtrack.simulator import Detection, GroundTruthSequence, GtRecord, ScenarioConfig, detect_sequence, generate
 from remtrack.st_graph import SpatioTemporalGraph, update_graph
 from remtrack.tracker import (
     TRACK_MODES,
@@ -234,9 +237,9 @@ def track_bits(tracks):
 
 class TestTrackTable:
     @pytest.mark.parametrize("mode", TRACK_MODES)
-    def test_equals_one_record_per_track(self, mode):
+    def test_equals_one_record_per_track(self, monkeypatch, mode):
         # occlusions make tracks coast, recover and terminate; a negative
-        # term_after ends every unmatched track at once but keeps matched ones
+        # TERM_AFTER ends every unmatched track at once but keeps matched ones
         cfg = ScenarioConfig(
             n_frames=14, n_groups=3, group_size_min=2, group_size_max=3,
             occlusion_prob=0.5, occlusion_min=2, occlusion_max=4, seed=14,
@@ -244,7 +247,8 @@ class TestTrackTable:
         dets = detect_sequence(generate(cfg), cfg, seed=7)
         store, rem_params, trk = make_model(dim=6, app_dim=5, seed=15)
         for term_after in (-1, 0, 2, 15):
-            got = track_sequence(trk, rem_params, dets, mode, term_after=term_after)
+            monkeypatch.setattr(tracker, "TERM_AFTER", term_after)
+            got = track_sequence(trk, rem_params, dets, mode)
             want = record_track_sequence(trk, rem_params, dets, mode, term_after=term_after)
             assert track_bits(got) == track_bits(want)
             assert all(type(tid) is int for frame in got for tid, _ in frame)
@@ -367,10 +371,11 @@ class TestTrackSequence:
             return out
 
         monkeypatch.setattr(tracker, "regress_from_relations", spy)
+        monkeypatch.setattr(tracker, "TERM_AFTER", 20)
         b_tid = 1  # spawned second at t=0 (canonical order by cx)
 
         def b_boxes(mode):
-            tracks = track_sequence(trk, rem_params, frames, mode, d_th=5.0, term_after=20)
+            tracks = track_sequence(trk, rem_params, frames, mode, d_th=5.0)
             return [dict(frame)[b_tid] for frame in tracks]
 
         emitted = b_boxes("relations_for_occluded")
@@ -423,11 +428,12 @@ class TestTrackSequence:
                 for _, b in frame:
                     assert b.w > 0 and b.h > 0
 
-    def test_track_termination(self):
+    def test_track_termination(self, monkeypatch):
         d0 = [Detection(box=box(1, 1))]
         frames = [d0] + [[] for _ in range(6)]
         store, rem_params, trk = zero_model()
-        tracks = track_sequence(trk, rem_params, frames, "baseline", term_after=3)
+        monkeypatch.setattr(tracker, "TERM_AFTER", 3)
+        tracks = track_sequence(trk, rem_params, frames, "baseline")
         assert len(tracks[0]) == 1
         assert all(len(f) == 1 for f in tracks[1:4])  # coasting while alive
         assert all(len(f) == 0 for f in tracks[4:])  # terminated after 3 misses
@@ -483,8 +489,8 @@ class TestDefaults:
 
         sig = inspect.signature(track_sequence)
         assert sig.parameters["d_th"].default == 15.0
-        assert sig.parameters["term_after"].default == 15
-        assert sig.parameters["assoc_iou"].default == 0.3
+        assert tracker.TERM_AFTER == 15
+        assert tracker.ASSOC_IOU == 0.3
 
 
 class TestTrainConfig:
@@ -585,6 +591,121 @@ class TestTrain:
         backward(loss)
         grad = store["rem.w_a1"].grad
         assert grad is not None and np.any(grad != 0)
+
+
+@st.composite
+def training_windows(draw):
+    """A window of 1-5 frames over 1-4 objects listed in any order, each at
+    each frame absent, hidden or visible: objects hidden at the window start,
+    entering late and re-entering all occur."""
+    window, start = draw(st.integers(1, 5)), draw(st.integers(0, 2))
+    n_frames = start + window + 1 + draw(st.integers(0, 1))
+    ids = draw(st.lists(st.integers(0, 9), min_size=1, max_size=4, unique=True))
+    frames = [[] for _ in range(n_frames)]
+    for inst in ids:
+        states = draw(st.lists(st.sampled_from([None, 0.0, 1.0]), min_size=n_frames, max_size=n_frames))
+        for t, vis in enumerate(states):
+            if vis is not None:
+                b = BoundingBox(2.0 + 1.5 * inst + 0.25 * t, 5.0 + 0.5 * inst - 0.125 * t, 2.0, 2.5)
+                frames[t].append(GtRecord(t=t, instance=inst, box=b, vis=vis, group=0))
+    return GroundTruthSequence(frames=frames), start, window
+
+
+def bits(x):
+    return None if x is None else np.asarray(x).tobytes()
+
+
+def loss_and_grads(store, loss):
+    """The bits of ``loss`` and of every parameter gradient it gives."""
+    store.clear_grads()
+    if loss is None:
+        return None
+    backward(loss)
+    return bits(loss.data), {name: bits(p.grad) for name, p in store.items()}
+
+
+class TestWindowTerms:
+    """``prepare_window`` chooses each head's terms once, as rows;
+    ``window_loss`` keeps the bits of choosing them from records."""
+
+    @given(training_windows(), st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_rows_are_the_eligible_terms(self, window, seed):
+        seq, start, w = window
+        cfg = TrainConfig(window=w, d_th=4.0)
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        sample = prepare_window(seq, start, cfg, rng)
+        ref = record_prepare_window(seq, start, cfg, ref_rng)
+        # the same detector draws, in the same order, and the same graph
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        assert sample.graph == ref.graph
+        cutoff = cfg.occlusion_cutoff
+        ids_at = [{rec.instance for rec in frame} for frame in seq.frames]
+        # occlusion head: hidden at start + k, present at start + k - 1
+        occluded = [
+            (rec.instance, k - 1, rec.box)
+            for k in range(1, w + 1)
+            for rec in seq.frames[start + k]
+            if rec.vis < cutoff and rec.instance in ids_at[start + k - 1]
+        ]
+        assert sample.occ_ids.tolist() == [i for i, _, _ in occluded]
+        assert sample.occ_frames.tolist() == [k for _, k, _ in occluded]
+        assert bits(sample.occ_target) == bits(_box_array([b for _, _, b in occluded]))
+        # offset heads: detected at start + window, present the frame before
+        last, before = seq.frames[start + w], {rec.instance: rec.box for rec in seq.frames[start + w - 1]}
+        visible = [rec for rec in last if rec.vis >= cutoff and rec.instance in before]
+        assert sample.ids.tolist() == [rec.instance for rec in visible]
+        assert bits(sample.target) == bits(_box_array([rec.box for rec in visible]))
+        assert bits(sample.anchor) == bits(_box_array([before[rec.instance] for rec in visible]))
+        assert bits(sample.det) == bits(_box_array([ref.det_boxes[(start + w, rec.instance)] for rec in visible]))
+        assert sample.occ_target.shape == (len(occluded), 4) and sample.det.shape == (len(visible), 4)
+
+        store, rem_params, trk = make_model(dim=4, app_dim=4, seed=seed % 97)
+        got = loss_and_grads(store, window_loss(trk, rem_params, sample, cfg))
+        assert got == loss_and_grads(store, record_window_loss(trk, rem_params, ref, cfg))
+        assert (got is None) == (len(occluded) + len(visible) == 0)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_loss_and_gradients_equal_the_record_form_bitwise(self, seed):
+        # simulated scenes with occlusions, at the default dimensions
+        scene = ScenarioConfig(
+            n_frames=16, n_groups=2, group_size_min=2, group_size_max=3,
+            occlusion_prob=0.6, occlusion_min=2, occlusion_max=4, seed=60 + seed,
+        )
+        seq = generate(scene)
+        store, rem_params, trk = make_model(dim=128, app_dim=32, seed=61 + seed)
+        for window, start in ((10, 0), (10, 5), (3, 7), (1, 14)):
+            cfg = TrainConfig(window=window)
+            sample = prepare_window(seq, start, cfg, np.random.default_rng(seed))
+            ref = record_prepare_window(seq, start, cfg, np.random.default_rng(seed))
+            got = loss_and_grads(store, window_loss(trk, rem_params, sample, cfg))
+            assert got is not None
+            assert got == loss_and_grads(store, record_window_loss(trk, rem_params, ref, cfg))
+
+    def test_window_without_terms_runs_no_relation_module(self, monkeypatch):
+        # one object, visible in frames 0-2 and gone at frame 3: no head has a
+        # term, so the loss is None before REM runs
+        b = BoundingBox(5.0, 5.0, 2.0, 2.0)
+        seq = GroundTruthSequence(frames=[[GtRecord(t, 0, b, 1.0, 0)] for t in range(3)] + [[]])
+        cfg = TrainConfig(window=3)
+        sample = prepare_window(seq, 0, cfg, np.random.default_rng(0))
+        store, rem_params, trk = make_model(dim=4, app_dim=4)
+        assert record_window_loss(trk, rem_params, record_prepare_window(seq, 0, cfg, np.random.default_rng(0)), cfg) is None
+
+        def unused(*args, **kwargs):
+            raise AssertionError("a window without terms ran the relation module")
+
+        monkeypatch.setattr(tracker, "rem_step", unused)
+        assert window_loss(trk, rem_params, sample, cfg) is None
+
+    def test_start_outside_the_sequence_rejected(self):
+        seq = generate(ScenarioConfig(n_frames=24, n_groups=1, group_size_min=2, group_size_max=2, seed=3))
+        cfg = TrainConfig(window=10)
+        for start in (-1, 14):
+            with pytest.raises(ValueError, match=rf"^window start {start} outside 0\.\.13 for 11 of 24 frames$"):
+                prepare_window(seq, start, cfg, np.random.default_rng(0))
+        for start in (0, 13):
+            assert prepare_window(seq, start, cfg, np.random.default_rng(0)).graph.n_frames == 10
 
 
 def tape_nodes(loss):
