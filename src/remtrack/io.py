@@ -172,6 +172,7 @@ def write_scenario_jsonl(seq: GroundTruthSequence) -> str:
 
 def read_scenario_jsonl(text: str) -> GroundTruthSequence:
     records: list[GtRecord] = []
+    seen: set[tuple[int, int]] = set()
     for index, raw in enumerate(line for line in text.splitlines() if line.strip()):
         try:
             obj = json.loads(raw)
@@ -206,6 +207,10 @@ def read_scenario_jsonl(text: str) -> GroundTruthSequence:
             raise ValueError(f"record {index}: {exc}") from None
         if not 0.0 <= records[-1].vis <= 1.0:
             raise ValueError(f"record {index}: visibility {records[-1].vis} outside [0, 1]")
+        key = (records[-1].t, records[-1].instance)
+        if key in seen:
+            raise ValueError(f"record {index}: duplicate id {key[1]} at t={key[0]}")
+        seen.add(key)
     n_frames = max((r.t for r in records), default=-1) + 1
     seq = GroundTruthSequence(frames=[[] for _ in range(n_frames)])
     for rec in sorted(records, key=lambda r: (r.t, r.instance)):

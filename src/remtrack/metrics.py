@@ -13,6 +13,14 @@ distinct alpha is matched once per frame: CLEAR MOT, MT/ML and HOTA's 0.5
 entry share the alpha = 0.5 matching, and IDF1 counts ``IoU >= alpha`` from
 the same matrices.
 
+Scoring runs on index arrays. Ids are indexed once per sequence, a frame's
+matching is a pair of (gt row, pred column) arrays, and every metric counts
+from the concatenated matches. A frame where no gt and no prediction has
+two eligible partners is forced: its eligible pairs are the matching, with
+no solver call. Any other frame takes one solver call, and the swap loop of
+``_canonicalize`` runs only when its first pass, tested for all pairs of
+matches at once, would swap.
+
 The optimal assignment is scipy's ``linear_sum_assignment``. Only scoring
 needs it, so this module imports scipy's solver on the first assignment
 rather than when it loads: training, tracking and relation importance never
@@ -22,7 +30,7 @@ load it.
 from __future__ import annotations
 
 import math
-from collections import Counter
+import operator
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -65,19 +73,28 @@ class FrameMatching:
 
 @dataclass(frozen=True)
 class _Frame:
-    gt_ids: list[int]  # ascending
-    pred_ids: list[int]  # ascending
+    gt_ids: np.ndarray  # ascending
+    pred_ids: np.ndarray  # ascending
     overlap: np.ndarray  # IoU, gt rows by pred columns
 
 
-def _frame(gt: FramePairs, pred: FramePairs) -> _Frame:
-    gt = sorted(gt, key=lambda p: p[0])
-    pred = sorted(pred, key=lambda p: p[0])
-    gt_ids = [g for g, _ in gt]
-    pred_ids = [p for p, _ in pred]
-    if len(set(gt_ids)) != len(gt_ids) or len(set(pred_ids)) != len(pred_ids):
-        raise ValueError("duplicate ids within one frame")
-    return _Frame(gt_ids, pred_ids, iou_matrix(_box_array([b for _, b in gt]), _box_array([b for _, b in pred])))
+def _sorted_side(pairs: FramePairs, side: str, where: str) -> tuple[np.ndarray, np.ndarray]:
+    pairs = sorted(pairs, key=lambda p: p[0])
+    try:
+        # operator.index refuses a float id, which int64 would truncate
+        ids = np.array([operator.index(i) for i, _ in pairs], dtype=np.int64)
+    except (TypeError, OverflowError):
+        raise ValueError(f"{side} ids must be integers that fit in 64 bits{where}") from None
+    repeated = ids[1:][ids[1:] == ids[:-1]]
+    if repeated.size:
+        raise ValueError(f"duplicate ids within one frame: {side} id {repeated[0]} repeats{where}")
+    return ids, _box_array([b for _, b in pairs])
+
+
+def _frame(gt: FramePairs, pred: FramePairs, where: str = "") -> _Frame:
+    gt_ids, gt_boxes = _sorted_side(gt, "ground-truth", where)
+    pred_ids, pred_boxes = _sorted_side(pred, "prediction", where)
+    return _Frame(gt_ids, pred_ids, iou_matrix(gt_boxes, pred_boxes))
 
 
 def _check_alpha(alpha: float) -> None:
@@ -85,26 +102,47 @@ def _check_alpha(alpha: float) -> None:
         raise ValueError("alpha must lie strictly in (0, 1)")
 
 
-def _match(frame: _Frame, alpha: float) -> FrameMatching:
-    gt_ids, pred_ids, overlap = frame.gt_ids, frame.pred_ids, frame.overlap
-    if not gt_ids or not pred_ids:
-        return FrameMatching([], {}, 0, len(pred_ids), len(gt_ids))
+def _match(frame: _Frame, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """(gt rows, pred columns) of the frame's matching, ascending gt row."""
+    overlap = frame.overlap
     eligible = overlap >= alpha
+    if (eligible.sum(axis=0) <= 1).all() and (eligible.sum(axis=1) <= 1).all():
+        # No row or column holds two eligible pairs. Disjoint eligible pairs
+        # are the one maximum-cardinality matching, and no swap can keep
+        # both cross pairs eligible.
+        return np.nonzero(eligible)
     score = np.where(eligible, _CARDINALITY_BONUS + overlap, 0.0)
-    rows, cols = linear_sum_assignment(score, maximize=True)
-    chosen = [(a, b) for a, b in zip(rows, cols) if eligible[a, b]]
-    chosen = _canonicalize(chosen, overlap, eligible)
-
-    matches = sorted((gt_ids[a], pred_ids[b]) for a, b in chosen)
-    ious = {(gt_ids[a], pred_ids[b]): float(overlap[a, b]) for a, b in chosen}
-    tp = len(matches)
-    return FrameMatching(matches, ious, tp, len(pred_ids) - tp, len(gt_ids) - tp)
+    rows, cols = linear_sum_assignment(score, maximize=True)  # rows ascending
+    keep = eligible[rows, cols]
+    rows, cols = rows[keep], cols[keep]
+    # _canonicalize's first pass over every x < y at once: it changes
+    # nothing, and so neither does the loop, unless some pair qualifies.
+    # Entry [x, y] tests matches x and y: x < y, b_y < b_x, both cross pairs
+    # eligible and the same IoU sum, added as the loop adds it.
+    own = overlap[rows, cols]
+    cross, cross_eligible = overlap[rows[:, None], cols], eligible[rows[:, None], cols]
+    swaps = (
+        (rows[:, None] < rows)
+        & (cols < cols[:, None])
+        & cross_eligible
+        & cross_eligible.T
+        & (own[:, None] + own == cross + cross.T)
+    )
+    if not swaps.any():
+        return rows, cols
+    chosen = _canonicalize(list(zip(rows.tolist(), cols.tolist())), overlap, eligible)
+    return np.array(chosen, dtype=np.intp).reshape(-1, 2).T
 
 
 def match_frame(gt: FramePairs, pred: FramePairs, alpha: float) -> FrameMatching:
     """Optimal IoU matching among pairs with IoU >= alpha."""
     _check_alpha(alpha)
-    return _match(_frame(gt, pred), alpha)
+    frame = _frame(gt, pred)
+    rows, cols = _match(frame, alpha)
+    matches = list(zip(frame.gt_ids[rows].tolist(), frame.pred_ids[cols].tolist()))
+    ious = dict(zip(matches, frame.overlap[rows, cols].tolist()))
+    tp = len(matches)
+    return FrameMatching(matches, ious, tp, len(frame.pred_ids) - tp, len(frame.gt_ids) - tp)
 
 
 def _canonicalize(
@@ -155,56 +193,67 @@ def _check_sequences(gt_seq: TrackFrames, pred_seq: TrackFrames) -> int:
     return total_gt
 
 
+def _index(per_frame: list[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray], np.ndarray]:
+    """The sequence's sorted ids, each frame's positions in them, and each
+    id's box count."""
+    ids, positions = np.unique(np.concatenate(per_frame), return_inverse=True)
+    bounds = np.cumsum([len(f) for f in per_frame])[:-1]
+    return ids, np.split(positions, bounds), np.bincount(positions, minlength=len(ids))
+
+
 class _Scoring:
     """A checked (gt, prediction) pair with every frame's IoU matrix.
 
-    Frame matchings are computed once per distinct alpha and shared by all
-    the metrics asked of this pair.
+    Ids are indexed once: each frame's gt and pred positions point into the
+    sequence's sorted ids. Frame matchings are computed once per distinct
+    alpha and shared by all the metrics asked of this pair.
     """
 
     def __init__(self, gt_seq: TrackFrames, pred_seq: TrackFrames):
         self.total_gt = _check_sequences(gt_seq, pred_seq)
-        self.total_pred = sum(len(f) for f in pred_seq)
-        self.frames = [_frame(g, p) for g, p in zip(gt_seq, pred_seq)]
-        self.gt_count = Counter(g for f in self.frames for g in f.gt_ids)
-        self.pred_count = Counter(p for f in self.frames for p in f.pred_ids)
-        self._matchings: dict[float, list[FrameMatching]] = {}
+        self.frames = [_frame(g, p, f" at frame index {t}") for t, (g, p) in enumerate(zip(gt_seq, pred_seq))]
+        self.gt_ids, self.gt_pos, self.gt_count = _index([f.gt_ids for f in self.frames])
+        self.pred_ids, self.pred_pos, self.pred_count = _index([f.pred_ids for f in self.frames])
+        self.total_pred = int(self.pred_count.sum())
+        self._matchings: dict[float, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
-    def matchings(self, alpha: float) -> list[FrameMatching]:
+    def matchings(self, alpha: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The sequence's (gt position, pred position, IoU) match rows, frame
+        by frame, each frame by ascending gt id."""
         if alpha not in self._matchings:
             _check_alpha(alpha)
-            self._matchings[alpha] = [_match(f, alpha) for f in self.frames]
+            gt, pred, ious = [], [], []
+            for frame, gt_pos, pred_pos in zip(self.frames, self.gt_pos, self.pred_pos):
+                rows, cols = _match(frame, alpha)
+                gt.append(gt_pos[rows])
+                pred.append(pred_pos[cols])
+                ious.append(frame.overlap[rows, cols])
+            self._matchings[alpha] = (np.concatenate(gt), np.concatenate(pred), np.concatenate(ious))
         return self._matchings[alpha]
 
     def clear_mot(self, alpha: float) -> ClearMotResult:
-        tp = fp = fn = idsw = 0
-        matched_ious: list[float] = []
-        last_pred: dict[int, int] = {}
-        for matching in self.matchings(alpha):
-            tp += matching.tp
-            fp += matching.fp
-            fn += matching.fn
-            for g, p in matching.matches:
-                if g in last_pred and last_pred[g] != p:
-                    idsw += 1
-                last_pred[g] = p
-                matched_ious.append(matching.ious[(g, p)])
+        gt, pred, ious = self.matchings(alpha)
+        tp = len(gt)
+        # a stable sort keeps each gt's matches in frame order
+        order = np.argsort(gt, kind="stable")
+        gt, pred = gt[order], pred[order]
+        idsw = int(np.count_nonzero((gt[1:] == gt[:-1]) & (pred[1:] != pred[:-1])))
+        fp, fn = self.total_pred - tp, self.total_gt - tp
         mota = 1.0 - (fn + fp + idsw) / self.total_gt
-        motp = math.fsum(matched_ious) / len(matched_ious) if matched_ious else None
+        motp = math.fsum(ious) / tp if tp else None
         return ClearMotResult(mota, motp, idsw, tp, fp, fn)
 
     def idf1(self, alpha: float) -> float:
         if not self.total_pred:
             return 0.0
-        gt_index = {g: k for k, g in enumerate(sorted(self.gt_count))}
-        pred_index = {p: k for k, p in enumerate(sorted(self.pred_count))}
-        overlap_frames = np.zeros((len(gt_index), len(pred_index)))
-        for f in self.frames:
-            rows, cols = np.nonzero(f.overlap >= alpha)
-            # ids are unique within a frame, so no (row, col) pair repeats
-            gt_rows = np.array([gt_index[g] for g in f.gt_ids], dtype=int)
-            pred_cols = np.array([pred_index[p] for p in f.pred_ids], dtype=int)
-            overlap_frames[gt_rows[rows], pred_cols[cols]] += 1
+        n_pred = len(self.pred_ids)
+        pairs = []
+        for frame, gt_pos, pred_pos in zip(self.frames, self.gt_pos, self.pred_pos):
+            rows, cols = np.nonzero(frame.overlap >= alpha)
+            pairs.append(gt_pos[rows] * n_pred + pred_pos[cols])
+        # ids are unique within a frame, so each frame counts a pair once
+        overlap_frames = np.bincount(np.concatenate(pairs), minlength=len(self.gt_ids) * n_pred)
+        overlap_frames = overlap_frames.reshape(len(self.gt_ids), n_pred).astype(float)
         rows, cols = linear_sum_assignment(overlap_frames, maximize=True)
         idtp = int(overlap_frames[rows, cols].sum())
         idfn = self.total_gt - idtp
@@ -215,43 +264,35 @@ class _Scoring:
         alphas = tuple(alphas)
         if not alphas:
             raise ValueError("no localization thresholds (alphas) given")
+        n_pred = len(self.pred_ids)
         deta_list: list[float] = []
         assa_list: list[float] = []
         hota_list: list[float] = []
         for alpha in alphas:
-            pair_matches: dict[tuple[int, int], int] = {}
-            tp = 0
-            for matching in self.matchings(alpha):
-                tp += matching.tp
-                for pair in matching.matches:
-                    pair_matches[pair] = pair_matches.get(pair, 0) + 1
+            gt, pred, _ = self.matchings(alpha)
+            tp = len(gt)
             if tp == 0:
                 deta_list.append(0.0)
                 assa_list.append(0.0)
                 hota_list.append(0.0)
                 continue
             deta = tp / (self.total_gt + self.total_pred - tp)
-            ass_terms: list[float] = []
-            for (g, p), tpa in sorted(pair_matches.items()):
-                fna = self.gt_count[g] - tpa
-                fpa = self.pred_count[p] - tpa
-                ass_terms.extend([tpa / (tpa + fna + fpa)] * tpa)
-            assa = math.fsum(ass_terms) / tp
+            pairs, tpa = np.unique(gt * n_pred + pred, return_counts=True)
+            # tpa / (tpa + fna + fpa), with fna = gt count - tpa and fpa = pred count - tpa
+            ratio = tpa / (self.gt_count[pairs // n_pred] + self.pred_count[pairs % n_pred] - tpa)
+            # fsum rounds the exact sum, so the order of the terms leaves no trace
+            assa = math.fsum(np.repeat(ratio, tpa)) / tp
             deta_list.append(deta)
             assa_list.append(assa)
             hota_list.append(math.sqrt(deta * assa))
         return HotaResult(alphas, deta_list, assa_list, hota_list, math.fsum(hota_list) / len(hota_list))
 
     def mt_ml(self, alpha: float) -> tuple[float, float]:
-        covered = Counter(g for matching in self.matchings(alpha) for g, _ in matching.matches)
-        mt = ml = 0
-        for g, n in self.gt_count.items():
-            coverage = covered[g] / n
-            if coverage >= 0.8:
-                mt += 1
-            if coverage <= 0.2:
-                ml += 1
-        return mt / len(self.gt_count), ml / len(self.gt_count)
+        gt, _, _ = self.matchings(alpha)
+        coverage = np.bincount(gt, minlength=len(self.gt_ids)) / self.gt_count
+        mt = int(np.count_nonzero(coverage >= 0.8))
+        ml = int(np.count_nonzero(coverage <= 0.2))
+        return mt / len(self.gt_ids), ml / len(self.gt_ids)
 
 
 def clear_mot(gt_seq: TrackFrames, pred_seq: TrackFrames, alpha: float = 0.5) -> ClearMotResult:

@@ -4,21 +4,25 @@ Everything here is deliberately written from the definitions with plain
 Python loops and exhaustive enumeration, sharing no code with the package's
 computation paths. The exceptions are the bitwise references of the relation
 module's array code in the section "former array paths", which keep an
-earlier, simpler form of that code, and the record form of a training
-window, which chooses its loss terms from records and runs the package's
-heads on them.
+earlier, simpler form of that code; the record form of a training window,
+which chooses its loss terms from records and runs the package's heads on
+them; and the record form of scoring, which matches every frame with one
+solver call and the swap loop, and counts from ``FrameMatching`` records.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import linear_sum_assignment
 
 from remtrack import autodiff as ad
-from remtrack import tracker
-from remtrack.geometry import MIN_BOX_SIZE, BoundingBox, _box_array, clamped_box, giou_loss, iou
+from remtrack import metrics, tracker
+from remtrack.geometry import MIN_BOX_SIZE, BoundingBox, _box_array, clamped_box, giou_loss, iou, iou_matrix
+from remtrack.metrics import FrameMatching, MetricsReport
 from remtrack.rem import INPUT_SCALE, RemState, rem_step
 from remtrack.simulator import GroundTruthSequence, ScenarioConfig, detect
 from remtrack.st_graph import SpatioTemporalGraph, build_graph
@@ -558,3 +562,169 @@ def brute_hota_single(gt_seq, pred_seq, alpha):
     deta = tp / (total_gt + total_pred - tp)
     assa = math.fsum(terms) / tp
     return deta, assa, math.sqrt(deta * assa)
+
+
+# ---------------------------------------------------------------------------
+# the former record form of scoring, kept as the bitwise reference
+
+
+@dataclass(frozen=True)
+class RecordFrame:
+    gt_ids: list[int]  # ascending
+    pred_ids: list[int]  # ascending
+    overlap: np.ndarray  # IoU, gt rows by pred columns
+
+
+def record_frame(gt, pred) -> RecordFrame:
+    gt = sorted(gt, key=lambda p: p[0])
+    pred = sorted(pred, key=lambda p: p[0])
+    gt_ids = [g for g, _ in gt]
+    pred_ids = [p for p, _ in pred]
+    if len(set(gt_ids)) != len(gt_ids) or len(set(pred_ids)) != len(pred_ids):
+        raise ValueError("duplicate ids within one frame")
+    return RecordFrame(gt_ids, pred_ids, iou_matrix(_box_array([b for _, b in gt]), _box_array([b for _, b in pred])))
+
+
+def record_canonicalize(chosen, overlap, eligible):
+    """Pairwise swaps that keep the total IoU exactly equal but order the
+    partners ascending, until a pass changes nothing."""
+    chosen = sorted(chosen)
+    changed = True
+    while changed:
+        changed = False
+        for x in range(len(chosen)):
+            for y in range(x + 1, len(chosen)):
+                (a1, b1), (a2, b2) = chosen[x], chosen[y]
+                if b2 < b1 and eligible[a1, b2] and eligible[a2, b1]:
+                    if overlap[a1, b1] + overlap[a2, b2] == overlap[a1, b2] + overlap[a2, b1]:
+                        chosen[x], chosen[y] = (a1, b2), (a2, b1)
+                        changed = True
+        chosen.sort()
+    return chosen
+
+
+def record_match(frame: RecordFrame, alpha: float) -> FrameMatching:
+    """One solver call on every frame with both sides, then the swap loop."""
+    gt_ids, pred_ids, overlap = frame.gt_ids, frame.pred_ids, frame.overlap
+    if not gt_ids or not pred_ids:
+        return FrameMatching([], {}, 0, len(pred_ids), len(gt_ids))
+    eligible = overlap >= alpha
+    score = np.where(eligible, metrics._CARDINALITY_BONUS + overlap, 0.0)
+    rows, cols = linear_sum_assignment(score, maximize=True)
+    chosen = [(a, b) for a, b in zip(rows, cols) if eligible[a, b]]
+    chosen = record_canonicalize(chosen, overlap, eligible)
+    matches = sorted((gt_ids[a], pred_ids[b]) for a, b in chosen)
+    ious = {(gt_ids[a], pred_ids[b]): float(overlap[a, b]) for a, b in chosen}
+    tp = len(matches)
+    return FrameMatching(matches, ious, tp, len(pred_ids) - tp, len(gt_ids) - tp)
+
+
+def record_match_frame(gt, pred, alpha: float) -> FrameMatching:
+    return record_match(record_frame(gt, pred), alpha)
+
+
+class RecordScoring:
+    """Scoring over ``FrameMatching`` records, id counters and id dicts."""
+
+    def __init__(self, gt_seq, pred_seq):
+        self.total_gt = sum(len(f) for f in gt_seq)
+        self.total_pred = sum(len(f) for f in pred_seq)
+        self.frames = [record_frame(g, p) for g, p in zip(gt_seq, pred_seq)]
+        self.gt_count = Counter(g for f in self.frames for g in f.gt_ids)
+        self.pred_count = Counter(p for f in self.frames for p in f.pred_ids)
+        self._matchings = {}
+
+    def matchings(self, alpha):
+        if alpha not in self._matchings:
+            self._matchings[alpha] = [record_match(f, alpha) for f in self.frames]
+        return self._matchings[alpha]
+
+    def clear_mot(self, alpha):
+        tp = fp = fn = idsw = 0
+        matched_ious = []
+        last_pred = {}
+        for matching in self.matchings(alpha):
+            tp += matching.tp
+            fp += matching.fp
+            fn += matching.fn
+            for g, p in matching.matches:
+                if g in last_pred and last_pred[g] != p:
+                    idsw += 1
+                last_pred[g] = p
+                matched_ious.append(matching.ious[(g, p)])
+        mota = 1.0 - (fn + fp + idsw) / self.total_gt
+        motp = math.fsum(matched_ious) / len(matched_ious) if matched_ious else None
+        return mota, motp, idsw
+
+    def idf1(self, alpha):
+        if not self.total_pred:
+            return 0.0
+        gt_index = {g: k for k, g in enumerate(sorted(self.gt_count))}
+        pred_index = {p: k for k, p in enumerate(sorted(self.pred_count))}
+        overlap_frames = np.zeros((len(gt_index), len(pred_index)))
+        for f in self.frames:
+            rows, cols = np.nonzero(f.overlap >= alpha)
+            gt_rows = np.array([gt_index[g] for g in f.gt_ids], dtype=int)
+            pred_cols = np.array([pred_index[p] for p in f.pred_ids], dtype=int)
+            overlap_frames[gt_rows[rows], pred_cols[cols]] += 1
+        rows, cols = linear_sum_assignment(overlap_frames, maximize=True)
+        idtp = int(overlap_frames[rows, cols].sum())
+        return 2.0 * idtp / (2.0 * idtp + (self.total_pred - idtp) + (self.total_gt - idtp))
+
+    def hota(self, alphas):
+        deta_list, assa_list, hota_list = [], [], []
+        for alpha in alphas:
+            pair_matches = {}
+            tp = 0
+            for matching in self.matchings(alpha):
+                tp += matching.tp
+                for pair in matching.matches:
+                    pair_matches[pair] = pair_matches.get(pair, 0) + 1
+            if tp == 0:
+                deta_list.append(0.0)
+                assa_list.append(0.0)
+                hota_list.append(0.0)
+                continue
+            deta = tp / (self.total_gt + self.total_pred - tp)
+            ass_terms = []
+            for (g, p), tpa in sorted(pair_matches.items()):
+                fna = self.gt_count[g] - tpa
+                fpa = self.pred_count[p] - tpa
+                ass_terms.extend([tpa / (tpa + fna + fpa)] * tpa)
+            assa = math.fsum(ass_terms) / tp
+            deta_list.append(deta)
+            assa_list.append(assa)
+            hota_list.append(math.sqrt(deta * assa))
+        return deta_list, assa_list, hota_list, math.fsum(hota_list) / len(hota_list)
+
+    def mt_ml(self, alpha):
+        covered = Counter(g for matching in self.matchings(alpha) for g, _ in matching.matches)
+        mt = ml = 0
+        for g, n in self.gt_count.items():
+            coverage = covered[g] / n
+            if coverage >= 0.8:
+                mt += 1
+            if coverage <= 0.2:
+                ml += 1
+        return mt / len(self.gt_count), ml / len(self.gt_count)
+
+
+def record_evaluate(gt_seq, pred_seq, alphas=metrics.DEFAULT_ALPHAS) -> MetricsReport:
+    """``metrics.evaluate`` as the record form computed it."""
+    scoring = RecordScoring(gt_seq, pred_seq)
+    deta, assa, hota_values, final = scoring.hota(alphas)
+    mota, motp, idsw = scoring.clear_mot(0.5)
+    mt, ml = scoring.mt_ml(0.5)
+    return MetricsReport(
+        mota=mota,
+        motp=motp,
+        idf1=scoring.idf1(0.5),
+        mt=mt,
+        ml=ml,
+        id_switches=idsw,
+        alphas=tuple(alphas),
+        deta=deta,
+        assa=assa,
+        hota=hota_values,
+        hota_final=final,
+    )

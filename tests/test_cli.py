@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import remtrack
 from remtrack import io as rio
 from remtrack.autodiff import backward
 from remtrack.cli import gradcheck_loss_builder, run
@@ -29,6 +34,14 @@ def write_checkpoint(tmp_path):
     ckpt = tmp_path / "ckpt.json"
     ckpt.write_text(rio.checkpoint_to_json(store, _model_dims(rem_params, trk_params)))
     return ckpt
+
+
+def run_in_process(*argv):
+    """``python -m remtrack *argv`` in a subprocess, so a test sees all a user
+    sees: the exit code and every line on stderr, warnings included."""
+    src = str(Path(remtrack.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-m", "remtrack", *argv], capture_output=True, text=True, env=env)
 
 
 def train_tiny(tmp_path, scenario):
@@ -430,47 +443,46 @@ class TestErrors:
 
     @pytest.mark.parametrize("command", ["train", "ablate"])
     def test_no_sequence_fits_the_window_in_a_process(self, tmp_path, command):
-        # a subprocess, because pytest captures the warnings a user would
-        # see: no per-sequence warning comes before the one-line error
-        import os
-        import subprocess
-        import sys
-        from pathlib import Path
-
-        import remtrack
-
-        src = str(Path(remtrack.__file__).resolve().parent.parent)
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        # pytest captures the warnings a user would see: no per-sequence
+        # warning comes before the one-line error
         out = tmp_path / "out"
-        proc = subprocess.run(
-            [sys.executable, "-m", "remtrack", command, "--gen-sequences", "2", "--window", "100", "--out", str(out)],
-            capture_output=True, text=True, env=env,
-        )
+        proc = run_in_process(command, "--gen-sequences", "2", "--window", "100", "--out", str(out))
         assert proc.returncode == 1
         assert proc.stderr.splitlines() == ["error: no sequence is at least 101 frames long"]
         assert not out.exists()
 
     def test_scenario_field_that_is_not_a_number_in_a_process(self, tmp_path):
-        # a subprocess, so the test sees all a user sees: the exit code and
-        # exactly one stderr line
-        import os
-        import subprocess
-        import sys
-        from pathlib import Path
-
-        import remtrack
-
-        src = str(Path(remtrack.__file__).resolve().parent.parent)
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
         gt = tmp_path / "gt.jsonl"
         gt.write_text(json.dumps({"t": 0, "id": 1, "cx": "1.5", "cy": 5.0, "w": 2.0, "h": 2.0, "vis": 1.0, "group": 0}))
         out = tmp_path / "out"
-        proc = subprocess.run(
-            [sys.executable, "-m", "remtrack", "eval", "--gt", str(gt), "--pred", str(gt), "--out", str(out)],
-            capture_output=True, text=True, env=env,
-        )
+        proc = run_in_process("eval", "--gt", str(gt), "--pred", str(gt), "--out", str(out))
         assert proc.returncode == 1
         assert proc.stderr.splitlines() == ["error: record 0: cx must be a number, got '1.5'"]
+        assert not out.exists()
+
+    def test_duplicate_scenario_record_in_a_process(self, tmp_path):
+        # a short window would train on the file without a word if the reader
+        # let the record through
+        scenario, _ = write_scenario(tmp_path, n_groups=1, group_size_min=1, group_size_max=1)
+        lines = scenario.read_text().splitlines()
+        record = json.loads(lines[3])
+        scenario.write_text("\n".join(lines[:4] + lines[3:]) + "\n")
+        out = tmp_path / "out"
+        proc = run_in_process("train", "--scenario", str(scenario), "--window", "3", "--epochs", "1", "--out", str(out))
+        assert proc.returncode == 1
+        assert proc.stderr.splitlines() == [f"error: record 4: duplicate id {record['id']} at t={record['t']}"]
+        assert not out.exists()
+
+    def test_duplicate_prediction_id_in_a_process(self, tmp_path):
+        scenario, _ = write_scenario(tmp_path)
+        pred = tmp_path / "pred.csv"
+        pred.write_text("1,1,0,0,4,4,1,-1,-1,-1\n2,7,0,0,4,4,1,-1,-1,-1\n2,7,1,1,4,4,1,-1,-1,-1\n")
+        out = tmp_path / "e"
+        proc = run_in_process("eval", "--gt", str(scenario), "--pred", str(pred), "--out", str(out))
+        assert proc.returncode == 1
+        assert proc.stderr.splitlines() == [
+            "error: duplicate ids within one frame: prediction id 7 repeats at frame index 1"
+        ]
         assert not out.exists()
 
     def test_gradcheck_empty_appearance_encoder(self, capsys):

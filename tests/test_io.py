@@ -132,6 +132,19 @@ class TestScenarioJsonl:
         seq = rio.read_scenario_jsonl("")
         assert seq.n_frames == 0 and seq.frames == []
 
+    def test_duplicate_record_rejected(self):
+        # 12 frames of one object, the record at t = 3 written twice
+        lines = rio.write_scenario_jsonl(
+            generate(ScenarioConfig(n_frames=12, n_groups=1, group_size_min=1, group_size_max=1, seed=2))
+        ).splitlines()
+        (instance,) = {json.loads(line)["id"] for line in lines}
+        lines.insert(4, lines[3])
+        with pytest.raises(ValueError, match=rf"^record 4: duplicate id {instance} at t=3$"):
+            rio.read_scenario_jsonl("\n".join(lines))
+        # the same id at another t, and another id at the same t, are fine
+        ok = [scenario_record(0, 1), scenario_record(1, 1), scenario_record(1, 2)]
+        assert [len(f) for f in rio.read_scenario_jsonl("\n".join(json.dumps(r) for r in ok)).frames] == [1, 2]
+
 
 def scenario_record(t, instance, group=0):
     return {"t": t, "id": instance, "cx": 5.0, "cy": 5.0, "w": 2.0, "h": 2.0, "vis": 1.0, "group": group}

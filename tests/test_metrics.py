@@ -5,11 +5,21 @@ import sys
 import textwrap
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import brute_hota_single, brute_idf1, brute_match, brute_mota
+from oracles import (
+    brute_hota_single,
+    brute_idf1,
+    brute_match,
+    brute_mota,
+    record_evaluate,
+    record_match_frame,
+)
 from remtrack import metrics
-from remtrack.geometry import BoundingBox
+from remtrack.geometry import BoundingBox, iou
 from remtrack.metrics import (
     DEFAULT_ALPHAS,
     MetricsReport,
@@ -148,6 +158,122 @@ class TestClearMot:
             assert clear_mot(gt, pred).mota == brute_mota(gt, pred)
 
 
+class TestForcedAndTiedFrames:
+    """A forced frame skips the solver; a solver's answer takes the swap loop
+    only when the loop's first pass would swap."""
+
+    @staticmethod
+    def spy(monkeypatch, answer=None):
+        calls = {"solve": 0, "loop": 0}
+        solve, canonicalize = metrics.linear_sum_assignment, metrics._canonicalize
+
+        def solving(*args, **kwargs):
+            calls["solve"] += 1
+            return answer if answer is not None else solve(*args, **kwargs)
+
+        def looping(*args):
+            calls["loop"] += 1
+            return canonicalize(*args)
+
+        monkeypatch.setattr(metrics, "linear_sum_assignment", solving)
+        monkeypatch.setattr(metrics, "_canonicalize", looping)
+        return calls
+
+    def test_forced_frame_makes_no_solver_call(self, monkeypatch):
+        calls = self.spy(monkeypatch)
+        gt = [(3, box(1, 1)), (1, box(5, 5)), (2, box(9, 9))]
+        pred = [(8, box(5.2, 5)), (9, box(1, 1.3)), (7, box(30, 30))]
+        m = match_frame(gt, pred, alpha=0.5)
+        assert calls == {"solve": 0, "loop": 0}
+        assert m.matches == [(1, 8), (3, 9)] and (m.tp, m.fp, m.fn) == (2, 1, 1)
+        assert m == record_match_frame(gt, pred, 0.5)
+
+    def test_symmetric_tie_solved_crossed_takes_the_loop(self, monkeypatch):
+        b = box(1, 1)
+        gt, pred = [(0, b), (1, b)], [(10, b), (11, b)]
+        calls = self.spy(monkeypatch, answer=(np.array([0, 1]), np.array([1, 0])))
+        m = match_frame(gt, pred, alpha=0.5)
+        assert calls == {"solve": 1, "loop": 1}
+        assert m.matches == [(0, 10), (1, 11)]
+
+    def test_symmetric_tie_solved_ascending_skips_the_loop(self, monkeypatch):
+        b = box(1, 1)
+        calls = self.spy(monkeypatch, answer=(np.array([0, 1]), np.array([0, 1])))
+        m = match_frame([(0, b), (1, b)], [(10, b), (11, b)], alpha=0.5)
+        assert calls == {"solve": 1, "loop": 0}
+        assert m.matches == [(0, 10), (1, 11)]
+
+
+# Sequences built to tie: a few grid boxes per frame shared by several ids,
+# predictions offset from them in steps of 0.25, empty frames, and ids that
+# only the prediction has (false positives).
+grid_box = st.builds(
+    box,
+    st.integers(0, 3).map(float),
+    st.integers(0, 3).map(float),
+    st.sampled_from([1.0, 2.0]),
+    st.sampled_from([1.0, 2.0]),
+)
+offset = st.integers(-2, 2).map(lambda k: 0.25 * k)
+
+
+@st.composite
+def tied_frame(draw, n_ids):
+    palette = draw(st.lists(grid_box, min_size=1, max_size=3))
+    gt_ids = draw(st.lists(st.integers(0, n_ids - 1), unique=True, max_size=n_ids))
+    pred_ids = draw(st.lists(st.integers(100, 100 + n_ids + 2), unique=True, max_size=n_ids + 2))
+    gt = [(g, draw(st.sampled_from(palette))) for g in gt_ids]
+    pred = []
+    for p in pred_ids:
+        b = draw(st.sampled_from(palette))
+        pred.append((p, box(b.cx + draw(offset), b.cy + draw(offset), b.w, b.h)))
+    return gt, pred
+
+
+@st.composite
+def tied_sequence(draw):
+    n_ids = draw(st.integers(1, 5))
+    frames = draw(st.lists(tied_frame(n_ids), min_size=1, max_size=5))
+    gt, pred = [list(g) for g, _ in frames], [list(p) for _, p in frames]
+    if not any(gt):
+        gt[0].append((0, box(1, 1)))
+    return gt, pred
+
+
+class TestIndexScoring:
+    """Scoring on index arrays (forced frames, the vectorised first pass of
+    the swap loop, array counts) equals the record form in every bit."""
+
+    @given(
+        tied_sequence(),
+        st.one_of(st.just(DEFAULT_ALPHAS), st.lists(st.sampled_from(DEFAULT_ALPHAS), min_size=1, max_size=4)),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_equals_the_record_form(self, sequence, alphas):
+        gt, pred = sequence
+        assert evaluate(gt, pred, alphas) == record_evaluate(gt, pred, alphas)
+        for g, p in zip(gt, pred):
+            for alpha in set(alphas):
+                assert match_frame(g, p, alpha) == record_match_frame(g, p, alpha)
+
+    @pytest.mark.parametrize("seed", [5, 9])
+    def test_crowd_sequence_equals_the_record_form(self, seed):
+        # the benchmark's scored sequence: 75 objects, misses, false
+        # positives and identity swaps
+        from remtrack.simulator import ScenarioConfig, detect_sequence, generate
+
+        rng = np.random.default_rng(seed)
+        cfg = ScenarioConfig(n_frames=4, scene_w=40.0, scene_h=40.0, n_groups=15, seed=seed)
+        gt_seq = generate(cfg)
+        detections = detect_sequence(gt_seq, cfg, seed=seed + 1)
+        pred = [
+            [(d.gt_id if rng.random() < 0.9 else 500 + k, d.box) for k, d in enumerate(frame)]
+            for frame in detections
+        ]
+        gt = gt_seq.as_track_frames()
+        assert evaluate(gt, pred) == record_evaluate(gt, pred)
+
+
 class TestIdf1:
     def test_perfect(self):
         gt = [[(0, box(1, 1)), (1, box(6, 6))] for _ in range(3)]
@@ -179,6 +305,30 @@ class TestIdf1:
         b = box(1, 1)
         with pytest.raises(ValueError, match="duplicate ids within one frame"):
             idf1([[(0, b)]], [[(5, b), (5, b)]])
+
+    def test_duplicate_id_error_names_side_frame_and_id(self):
+        b, c = box(1, 1), box(5, 5)
+        gt = [[(0, b)], [(0, b), (1, c)]]
+        with pytest.raises(
+            ValueError, match=r"^duplicate ids within one frame: prediction id 5 repeats at frame index 1$"
+        ):
+            evaluate(gt, [[(5, b)], [(5, b), (6, c), (5, c)]])
+        with pytest.raises(
+            ValueError, match=r"^duplicate ids within one frame: ground-truth id 1 repeats at frame index 0$"
+        ):
+            evaluate([[(1, b), (1, c)], []], [[], []])
+        with pytest.raises(ValueError, match=r"^duplicate ids within one frame: ground-truth id 0 repeats$"):
+            match_frame([(0, b), (0, c)], [], alpha=0.5)
+
+    def test_id_that_is_not_a_64_bit_integer_rejected(self):
+        # ids are indexed as int64, which would truncate 1.5 and 1.7 to one id
+        b = box(1, 1)
+        with pytest.raises(ValueError, match=r"^ground-truth ids must be integers that fit in 64 bits at frame index 0$"):
+            evaluate([[(1.5, b), (1.7, b)]], [[(1, b)]])
+        with pytest.raises(ValueError, match=r"^prediction ids must be integers that fit in 64 bits$"):
+            match_frame([(1, b)], [(2**63, b)], alpha=0.5)
+        # numpy integers are ids like any other
+        assert evaluate([[(np.int32(1), b)]], [[(np.uint8(4), b)]]) == evaluate([[(1, b)]], [[(4, b)]])
 
 
 class TestHota:
@@ -391,6 +541,12 @@ class TestSolverLoading:
 
         monkeypatch.setattr(metrics, "linear_sum_assignment", counting)
         report = evaluate(gt, pred, alphas)
-        frames = sum(1 for g, p in zip(gt, pred) if g and p)
-        assert len(calls) == len(set(alphas) | {0.5}) * frames + 1  # + 1 for IDF1
+
+        def forced(g_frame, p_frame, alpha):
+            # no gt and no prediction with two eligible partners
+            eligible = [[iou(gb, pb) >= alpha for _, pb in p_frame] for _, gb in g_frame]
+            return all(sum(row) <= 1 for row in eligible) and all(sum(col) <= 1 for col in zip(*eligible))
+
+        solved = sum(not forced(g, p, alpha) for alpha in set(alphas) | {0.5} for g, p in zip(gt, pred))
+        assert len(calls) == solved + 1  # + 1 for IDF1
         assert report == expected
