@@ -7,20 +7,10 @@ from .autodiff import (
     adam_step,
     backward,
     gradient_check,
-    gru_cell,
     no_grad,
 )
-from .geometry import BoundingBox, giou, giou_loss, iou, scaled_distance
-from .rem import (
-    RelationEmbedding,
-    RemParameters,
-    RemState,
-    attention_coefficients,
-    message,
-    node_feature,
-    rem_step,
-    spatiotemporal_update,
-)
+from .geometry import BoundingBox, giou_loss, iou
+from .rem import RelationEmbedding, RemParameters, RemState, rem_step
 from .metrics import (
     FrameMatching,
     MetricsReport,
@@ -64,7 +54,6 @@ __all__ = [
     "TrainResult",
     "adam_step",
     "appearance_feature",
-    "attention_coefficients",
     "backward",
     "build_graph",
     "clear_mot",
@@ -72,24 +61,18 @@ __all__ = [
     "detect_sequence",
     "evaluate",
     "generate",
-    "giou",
     "giou_loss",
     "gradient_check",
-    "gru_cell",
     "hota",
     "idf1",
     "iou",
     "match_frame",
-    "message",
     "mt_ml",
     "no_grad",
-    "node_feature",
     "regress_baseline",
     "regress_from_relations",
     "regress_relation_aware",
     "rem_step",
-    "scaled_distance",
-    "spatiotemporal_update",
     "track_sequence",
     "train",
     "update_graph",

@@ -2,8 +2,7 @@
 
 Covers exactly the operations the relation module, its regression heads and
 the training loss need: ``add``, ``mul``, ``affine``, ``affine_rows``,
-``dot``, ``concat``, ``stack``, ``take``, ``leaky_relu``, ``softmax`` and
-the fused GRU, once for one vector (``gru_cell``) and once for every row of a
+``concat``, ``take``, ``leaky_relu`` and the fused GRU over every row of a
 run of frames (``gru_scan``): its input-side products run over all rows at
 once, its state-side products frame by frame. ``Tensor`` has no arithmetic
 operators: every tape node comes from one of these functions by name. A
@@ -159,11 +158,6 @@ def _add_at(x: np.ndarray, ranks: list[tuple[np.ndarray, np.ndarray]], rows: np.
         x[targets] += rows[at]
 
 
-def _check_vector(x: Tensor, name: str) -> None:
-    if x.data.ndim != 1:
-        raise ValueError(f"{name} must be a 1-D vector, got shape {x.data.shape}")
-
-
 # ---------------------------------------------------------------------------
 # primitives
 
@@ -242,19 +236,6 @@ def affine_rows(w: Tensor, x: Tensor, b: Tensor) -> Tensor:
     return _make(data, (w, x, b), bw)
 
 
-def dot(a: Tensor, b: Tensor) -> Tensor:
-    _check_vector(a, "dot lhs")
-    _check_vector(b, "dot rhs")
-    if a.data.shape != b.data.shape:
-        raise ValueError(f"dot shape mismatch: {a.data.shape} vs {b.data.shape}")
-    data = np.array(a.data @ b.data)
-
-    def bw(g):
-        return (g * b.data, g * a.data)
-
-    return _make(data, (a, b), bw)
-
-
 def concat(parts: Sequence[Tensor]) -> Tensor:
     """Join tensors along their last axis: vectors end to end, or the
     columns of matrices with the same number of rows."""
@@ -268,17 +249,6 @@ def concat(parts: Sequence[Tensor]) -> Tensor:
             out.append(g[..., ofs : ofs + n])
             ofs += n
         return tuple(out)
-
-    return _make(data, parts, bw)
-
-
-def stack(parts: Sequence[Tensor]) -> Tensor:
-    """Build a vector out of scalar tensors."""
-    parts = tuple(as_tensor(p) for p in parts)
-    data = np.array([float(p.data) for p in parts])
-
-    def bw(g):
-        return tuple(np.asarray(g[k]).reshape(()) for k in range(len(parts)))
 
     return _make(data, parts, bw)
 
@@ -308,23 +278,6 @@ def leaky_relu(x: Tensor, slope: float) -> Tensor:
         return (g * np.where(d >= 0, 1.0, slope),)
 
     return _make(out, (x,), bw)
-
-
-def softmax(logits: Tensor) -> Tensor:
-    """Softmax over a vector; exact denominator, order-independent."""
-    _check_vector(logits, "softmax input")
-    if logits.data.shape[0] == 0:
-        raise ValueError("softmax over an empty vector is undefined")
-    shifted = logits.data - np.max(logits.data)
-    exps = np.exp(shifted)
-    denom = math.fsum(exps.tolist()) if exps.shape[0] > 2 else float(np.sum(exps))
-    out = exps / denom
-
-    def bw(g):
-        inner = float(np.dot(g, out))
-        return (out * (g - inner),)
-
-    return _make(out, (logits,), bw)
 
 
 # ---------------------------------------------------------------------------
@@ -541,72 +494,21 @@ def _sigmoid_stable(d: np.ndarray) -> np.ndarray:
     return out
 
 
-def gru_cell(params: GruCellParams, x: Tensor, h_prev: Tensor) -> Tensor:
-    """Standard GRU update: h = (1-z)*h_prev + z*h_cand.
-
-    Fused into one tape node: the whole cell would otherwise dominate the
-    graph with a dozen small nodes per call. Each gate weight's gradient is
-    returned as one row factor (the gate's pre-activation gradient times the
-    input or state it multiplied), which ``backward`` reduces together with
-    every other call's row in one product per weight.
-    """
-    _check_vector(x, "gru input")
-    _check_vector(h_prev, "gru hidden")
-    if x.data.shape[0] != params.input_dim:
-        raise ValueError(f"gru input has length {x.data.shape[0]}, expected {params.input_dim}")
-    if h_prev.data.shape[0] != params.hidden_dim:
-        raise ValueError(f"gru hidden has length {h_prev.data.shape[0]}, expected {params.hidden_dim}")
-
-    p = params
-    xd, hd = x.data, h_prev.data
-    z = _sigmoid_stable(p.w_z.data @ xd + p.b_z.data + p.u_z.data @ hd)
-    r = _sigmoid_stable(p.w_r.data @ xd + p.b_r.data + p.u_r.data @ hd)
-    rh = r * hd
-    cand = np.tanh(p.w_h.data @ xd + p.b_h.data + p.u_h.data @ rh)
-    out = hd + z * (cand - hd)
-
-    def bw(g):
-        daz = g * (cand - hd) * z * (1.0 - z)
-        dah = g * z * (1.0 - cand * cand)
-        drh = p.u_h.data.T @ dah
-        dar = drh * hd * r * (1.0 - r)
-        dx = p.w_z.data.T @ daz + p.w_r.data.T @ dar + p.w_h.data.T @ dah
-        dh = g * (1.0 - z) + p.u_z.data.T @ daz + p.u_r.data.T @ dar + drh * r
-        return (
-            _Rows(daz, xd),  # w_z
-            _Rows(daz, hd),  # u_z
-            daz,  # b_z
-            _Rows(dar, xd),  # w_r
-            _Rows(dar, hd),  # u_r
-            dar,  # b_r
-            _Rows(dah, xd),  # w_h
-            _Rows(dah, rh),  # u_h
-            dah,  # b_h
-            dx,
-            dh,
-        )
-
-    return _make(
-        out,
-        (p.w_z, p.u_z, p.b_z, p.w_r, p.u_r, p.b_r, p.w_h, p.u_h, p.b_h, x, h_prev),
-        bw,
-    )
-
-
 def gru_scan(
     params: GruCellParams, x: Tensor, h0: Tensor, prev: np.ndarray, bounds: np.ndarray
 ) -> Tensor:
-    """``gru_cell`` over a run of frames, as one tape node.
+    """The standard GRU update, h = (1 - z) * h_prev + z * h_cand, over a
+    run of frames, as one tape node.
 
     Frame k's rows are ``bounds[k]:bounds[k + 1]`` of ``x`` and of the
     result. Row p's previous state is row ``prev[p]`` of ``h0``'s rows
     followed by the run's own output rows (which must lie in an earlier
     frame), or zeros where ``prev[p]`` is -1; a frame names each previous row
-    at most once. The input-side product of each
-    gate runs once over every row; only the state-side products run frame by
-    frame. Each row is computed in ``gru_cell``'s operation order
-    (``x w^T + b``, then ``+ h u^T``), every product through
-    ``_block_matmul``, so a row has the bits it would have alone.
+    at most once. The input-side product of each gate runs once over every
+    row; only the state-side products run frame by frame. Each row is
+    computed in the operation order of the one-vector ``gru_cell`` in
+    ``tests/oracles.py`` (``x w^T + b``, then ``+ h u^T``), every product
+    through ``_block_matmul``, so a row has the bits it would have alone.
     """
     p = params
     xd, h0d = x.data, h0.data

@@ -47,8 +47,22 @@ def _model_dims(rem_params: RemParameters, trk_params: TrackerParameters) -> dic
     return {"F": rem_params.dim, "F_a": trk_params.app_dim}
 
 
+def _read(path: Path, parse):
+    """``parse`` of the text of ``path``; its ``ValueError`` (a
+    ``JSONDecodeError`` is one) comes back as ``"{path}: {message}"``."""
+    text = path.read_text()
+    try:
+        return parse(text)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def _load_model(path: Path) -> tuple[ParameterStore, RemParameters, TrackerParameters]:
-    dims, params = rio.load_checkpoint_json(path.read_text())
+    return _read(path, _model_from_json)
+
+
+def _model_from_json(text: str) -> tuple[ParameterStore, RemParameters, TrackerParameters]:
+    dims, params = rio.load_checkpoint_json(text)
     if "F" not in dims or "F_a" not in dims:
         raise ValueError(f"checkpoint dims must declare F and F_a, got {sorted(dims)}")
     # Older checkpoints record the fixed input scale; any other value was
@@ -72,13 +86,13 @@ def _load_model(path: Path) -> tuple[ParameterStore, RemParameters, TrackerParam
 
 
 def _read_scenario(path: Path):
-    return rio.read_scenario_jsonl(path.read_text())
+    return _read(path, rio.read_scenario_jsonl)
 
 
 def _read_track_frames(path: Path, n_frames: int | None = None):
     if path.suffix == ".jsonl":
         return _read_scenario(path).as_track_frames()
-    return rio.records_to_frames(rio.parse_mot_csv(path.read_text()), n_frames)
+    return _read(path, lambda text: rio.records_to_frames(rio.parse_mot_csv(text), n_frames))
 
 
 def _parse_alphas(raw: str | None) -> tuple[float, ...]:
@@ -95,15 +109,18 @@ def _parse_alphas(raw: str | None) -> tuple[float, ...]:
 
 def _scenario_config(args, seed: int) -> ScenarioConfig:
     if getattr(args, "config", None):
-        fields = json.loads(Path(args.config).read_text())
-        if not isinstance(fields, dict):
-            raise ValueError(f"scenario config {args.config} must be a JSON object")
-        unknown = sorted(set(fields) - {f.name for f in dataclasses.fields(ScenarioConfig)})
-        if unknown:
-            raise ValueError(f"scenario config {args.config} has unknown fields {unknown}")
-        fields["seed"] = seed
-        return ScenarioConfig(**fields)
+        return _read(Path(args.config), lambda text: _config_from_json(text, seed))
     return ScenarioConfig(seed=seed)
+
+
+def _config_from_json(text: str, seed: int) -> ScenarioConfig:
+    fields = json.loads(text)
+    if not isinstance(fields, dict):
+        raise ValueError("scenario config must be a JSON object")
+    unknown = sorted(set(fields) - {f.name for f in dataclasses.fields(ScenarioConfig)})
+    if unknown:
+        raise ValueError(f"scenario config has unknown fields {unknown}")
+    return ScenarioConfig(**{**fields, "seed": seed})
 
 
 # ---------------------------------------------------------------------------
@@ -378,7 +395,7 @@ def run(argv) -> int:
         message = f"{exc.strerror}: {exc.filename}" if exc.filename else str(exc)
         print(f"error: {message}", file=sys.stderr)
         return 1
-    except (ValueError, json.JSONDecodeError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

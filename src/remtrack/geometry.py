@@ -10,9 +10,9 @@ mixed units.
 Inside the program a set of boxes is an (n, 4) float array of (cx, cy, w, h)
 rows; ``BoundingBox`` is the validated record where boxes enter or leave it,
 and ``_box_array`` turns a sequence of records into rows. ``iou_matrix`` and
-``scaled_distance_matrix`` are the all-pairs forms over such arrays. They
-repeat the scalar arithmetic entry by entry, in the same order, so every
-entry is bitwise equal to ``iou`` / ``scaled_distance``.
+``scaled_distance_matrix`` are the all-pairs forms over such arrays. Each
+entry repeats one pair's arithmetic in the order of the scalar ``iou`` and of
+the test oracles' ``scaled_distance``, so it is bitwise equal to that form.
 
 ``giou_loss`` is one tape node over predicted against target rows. Each row's
 forward is bitwise the chain of scalar ``max``/``min`` and arithmetic steps
@@ -68,28 +68,17 @@ def clamped_box(cx: float, cy: float, w: float, h: float) -> BoundingBox:
     return BoundingBox(cx, cy, max(w, MIN_BOX_SIZE), max(h, MIN_BOX_SIZE))
 
 
-def scaled_distance(a: BoundingBox, b: BoundingBox) -> float:
-    """Center distance with each squared offset scaled by the smaller extent."""
-    w_bar = max(min(a.w, b.w), MIN_BOX_SIZE)
-    h_bar = max(min(a.h, b.h), MIN_BOX_SIZE)
-    dx = a.cx - b.cx
-    dy = a.cy - b.cy
-    return math.sqrt(dx * dx / w_bar + dy * dy / h_bar)
-
-
 def _box_array(boxes: Sequence[BoundingBox]) -> np.ndarray:
     """(n, 4) rows of ``boxes``: the one conversion from records to rows."""
     return np.array([(b.cx, b.cy, b.w, b.h) for b in boxes], dtype=float).reshape(-1, 4)
 
 
 def scaled_distance_matrix(boxes: np.ndarray) -> np.ndarray:
-    """``scaled_distance`` between every pair of (n, 4) ``boxes`` rows, bitwise
-    equal to it.
-
-    Each entry repeats the scalar function's operations in the same order and
-    nothing is reduced across entries, so an entry does not depend on the other
-    boxes; the matrix is exactly symmetric with a zero diagonal.
-    """
+    """Center distance between every pair of (n, 4) ``boxes`` rows, each
+    squared offset scaled by the pair's smaller extent (at least
+    MIN_BOX_SIZE). Each entry runs one pair's operations in a fixed order and
+    nothing is reduced across entries, so an entry does not depend on the
+    other boxes; the matrix is exactly symmetric with a zero diagonal."""
     cx, cy, w, h = boxes.T
     w_bar = np.maximum(np.minimum(w[:, None], w[None, :]), MIN_BOX_SIZE)
     h_bar = np.maximum(np.minimum(h[:, None], h[None, :]), MIN_BOX_SIZE)
@@ -135,20 +124,6 @@ def iou_matrix(a_boxes: np.ndarray, b_boxes: np.ndarray) -> np.ndarray:
     inter = np.where(overlapping, iw * ih, 0.0)
     union = (aw * ah)[:, None] + (bw * bh)[None, :] - inter
     return np.where(overlapping, np.minimum(inter / union, 1.0), 0.0)
-
-
-def giou(a: BoundingBox, b: BoundingBox) -> float:
-    """Generalized IoU in [-1, 1]: IoU minus the enclosing-box penalty."""
-    ax1, ay1, ax2, ay2 = _corners(a)
-    bx1, by1, bx2, by2 = _corners(b)
-    iw = max(min(ax2, bx2) - max(ax1, bx1), 0.0)
-    ih = max(min(ay2, by2) - max(ay1, by1), 0.0)
-    inter = iw * ih
-    union = a.w * a.h + b.w * b.h - inter
-    cw = max(ax2, bx2) - min(ax1, bx1)
-    ch = max(ay2, by2) - min(ay1, by1)
-    enclosing = cw * ch
-    return min(inter / union, 1.0) - max((enclosing - union) / enclosing, 0.0)
 
 
 def giou_loss(pred: Tensor, target: np.ndarray) -> Tensor:

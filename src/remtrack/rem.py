@@ -17,9 +17,9 @@ affine and a second ``gru_scan`` for the relation embeddings. Only the two
 GRUs' state-side products depend on the frame before, so only they run frame
 by frame, inside the scans; everything else batches across frames. Training
 runs a whole window as one run; the tracker runs one frame per call, through
-the same code. The public ``node_feature``, ``message``,
-``attention_coefficients`` and ``spatiotemporal_update`` specify the same
-maths one node or one sender at a time.
+the same code. ``message`` is REM's message function and
+``attention_coefficients`` its attention weights, both over rows; the test
+oracles keep the same maths one node or one sender at a time.
 
 Relabeling instances permutes the outputs bitwise, and an isolated
 instance's embedding is bitwise independent of the rest of the scene,
@@ -44,9 +44,9 @@ because no number of a node depends on anything but its own rows:
   spans frames. Neighbors equal in both keys give identical rows; the last
   field puts them in ascending id order only so that each segment is fully
   determined.
-* The attention weights of a run come from one segment softmax over the
-  attention logits of all its message rows; a segment's weights depend on
-  its own logits alone. The message rows run in chunks of whole segments,
+* The attention weights of a run come from one ``attention_coefficients``
+  over the attention logits of all its message rows; a segment's weights
+  depend on its own logits alone. The message rows run in chunks of whole segments,
   about ``CHUNK_ROWS`` rows each, which only bounds the working set: each
   segment's weighted sum (``reduceat``) depends on the segment's own rows,
   not on where it sits in its chunk.
@@ -58,7 +58,7 @@ frame at that step, with instances keyed per window, so no edge and no
 recurrence crosses windows. Node features never depend on relation
 embeddings, so one run gives the node features, projections and sender
 segments of every window, shared by all of its receivers. Every receiver's
-message rows at every step are computed once (``_messages``); its full row
+message rows at every step are computed once (``message``); its full row
 and each leave-one-out drop re-weight them in one ``_segment_softmax_sum``
 over all segments of the stack, and one affine and one ``gru_scan`` update
 every full and drop row of every step (once per batch of receivers where a
@@ -79,7 +79,6 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import GruCellParams, ParameterStore, Tensor
-from .geometry import BoundingBox
 from .st_graph import GraphFrame, SpatioTemporalGraph
 
 # The generic nonlinearity is LeakyReLU(0.1); attention logits use the
@@ -197,67 +196,6 @@ class RelationEmbedding:
     instance: int
     t: int
     vector: np.ndarray
-
-
-def node_feature(
-    params: RemParameters,
-    box: BoundingBox,
-    prev_box: BoundingBox | None,
-    v_prev: Tensor | None,
-) -> Tensor:
-    """Input feature: GRU over sigma(W_in [box || box - prev_box] + b_in).
-
-    At an instance's first frame the offset is zero and the hidden state
-    starts at zeros. Coordinates enter divided by ``INPUT_SCALE``.
-    """
-    p = box.as_array()
-    offset = p - prev_box.as_array() if prev_box is not None else np.zeros(4)
-    scaled = np.concatenate([p, offset]) / INPUT_SCALE
-    x = ad.leaky_relu(ad.affine(params.w_in, Tensor(scaled), params.b_in), SIGMA_SLOPE)
-    if v_prev is None:
-        v_prev = Tensor(np.zeros(params.dim))
-    return ad.gru_cell(params.gru_in, x, v_prev)
-
-
-def message(params: RemParameters, v_i: Tensor, v_j: Tensor, d_ij: float) -> Tensor:
-    """Directed message to receiver i from sender j, aware of their distance.
-
-    One sender at a time; ``rem_step`` runs the same maths over a run's
-    message rows, which this function and ``attention_coefficients``
-    specify."""
-    if d_ij < 0:
-        raise ValueError("distance must be non-negative")
-    x = ad.concat([v_i, v_j, Tensor(np.array([d_ij]))])
-    hidden = ad.leaky_relu(ad.affine(params.w_m1, x, params.b_m1), SIGMA_SLOPE)
-    return ad.leaky_relu(ad.affine(params.w_m2, hidden, params.b_m2), SIGMA_SLOPE)
-
-
-def attention_coefficients(
-    params: RemParameters, v_i: Tensor, neighbor_feats: Sequence[Tensor]
-) -> Tensor:
-    """Softmax over LeakyReLU((W_a1 v_i)^T (W_a2 v_j)) for spatial neighbors."""
-    neighbor_feats = list(neighbor_feats)
-    if not neighbor_feats:
-        raise ValueError("attention requires a non-empty neighbor set")
-    query = ad.affine(params.w_a1, v_i)
-    logits = [
-        ad.leaky_relu(ad.dot(query, ad.affine(params.w_a2, v_j)), ATTENTION_SLOPE)
-        for v_j in neighbor_feats
-    ]
-    return ad.softmax(ad.stack(logits))
-
-
-def spatiotemporal_update(
-    params: RemParameters,
-    v_i: Tensor,
-    aggregated: Tensor,
-    r_prev: Tensor | None,
-) -> Tensor:
-    """Spatial perceptron over [v_i || aggregated], then the temporal GRU."""
-    u = ad.leaky_relu(ad.affine(params.w_u, ad.concat([v_i, aggregated]), params.b_u), SIGMA_SLOPE)
-    if r_prev is None:
-        r_prev = Tensor(np.zeros(params.dim))
-    return ad.gru_cell(params.gru_rel, u, r_prev)
 
 
 class _Nodes(NamedTuple):
@@ -429,7 +367,7 @@ def _scores(
     return np.einsum("ij,ij->i", proj[3, senders], proj[1, receivers], out=out)
 
 
-def _messages(
+def message(
     params: RemParameters,
     proj: np.ndarray,
     receivers: np.ndarray,
@@ -437,11 +375,12 @@ def _messages(
     distances: np.ndarray,
     slopes: bool = False,
 ):
-    """``message`` for every (receiver, sender, distance) row, from the two
-    nodes' ``_Nodes.proj`` rows; only the second layer is a matrix product,
-    and both LeakyReLUs run in place. With ``slopes``, returns the hidden
-    rows, the messages, and the slope each LeakyReLU took at every entry,
-    which the backward needs."""
+    """REM's message function over rows: the directed message to each
+    receiver from its sender, aware of their distance, for every (receiver,
+    sender, distance) row, from the two nodes' ``_Nodes.proj`` rows. Only
+    the second layer is a matrix product, and both LeakyReLUs run in place.
+    With ``slopes``, returns the hidden rows, the messages, and the slope
+    each LeakyReLU took at every entry, which the backward needs."""
     p, f = params, params.dim
     x = proj[2, senders]
     x += proj[0, receivers]
@@ -455,9 +394,10 @@ def _messages(
     return (hidden, msgs, s1, s2) if slopes else msgs
 
 
-def _segment_softmax(logits: np.ndarray, start: np.ndarray) -> np.ndarray:
-    """Attention weights within each segment ``start[s]:start[s + 1]`` of
-    ``logits``. A segment's weights depend on its own rows alone."""
+def attention_coefficients(logits: np.ndarray, start: np.ndarray) -> np.ndarray:
+    """REM's attention weights within each receiver's segment
+    ``start[s]:start[s + 1]`` of ``logits``, a softmax over its senders; a
+    segment's weights depend on its own rows alone."""
     lengths = np.diff(start)
     linked = lengths > 0
     heads = start[:-1][linked]
@@ -479,9 +419,9 @@ def _segment_sums(rows: np.ndarray, start: np.ndarray, out: np.ndarray) -> None:
 def _segment_softmax_sum(
     logits: np.ndarray, msgs: np.ndarray, start: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """``_segment_softmax`` of the logits, and each segment's weighted sum of
+    """``attention_coefficients`` of the logits, and each segment's weighted sum of
     ``msgs``; a zero row for an empty segment."""
-    alphas = _segment_softmax(logits, start)
+    alphas = attention_coefficients(logits, start)
     sums = np.zeros((len(start) - 1, msgs.shape[1]))
     _segment_sums(alphas[:, None] * msgs, start, sums)
     return alphas, sums
@@ -506,7 +446,7 @@ def _aggregate(params: RemParameters, nodes: _Nodes) -> Tensor:
     a node without neighbors), as one tape node.
 
     The attention scores of every message row are computed chunk by chunk,
-    and one ``_segment_softmax`` over the run gives every weight. The message
+    and one ``attention_coefficients`` over the run gives every weight. The message
     rows then run chunk by chunk, each chunk's weighted sums going straight
     into its output rows. The backward keeps the weights and scores and
     computes each chunk's message rows again instead of holding the whole
@@ -522,10 +462,10 @@ def _aggregate(params: RemParameters, nodes: _Nodes) -> Tensor:
     scores = np.empty(len(senders))
     for _, _, at in chunks:
         _scores(proj, receivers[at], senders[at], out=scores[at])
-    alphas = _segment_softmax(_leaky(scores, ATTENTION_SLOPE), start)
+    alphas = attention_coefficients(_leaky(scores, ATTENTION_SLOPE), start)
     out = np.zeros((len(nodes.ids), f))
     for first, end, at in chunks:
-        msgs = _messages(p, proj, receivers[at], senders[at], distances[at])
+        msgs = message(p, proj, receivers[at], senders[at], distances[at])
         msgs *= alphas[at, None]
         _segment_sums(msgs, start[first : end + 1] - start[first], out[first:end])
 
@@ -534,7 +474,7 @@ def _aggregate(params: RemParameters, nodes: _Nodes) -> Tensor:
         d_alphas = np.empty(len(senders))
         d_distance = np.zeros(f)
         for _, _, at in chunks:
-            hidden[at], msgs, s1, s2 = _messages(p, proj, receivers[at], senders[at], distances[at], slopes=True)
+            hidden[at], msgs, s1, s2 = message(p, proj, receivers[at], senders[at], distances[at], slopes=True)
             g_rows = g[receivers[at]]
             np.einsum("ij,ij->i", msgs, g_rows, out=d_alphas[at])
             d_a2_at = alphas[at, None] * g_rows * s2
@@ -571,8 +511,9 @@ def _update(
     prev: np.ndarray,
     bounds: np.ndarray,
 ) -> Tensor:
-    """``spatiotemporal_update`` for every row of a run: one affine over all
-    rows, then the relation GRU as one ``gru_scan``."""
+    """REM's spatio-temporal update for every row of a run, in the operation
+    order of the per-node ``spatiotemporal_update`` of ``tests/oracles.py``:
+    one affine over all rows, then the relation GRU as one ``gru_scan``."""
     u = ad.leaky_relu(ad.affine_rows(params.w_u, ad.concat([v, aggregated]), params.b_u), SIGMA_SLOPE)
     return ad.gru_scan(params.gru_rel, u, h0, prev, bounds)
 
@@ -645,7 +586,7 @@ def _leave_one_out(
 
     Every receiver owns one full row and one drop row per sender at the last
     frame, in canonical order, at each frame it is in. Each of its message
-    rows at a frame is computed once, in one ``_messages`` over all receivers
+    rows at a frame is computed once, in one ``message`` over all receivers
     and frames. Its full row aggregates all of them; the drop row
     of each j that is a sender at that frame aggregates all but j's, and
     every other drop row takes the full row's aggregate. All full and drop
@@ -688,7 +629,7 @@ def _leave_one_out(
     start = np.concatenate([msg_first, msg_first[-1] + np.cumsum(lengths)])
     receiver_rows, sender_rows = np.repeat(rows, k), nodes.senders[slots]
     logits = _leaky(_scores(nodes.proj.data, receiver_rows, sender_rows), ATTENTION_SLOPE)[segments]
-    msgs = _messages(params, nodes.proj.data, receiver_rows, sender_rows, nodes.distances[slots])[segments]
+    msgs = message(params, nodes.proj.data, receiver_rows, sender_rows, nodes.distances[slots])[segments]
     sums = _segment_softmax_sum(logits, msgs, start)[1]
     del logits, msgs  # frees the gathered rows before the update
     # update rows: per receiver row, the full row, then one drop row per sender at the last frame

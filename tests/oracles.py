@@ -8,6 +8,18 @@ earlier, simpler form of that code; the record form of a training window,
 which chooses its loss terms from records and runs the package's heads on
 them; and the record form of scoring, which matches every frame with one
 solver call and the swap loop, and counts from ``FrameMatching`` records.
+
+The section "former package per-node path" holds the one-node and one-pair
+forms that the package once shipped beside its running code, unchanged and
+on the package's tape (``autodiff._make``, ``affine``, ``concat``,
+``leaky_relu``): REM's ``node_feature``, the per-sender ``node_message``, the
+per-receiver ``node_attention_coefficients`` and ``spatiotemporal_update``;
+the tape operations ``gru_cell``, ``softmax``, ``dot`` and ``stack`` beneath
+them; and the scalar ``giou`` and ``scaled_distance``. The running
+``rem.message`` and ``rem.attention_coefficients`` work on rows;
+``autodiff.gru_scan`` keeps ``gru_cell``'s operation order, and
+``geometry.scaled_distance_matrix`` repeats ``scaled_distance`` entry by
+entry.
 """
 
 from __future__ import annotations
@@ -21,9 +33,19 @@ from scipy.optimize import linear_sum_assignment
 
 from remtrack import autodiff as ad
 from remtrack import metrics, tracker
-from remtrack.geometry import MIN_BOX_SIZE, BoundingBox, _box_array, clamped_box, giou_loss, iou, iou_matrix
+from remtrack.autodiff import GruCellParams, Tensor
+from remtrack.geometry import (
+    MIN_BOX_SIZE,
+    BoundingBox,
+    _box_array,
+    _corners,
+    clamped_box,
+    giou_loss,
+    iou,
+    iou_matrix,
+)
 from remtrack.metrics import FrameMatching, MetricsReport
-from remtrack.rem import INPUT_SCALE, RemState, rem_step
+from remtrack.rem import ATTENTION_SLOPE, INPUT_SCALE, SIGMA_SLOPE, RemParameters, RemState, rem_step
 from remtrack.simulator import GroundTruthSequence, ScenarioConfig, detect
 from remtrack.st_graph import SpatioTemporalGraph, build_graph
 
@@ -349,6 +371,188 @@ def record_window_loss(trk, rem_params, sample: RecordWindow, cfg):
     return ad.mul(
         ad.add(ad.add(occ_loss, giou_loss(base, targets)), giou_loss(rel, targets)), 1.0 / n_terms
     )
+
+
+# ---------------------------------------------------------------------------
+# former package per-node path, kept as the bitwise reference
+
+
+def _check_vector(x: Tensor, name: str) -> None:
+    if x.data.ndim != 1:
+        raise ValueError(f"{name} must be a 1-D vector, got shape {x.data.shape}")
+
+
+def dot(a: Tensor, b: Tensor) -> Tensor:
+    _check_vector(a, "dot lhs")
+    _check_vector(b, "dot rhs")
+    if a.data.shape != b.data.shape:
+        raise ValueError(f"dot shape mismatch: {a.data.shape} vs {b.data.shape}")
+    data = np.array(a.data @ b.data)
+
+    def bw(g):
+        return (g * b.data, g * a.data)
+
+    return ad._make(data, (a, b), bw)
+
+
+def stack(parts) -> Tensor:
+    """Build a vector out of scalar tensors."""
+    parts = tuple(ad.as_tensor(p) for p in parts)
+    data = np.array([float(p.data) for p in parts])
+
+    def bw(g):
+        return tuple(np.asarray(g[k]).reshape(()) for k in range(len(parts)))
+
+    return ad._make(data, parts, bw)
+
+
+def softmax(logits: Tensor) -> Tensor:
+    """Softmax over a vector; exact denominator, order-independent."""
+    _check_vector(logits, "softmax input")
+    if logits.data.shape[0] == 0:
+        raise ValueError("softmax over an empty vector is undefined")
+    shifted = logits.data - np.max(logits.data)
+    exps = np.exp(shifted)
+    denom = math.fsum(exps.tolist()) if exps.shape[0] > 2 else float(np.sum(exps))
+    out = exps / denom
+
+    def bw(g):
+        inner = float(np.dot(g, out))
+        return (out * (g - inner),)
+
+    return ad._make(out, (logits,), bw)
+
+
+def gru_cell(params: GruCellParams, x: Tensor, h_prev: Tensor) -> Tensor:
+    """Standard GRU update: h = (1-z)*h_prev + z*h_cand.
+
+    Fused into one tape node: the whole cell would otherwise dominate the
+    graph with a dozen small nodes per call. Each gate weight's gradient is
+    returned as one row factor (the gate's pre-activation gradient times the
+    input or state it multiplied), which ``backward`` reduces together with
+    every other call's row in one product per weight.
+    """
+    _check_vector(x, "gru input")
+    _check_vector(h_prev, "gru hidden")
+    if x.data.shape[0] != params.input_dim:
+        raise ValueError(f"gru input has length {x.data.shape[0]}, expected {params.input_dim}")
+    if h_prev.data.shape[0] != params.hidden_dim:
+        raise ValueError(f"gru hidden has length {h_prev.data.shape[0]}, expected {params.hidden_dim}")
+
+    p = params
+    xd, hd = x.data, h_prev.data
+    z = ad._sigmoid_stable(p.w_z.data @ xd + p.b_z.data + p.u_z.data @ hd)
+    r = ad._sigmoid_stable(p.w_r.data @ xd + p.b_r.data + p.u_r.data @ hd)
+    rh = r * hd
+    cand = np.tanh(p.w_h.data @ xd + p.b_h.data + p.u_h.data @ rh)
+    out = hd + z * (cand - hd)
+
+    def bw(g):
+        daz = g * (cand - hd) * z * (1.0 - z)
+        dah = g * z * (1.0 - cand * cand)
+        drh = p.u_h.data.T @ dah
+        dar = drh * hd * r * (1.0 - r)
+        dx = p.w_z.data.T @ daz + p.w_r.data.T @ dar + p.w_h.data.T @ dah
+        dh = g * (1.0 - z) + p.u_z.data.T @ daz + p.u_r.data.T @ dar + drh * r
+        return (
+            ad._Rows(daz, xd),  # w_z
+            ad._Rows(daz, hd),  # u_z
+            daz,  # b_z
+            ad._Rows(dar, xd),  # w_r
+            ad._Rows(dar, hd),  # u_r
+            dar,  # b_r
+            ad._Rows(dah, xd),  # w_h
+            ad._Rows(dah, rh),  # u_h
+            dah,  # b_h
+            dx,
+            dh,
+        )
+
+    return ad._make(
+        out,
+        (p.w_z, p.u_z, p.b_z, p.w_r, p.u_r, p.b_r, p.w_h, p.u_h, p.b_h, x, h_prev),
+        bw,
+    )
+
+
+def node_feature(
+    params: RemParameters,
+    box: BoundingBox,
+    prev_box: BoundingBox | None,
+    v_prev: Tensor | None,
+) -> Tensor:
+    """Input feature: GRU over sigma(W_in [box || box - prev_box] + b_in).
+
+    At an instance's first frame the offset is zero and the hidden state
+    starts at zeros. Coordinates enter divided by ``INPUT_SCALE``.
+    """
+    p = box.as_array()
+    offset = p - prev_box.as_array() if prev_box is not None else np.zeros(4)
+    scaled = np.concatenate([p, offset]) / INPUT_SCALE
+    x = ad.leaky_relu(ad.affine(params.w_in, Tensor(scaled), params.b_in), SIGMA_SLOPE)
+    if v_prev is None:
+        v_prev = Tensor(np.zeros(params.dim))
+    return gru_cell(params.gru_in, x, v_prev)
+
+
+def node_message(params: RemParameters, v_i: Tensor, v_j: Tensor, d_ij: float) -> Tensor:
+    """Directed message to receiver i from sender j, aware of their distance,
+    one sender at a time."""
+    if d_ij < 0:
+        raise ValueError("distance must be non-negative")
+    x = ad.concat([v_i, v_j, Tensor(np.array([d_ij]))])
+    hidden = ad.leaky_relu(ad.affine(params.w_m1, x, params.b_m1), SIGMA_SLOPE)
+    return ad.leaky_relu(ad.affine(params.w_m2, hidden, params.b_m2), SIGMA_SLOPE)
+
+
+def node_attention_coefficients(params: RemParameters, v_i: Tensor, neighbor_feats) -> Tensor:
+    """Softmax over LeakyReLU((W_a1 v_i)^T (W_a2 v_j)) for spatial neighbors,
+    one receiver at a time."""
+    neighbor_feats = list(neighbor_feats)
+    if not neighbor_feats:
+        raise ValueError("attention requires a non-empty neighbor set")
+    query = ad.affine(params.w_a1, v_i)
+    logits = [
+        ad.leaky_relu(dot(query, ad.affine(params.w_a2, v_j)), ATTENTION_SLOPE)
+        for v_j in neighbor_feats
+    ]
+    return softmax(stack(logits))
+
+
+def spatiotemporal_update(
+    params: RemParameters,
+    v_i: Tensor,
+    aggregated: Tensor,
+    r_prev: Tensor | None,
+) -> Tensor:
+    """Spatial perceptron over [v_i || aggregated], then the temporal GRU."""
+    u = ad.leaky_relu(ad.affine(params.w_u, ad.concat([v_i, aggregated]), params.b_u), SIGMA_SLOPE)
+    if r_prev is None:
+        r_prev = Tensor(np.zeros(params.dim))
+    return gru_cell(params.gru_rel, u, r_prev)
+
+
+def scaled_distance(a: BoundingBox, b: BoundingBox) -> float:
+    """Center distance with each squared offset scaled by the smaller extent."""
+    w_bar = max(min(a.w, b.w), MIN_BOX_SIZE)
+    h_bar = max(min(a.h, b.h), MIN_BOX_SIZE)
+    dx = a.cx - b.cx
+    dy = a.cy - b.cy
+    return math.sqrt(dx * dx / w_bar + dy * dy / h_bar)
+
+
+def giou(a: BoundingBox, b: BoundingBox) -> float:
+    """Generalized IoU in [-1, 1]: IoU minus the enclosing-box penalty."""
+    ax1, ay1, ax2, ay2 = _corners(a)
+    bx1, by1, bx2, by2 = _corners(b)
+    iw = max(min(ax2, bx2) - max(ax1, bx1), 0.0)
+    ih = max(min(ay2, by2) - max(ay1, by1), 0.0)
+    inter = iw * ih
+    union = a.w * a.h + b.w * b.h - inter
+    cw = max(ax2, bx2) - min(ax1, bx1)
+    ch = max(ay2, by2) - min(ay1, by1)
+    enclosing = cw * ch
+    return min(inter / union, 1.0) - max((enclosing - union) / enclosing, 0.0)
 
 
 # ---------------------------------------------------------------------------

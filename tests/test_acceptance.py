@@ -14,17 +14,31 @@ import numpy as np
 import pytest
 
 from conftest import frame_box, make_rem
-from oracles import brute_hota_single, brute_idf1, brute_mota, neighbors, spatial_edges
-from remtrack.autodiff import GruCellParams, ParameterStore, Tensor, gradient_check, gru_cell
+from oracles import (
+    brute_hota_single,
+    brute_idf1,
+    brute_mota,
+    giou,
+    gru_cell,
+    neighbors,
+    node_attention_coefficients,
+    node_feature,
+    scaled_distance,
+    spatial_edges,
+)
+from remtrack.autodiff import GruCellParams, ParameterStore, Tensor, gradient_check, gru_scan
 from remtrack.cli import gradcheck_loss_builder, run
-from remtrack.geometry import BoundingBox, giou, iou, scaled_distance
+from remtrack.geometry import BoundingBox, iou
 from remtrack.io import write_results_csv, write_scenario_jsonl
 from remtrack.metrics import clear_mot, hota, idf1
 from remtrack.rem import (
+    ATTENTION_SLOPE,
     RemParameters,
     RemState,
+    _leaky,
+    _run_nodes,
+    _scores,
     attention_coefficients,
-    node_feature,
     relation_importance_records,
     rem_step,
 )
@@ -131,9 +145,11 @@ def test_criterion_1_gradient_suite():
 
 
 def test_criterion_2_attention_normalization():
+    # each receiver's softmax from the per-node oracle, and every segment's
+    # weights from the running attention over the frame's message rows
     store, params = make_rem(dim=4, seed=11)
     rng = np.random.default_rng(22)
-    nodes_checked = 0
+    nodes_checked = segments_checked = 0
     for _ in range(1000):
         n = int(rng.integers(2, 6))
         frame = [
@@ -146,12 +162,25 @@ def test_criterion_2_attention_normalization():
             nbrs = neighbors(graph.frames[0], i)
             if not nbrs:
                 continue
-            alphas = attention_coefficients(params, feats[i], [feats[j] for j in nbrs])
+            alphas = node_attention_coefficients(params, feats[i], [feats[j] for j in nbrs])
             assert abs(float(alphas.data.sum()) - 1.0) <= 1e-12
             assert np.all(alphas.data > 0)
             nodes_checked += 1
+        nodes = _run_nodes(params, graph, 0, 1, RemState())
+        receivers = np.repeat(np.arange(len(nodes.ids)), np.diff(nodes.start))
+        logits = _leaky(_scores(nodes.proj.data, receivers, nodes.senders), ATTENTION_SLOPE)
+        weights = attention_coefficients(logits, nodes.start)
+        for a, b in zip(nodes.start[:-1], nodes.start[1:]):
+            if a < b:
+                assert abs(float(weights[a:b].sum()) - 1.0) <= 1e-12
+                assert np.all(weights[a:b] > 0)
+                segments_checked += 1
     assert nodes_checked > 1000
-    _ok("criterion-2 attention normalization", f"{nodes_checked} node softmaxes across 1000 graphs")
+    assert segments_checked == nodes_checked
+    _ok(
+        "criterion-2 attention normalization",
+        f"{nodes_checked} node softmaxes and {segments_checked} running segments across 1000 graphs",
+    )
 
 
 def test_criterion_3_permutation_equivariance():
@@ -225,6 +254,9 @@ def test_criterion_5_hand_oracles():
     h0 = np.array([1.0, -2.0, 0.75])
     h = gru_cell(cell, Tensor(np.zeros(3)), Tensor(h0))
     assert np.max(np.abs(h.data - 0.5 * h0)) <= 1e-12
+    # and so does the running GRU: a one-row scan continuing from h0
+    h = gru_scan(cell, Tensor(np.zeros((1, 3))), Tensor(h0[None]), np.array([0]), np.array([0, 1]))
+    assert np.max(np.abs(h.data[0] - 0.5 * h0)) <= 1e-12
 
     # scaled-distance hand example
     d = scaled_distance(BoundingBox(10, 10, 4, 2), BoundingBox(13, 14, 6, 8))
@@ -236,7 +268,7 @@ def test_criterion_5_hand_oracles():
 
     # HOTA combination
     assert abs(math.sqrt(0.64 * 0.25) - 0.4) <= 1e-12
-    _ok("criterion-5 hand oracles", "GRU halving, sqrt(10.25), GIoU -1/3, HOTA 0.4 all within 1e-12")
+    _ok("criterion-5 hand oracles", "GRU halving (cell and scan), sqrt(10.25), GIoU -1/3, HOTA 0.4 all within 1e-12")
 
 
 def test_criterion_6_metrics_equal_brute_force():

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import weighted_sum
+from oracles import dot, gru_cell, softmax, stack
 from remtrack import autodiff as ad
 from remtrack.autodiff import (
     GruCellParams,
@@ -14,7 +15,6 @@ from remtrack.autodiff import (
     adam_step,
     backward,
     gradient_check,
-    gru_cell,
     no_grad,
 )
 
@@ -43,9 +43,9 @@ class TestLinearForward:
         x = store.register("x", Tensor(rng.normal(size=3)))
 
         ones = Tensor(np.ones(4))
-        err = gradient_check(lambda: ad.dot(ad.affine(w, x), ones), store, epsilon=1e-5)
+        err = gradient_check(lambda: dot(ad.affine(w, x), ones), store, epsilon=1e-5)
         assert err < 1e-6
-        backward(ad.dot(ad.affine(w, x), ones))
+        backward(dot(ad.affine(w, x), ones))
         assert np.allclose(x.grad, w.data.sum(axis=0), rtol=1e-12)
 
     def test_dimension_mismatch_rejected(self):
@@ -100,7 +100,7 @@ class TestGruCell:
         def loss():
             out = gru_cell(cell, Tensor(x), Tensor(h))
             diff = ad.add(out, Tensor(-target))
-            return ad.dot(diff, diff)
+            return dot(diff, diff)
 
         assert gradient_check(loss, store, epsilon=1e-5) < 1e-4
 
@@ -109,7 +109,7 @@ class TestGruCell:
         cell = GruCellParams.create(store, "g", 2, 2, np.random.default_rng(1))
         x = Tensor(np.array([0.3, -0.7]), requires_grad=True)
         h = Tensor(np.array([0.1, 0.4]), requires_grad=True)
-        backward(ad.dot(gru_cell(cell, x, h), Tensor(np.ones(2))))
+        backward(dot(gru_cell(cell, x, h), Tensor(np.ones(2))))
         assert x.grad is not None and np.any(x.grad != 0)
         assert h.grad is not None and np.any(h.grad != 0)
 
@@ -214,14 +214,14 @@ class TestGradientCheck:
     def test_quadratic_loss(self):
         store = ParameterStore()
         store.register("theta", Tensor(np.array([1.0, -2.0, 0.5])))
-        err = gradient_check(lambda: ad.dot(store["theta"], store["theta"]), store)
+        err = gradient_check(lambda: dot(store["theta"], store["theta"]), store)
         assert err < 1e-8
 
     def test_linear_loss_near_exact(self):
         store = ParameterStore()
         store.register("theta", Tensor(np.array([0.3, 0.7])))
         c = Tensor(np.array([2.0, -1.0]))
-        err = gradient_check(lambda: ad.dot(store["theta"], c), store)
+        err = gradient_check(lambda: dot(store["theta"], c), store)
         assert err < 1e-9
 
     def test_non_finite_loss_rejected(self):
@@ -229,7 +229,7 @@ class TestGradientCheck:
         store.register("theta", Tensor(np.array([0.0])))
 
         def bad():
-            return ad.add(ad.dot(store["theta"], Tensor(np.ones(1))), math.inf)
+            return ad.add(dot(store["theta"], Tensor(np.ones(1))), math.inf)
 
         with pytest.raises(ValueError, match="finite"):
             gradient_check(bad, store)
@@ -238,7 +238,7 @@ class TestGradientCheck:
         store = ParameterStore()
         store.register("theta", Tensor(np.ones(1)))
         with pytest.raises(ValueError, match="epsilon"):
-            gradient_check(lambda: ad.dot(store["theta"], Tensor(np.ones(1))), store, epsilon=1e-2)
+            gradient_check(lambda: dot(store["theta"], Tensor(np.ones(1))), store, epsilon=1e-2)
 
 
 class TestCompositeGradients:
@@ -255,9 +255,9 @@ class TestCompositeGradients:
         def loss():
             h = ad.leaky_relu(ad.affine(w1, x, b1), 0.1)
             h = ad.leaky_relu(ad.affine(w2, h), 0.3)
-            s = ad.softmax(h)
+            s = softmax(h)
             m = ad.mul(s, ad.add(h, shift))
-            return ad.dot(m, m)
+            return dot(m, m)
 
         assert gradient_check(loss, store, epsilon=1e-5) < 1e-4
 
@@ -267,8 +267,8 @@ class TestCompositeGradients:
         first, last = Tensor(np.array([1.0, 0.0, 0.0])), Tensor(np.array([0.0, 0.0, 1.0]))
 
         def loss():
-            v = ad.concat([p, ad.stack([ad.dot(p, first), ad.dot(p, last)])])
-            return ad.dot(v, v)
+            v = ad.concat([p, stack([dot(p, first), dot(p, last)])])
+            return dot(v, v)
 
         assert gradient_check(loss, store, epsilon=1e-5) < 1e-8
 
@@ -280,22 +280,22 @@ class TestDeterminismAndInvariants:
         x = Tensor(rng.normal(size=6))
 
         def forward():
-            return ad.softmax(ad.leaky_relu(ad.affine(w, x), 0.3)).data
+            return softmax(ad.leaky_relu(ad.affine(w, x), 0.3)).data
 
         assert np.array_equal(forward(), forward())
 
     def test_softmax_normalized(self):
         rng = np.random.default_rng(4)
         for _ in range(100):
-            v = ad.softmax(Tensor(rng.normal(size=rng.integers(1, 7)) * 5))
+            v = softmax(Tensor(rng.normal(size=rng.integers(1, 7)) * 5))
             assert abs(v.data.sum() - 1.0) <= 1e-12
             assert np.all(v.data > 0)
 
     def test_softmax_order_equivariant_bitwise(self, rng):
         logits = rng.normal(size=6)
         perm = rng.permutation(6)
-        a = ad.softmax(Tensor(logits)).data
-        b = ad.softmax(Tensor(logits[perm])).data
+        a = softmax(Tensor(logits)).data
+        b = softmax(Tensor(logits[perm])).data
         assert np.array_equal(a[perm], b)
 
     def test_backward_requires_scalar(self):
@@ -306,14 +306,14 @@ class TestDeterminismAndInvariants:
         store = ParameterStore()
         p = store.register("p", Tensor(np.ones(2)))
         with no_grad():
-            out = ad.dot(p, p)
+            out = dot(p, p)
         assert out._backward is None and not out.requires_grad
 
     def test_grad_accumulates_across_uses(self):
         store = ParameterStore()
         p = store.register("p", Tensor(np.array([2.0])))
         out = ad.add(ad.mul(p, 3.0), ad.mul(p, 4.0))
-        backward(ad.dot(out, Tensor(np.ones(1))))
+        backward(dot(out, Tensor(np.ones(1))))
         assert np.allclose(p.grad, [7.0])
 
     def test_duplicate_parameter_name_rejected(self):
@@ -365,9 +365,9 @@ class TestFactoredWeightGradients:
         b = store.register("b", Tensor(rng.normal(size=4)))
         xs = [rng.normal(size=3) for _ in range(5)]
         cs = [rng.normal(size=4) for _ in range(5)]
-        loss = ad.dot(ad.affine(w, Tensor(xs[0]), b), Tensor(cs[0]))
+        loss = dot(ad.affine(w, Tensor(xs[0]), b), Tensor(cs[0]))
         for x, c in zip(xs[1:], cs[1:]):
-            loss = ad.add(loss, ad.dot(ad.affine(w, Tensor(x)), Tensor(c)))
+            loss = ad.add(loss, dot(ad.affine(w, Tensor(x)), Tensor(c)))
         backward(loss)
         assert_close_rel(w.grad, sum(np.outer(c, x) for x, c in zip(xs, cs)))
         assert np.array_equal(b.grad, cs[0])
@@ -383,7 +383,7 @@ class TestFactoredWeightGradients:
         h = Tensor(h0)
         for x in xs:
             h = gru_cell(cell, Tensor(x), h)
-        backward(ad.dot(h, Tensor(g_out)))
+        backward(dot(h, Tensor(g_out)))
         for name, expected in dense_gru_grads(cell, xs, h0, g_out).items():
             assert_close_rel(getattr(cell, name).grad, expected)
 
@@ -398,7 +398,7 @@ class TestFactoredWeightGradients:
 
         def loss():
             sw = ad.leaky_relu(w, 0.5)
-            return ad.add(ad.dot(ad.affine(sw, x1), c), ad.dot(ad.leaky_relu(ad.affine(sw, x2), 0.5), c))
+            return ad.add(dot(ad.affine(sw, x1), c), dot(ad.leaky_relu(ad.affine(sw, x2), 0.5), c))
 
         assert gradient_check(loss, store, epsilon=1e-5) < 1e-4
 
@@ -409,8 +409,8 @@ class TestFactoredWeightGradients:
         x1, x2 = rng.normal(size=4), rng.normal(size=4)
         c1, c2 = rng.normal(size=3), rng.normal(size=3)
         loss = ad.add(
-            ad.dot(ad.affine(p, Tensor(x1)), Tensor(c1)),
-            ad.dot(ad.affine(ad.leaky_relu(p, 0.5), Tensor(x2)), Tensor(c2)),
+            dot(ad.affine(p, Tensor(x1)), Tensor(c1)),
+            dot(ad.affine(ad.leaky_relu(p, 0.5), Tensor(x2)), Tensor(c2)),
         )
         backward(loss)
         slope = np.where(p.data >= 0, 1.0, 0.5)
@@ -424,7 +424,7 @@ class TestFactoredWeightGradients:
         x, c = rng.normal(size=3), rng.normal(size=2)
         w0, b0 = rng.normal(size=(2, 3)), rng.normal(size=2)
         w.grad, b.grad = w0.copy(), b0.copy()
-        backward(ad.dot(ad.affine(w, Tensor(x), b), Tensor(c)))
+        backward(dot(ad.affine(w, Tensor(x), b), Tensor(c)))
         assert_close_rel(w.grad, w0 + np.outer(c, x))
         assert np.array_equal(b.grad, b0 + c)
 
@@ -472,9 +472,9 @@ class TestGruScan:
 
         def loss():
             out = ad.gru_scan(cell, x, h0, self.PREV, self.BOUNDS)
-            total = ad.dot(ad.take(out, 0), Tensor(weights[0]))
+            total = dot(ad.take(out, 0), Tensor(weights[0]))
             for p in range(1, 8):
-                total = ad.add(total, ad.dot(ad.take(out, p), Tensor(weights[p])))
+                total = ad.add(total, dot(ad.take(out, p), Tensor(weights[p])))
             return total
 
         assert gradient_check(loss, store, epsilon=1e-5) < 1e-6

@@ -457,7 +457,7 @@ class TestErrors:
         out = tmp_path / "out"
         proc = run_in_process("eval", "--gt", str(gt), "--pred", str(gt), "--out", str(out))
         assert proc.returncode == 1
-        assert proc.stderr.splitlines() == ["error: record 0: cx must be a number, got '1.5'"]
+        assert proc.stderr.splitlines() == [f"error: {gt}: record 0: cx must be a number, got '1.5'"]
         assert not out.exists()
 
     def test_duplicate_scenario_record_in_a_process(self, tmp_path):
@@ -470,7 +470,57 @@ class TestErrors:
         out = tmp_path / "out"
         proc = run_in_process("train", "--scenario", str(scenario), "--window", "3", "--epochs", "1", "--out", str(out))
         assert proc.returncode == 1
-        assert proc.stderr.splitlines() == [f"error: record 4: duplicate id {record['id']} at t={record['t']}"]
+        assert proc.stderr.splitlines() == [
+            f"error: {scenario}: record 4: duplicate id {record['id']} at t={record['t']}"
+        ]
+        assert not out.exists()
+
+    def test_bad_file_in_a_scenario_directory_in_a_process(self, tmp_path):
+        # the error names the one bad file among the directory's scenarios
+        folder = tmp_path / "scenes"
+        folder.mkdir()
+        for name in ("a.jsonl", "b.jsonl", "c.jsonl"):
+            write_scenario(folder, name)
+        bad = folder / "b.jsonl"
+        lines = bad.read_text().splitlines()
+        record = json.loads(lines[3])
+        del record["cx"]
+        bad.write_text("\n".join(lines[:3] + [json.dumps(record)] + lines[4:]) + "\n")
+        out = tmp_path / "out"
+        proc = run_in_process("train", "--scenario", str(folder), "--window", "3", "--epochs", "1", "--out", str(out))
+        assert proc.returncode == 1
+        assert proc.stderr.splitlines() == [f"error: {bad}: record 3: missing fields ['cx']"]
+        assert not out.exists()
+
+    def test_prediction_file_named_in_a_process(self, tmp_path):
+        # a checkpoint given as predictions: the error says which input it is
+        scenario, _ = write_scenario(tmp_path)
+        ckpt = write_checkpoint(tmp_path)
+        fields = len(ckpt.read_text().splitlines()[0].split(","))
+        out = tmp_path / "e"
+        proc = run_in_process("eval", "--gt", str(scenario), "--pred", str(ckpt), "--out", str(out))
+        assert proc.returncode == 1
+        assert proc.stderr.splitlines() == [f"error: {ckpt}: line 1: expected 7, 9 or 10 fields, got {fields}"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--config", "--checkpoint"])
+    def test_truncated_json_file_named_in_a_process(self, tmp_path, flag):
+        scenario, _ = write_scenario(tmp_path)
+        out = tmp_path / "out"
+        if flag == "--config":
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps({"n_frames": 12, "seed": 3}))
+            argv = ["gen", "--config", str(path), "--out", str(out)]
+        else:
+            path = write_checkpoint(tmp_path)
+            argv = ["track", "--scenario", str(scenario), "--checkpoint", str(path), "--out", str(out)]
+        text = path.read_text()
+        path.write_text(text[: len(text) // 2])
+        with pytest.raises(json.JSONDecodeError) as decode:
+            json.loads(path.read_text())
+        proc = run_in_process(*argv)
+        assert proc.returncode == 1
+        assert proc.stderr.splitlines() == [f"error: {path}: {decode.value}"]
         assert not out.exists()
 
     def test_duplicate_prediction_id_in_a_process(self, tmp_path):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import scalar_giou_loss_and_grad
+from oracles import giou, scalar_giou_loss_and_grad, scaled_distance
 
 from remtrack import autodiff as ad
 from remtrack.autodiff import ParameterStore, Tensor, gradient_check
@@ -14,11 +14,9 @@ from remtrack.geometry import (
     BoundingBox,
     _box_array,
     clamped_box,
-    giou,
     giou_loss,
     iou,
     iou_matrix,
-    scaled_distance,
     scaled_distance_matrix,
 )
 

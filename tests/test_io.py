@@ -236,12 +236,12 @@ class TestFrameCountBound:
             (
                 "gt.jsonl",
                 json.dumps(scenario_record(0, 1)) + "\n" + json.dumps(scenario_record(10**9, 2)) + "\n",
-                f"error: record 1: t must be < {rio.MAX_FRAMES}, got 1000000000",
+                f"record 1: t must be < {rio.MAX_FRAMES}, got 1000000000",
             ),
             (
                 "gt.txt",
                 "1,1,0,0,4,4,1\n1000000000,2,0,0,4,4,1\n",
-                f"error: line 2: frame must be in [1, {rio.MAX_FRAMES}], got 1000000000",
+                f"line 2: frame must be in [1, {rio.MAX_FRAMES}], got 1000000000",
             ),
         ],
         ids=["scenario-jsonl", "mot-csv"],
@@ -262,7 +262,7 @@ class TestFrameCountBound:
         proc = subprocess.run(
             [sys.executable, "-c", script, *args], capture_output=True, text=True, env=env, timeout=120
         )
-        assert (proc.returncode, proc.stderr) == (1, message + "\n")
+        assert (proc.returncode, proc.stderr) == (1, f"error: {gt}: {message}\n")
         assert not (tmp_path / "out").exists()
 
 

@@ -11,17 +11,23 @@ from oracles import (
     canonical_sender_order,
     chunked_aggregate,
     content_rank,
+    dot,
     lexsort_sender_segments,
     neighbor_distances,
     neighbors,
+    node_attention_coefficients,
+    node_feature,
+    node_message,
     scalar_rem_transcription,
+    scaled_distance,
     spatial_edges,
+    spatiotemporal_update,
 )
 from remtrack import autodiff as ad
 from remtrack import rem as rem_module
 from remtrack import tracker
 from remtrack.autodiff import ParameterStore, Tensor, gradient_check
-from remtrack.geometry import BoundingBox, _box_array, scaled_distance
+from remtrack.geometry import BoundingBox, _box_array
 from remtrack.rem import (
     RemState,
     _aggregate,
@@ -34,12 +40,8 @@ from remtrack.rem import (
     _segment_softmax_sum,
     _segment_sums,
     _sender_segments,
-    attention_coefficients,
-    message,
-    node_feature,
     relation_importance_records,
     rem_step,
-    spatiotemporal_update,
 )
 from remtrack.simulator import ScenarioConfig, generate
 from remtrack.st_graph import build_graph
@@ -102,7 +104,7 @@ class TestNodeFeature:
 class TestMessage:
     def test_zero_weights_zero_message(self):
         _, params = zeroed_rem()
-        m = message(params, Tensor(np.ones(4)), Tensor(np.ones(4)), 1.0)
+        m = node_message(params, Tensor(np.ones(4)), Tensor(np.ones(4)), 1.0)
         assert np.array_equal(m.data, np.zeros(4))
 
     def test_directional(self):
@@ -110,14 +112,14 @@ class TestMessage:
         rng = np.random.default_rng(4)
         v_i = Tensor(rng.normal(size=6))
         v_j = Tensor(rng.normal(size=6))
-        m_ij = message(params, v_i, v_j, 2.0)
-        m_ji = message(params, v_j, v_i, 2.0)
+        m_ij = node_message(params, v_i, v_j, 2.0)
+        m_ji = node_message(params, v_j, v_i, 2.0)
         assert not np.allclose(m_ij.data, m_ji.data)
 
     def test_negative_distance_rejected(self):
         _, params = zeroed_rem()
         with pytest.raises(ValueError, match="non-negative"):
-            message(params, Tensor(np.zeros(4)), Tensor(np.zeros(4)), -1.0)
+            node_message(params, Tensor(np.zeros(4)), Tensor(np.zeros(4)), -1.0)
 
     def test_gradient_wrt_first_layer(self):
         store, params = make_rem(dim=4, seed=5)
@@ -125,8 +127,8 @@ class TestMessage:
         v_i, v_j = rng.normal(size=4), rng.normal(size=4)
 
         def loss():
-            m = message(params, Tensor(v_i), Tensor(v_j), 1.5)
-            return ad.dot(m, m)
+            m = node_message(params, Tensor(v_i), Tensor(v_j), 1.5)
+            return dot(m, m)
 
         assert gradient_check(loss, store, epsilon=1e-5) < 1e-4
         store.clear_grads()
@@ -138,7 +140,7 @@ class TestAttention:
     def test_single_neighbor_weight_one(self):
         store, params = make_rem(dim=5, seed=7)
         rng = np.random.default_rng(8)
-        alphas = attention_coefficients(params, Tensor(rng.normal(size=5)), [Tensor(rng.normal(size=5))])
+        alphas = node_attention_coefficients(params, Tensor(rng.normal(size=5)), [Tensor(rng.normal(size=5))])
         assert alphas.data.shape == (1,)
         assert alphas.data[0] == 1.0
 
@@ -147,7 +149,7 @@ class TestAttention:
         rng = np.random.default_rng(10)
         v = Tensor(rng.normal(size=5))
         n = Tensor(rng.normal(size=5))
-        alphas = attention_coefficients(params, v, [n, n])
+        alphas = node_attention_coefficients(params, v, [n, n])
         assert np.array_equal(alphas.data, [0.5, 0.5])
 
     def test_normalized_on_random_inputs(self):
@@ -155,7 +157,7 @@ class TestAttention:
         rng = np.random.default_rng(12)
         for _ in range(200):
             k = int(rng.integers(1, 6))
-            alphas = attention_coefficients(
+            alphas = node_attention_coefficients(
                 params, Tensor(rng.normal(size=6) * 3), [Tensor(rng.normal(size=6) * 3) for _ in range(k)]
             )
             assert abs(alphas.data.sum() - 1.0) <= 1e-12
@@ -164,13 +166,13 @@ class TestAttention:
     def test_empty_neighbor_set_rejected(self):
         _, params = zeroed_rem()
         with pytest.raises(ValueError, match="non-empty"):
-            attention_coefficients(params, Tensor(np.zeros(4)), [])
+            node_attention_coefficients(params, Tensor(np.zeros(4)), [])
 
 
 def reference_aggregate(params, v_i, senders, distances):
-    """Sum_j alpha_ij m_ij from the public per-sender functions."""
-    msgs = [message(params, v_i, v_j, d) for v_j, d in zip(senders, distances)]
-    alphas = attention_coefficients(params, v_i, senders)
+    """Sum_j alpha_ij m_ij from the per-sender oracles."""
+    msgs = [node_message(params, v_i, v_j, d) for v_j, d in zip(senders, distances)]
+    alphas = node_attention_coefficients(params, v_i, senders)
     return sum(a * m.data for a, m in zip(alphas.data, msgs))
 
 
@@ -211,7 +213,7 @@ def leave_one_out(params, graph, t, window, i):
 
 def reference_replay(params, graph, t, window, i, exclude=None):
     """i's relation embedding at t replayed over the window with ``exclude``
-    left out at every step, from the public per-sender functions."""
+    left out at every step, from the per-sender oracles."""
     t0 = max(0, t - window + 1)
     nodes = window_nodes(params, graph, t, window)
     r = None
@@ -265,7 +267,7 @@ class TestFusedReceiver:
 
         def loss():
             out = attend(params, v, distances)
-            return ad.dot(out, out)
+            return dot(out, out)
 
         assert gradient_check(loss, store, epsilon=1e-5) < 1e-4
 
@@ -283,7 +285,7 @@ class TestFusedReceiver:
         loss = None
         for v_i, senders, distances, g in calls:
             out = attend(params, rows(v_i, senders), distances)
-            term = ad.dot(out, Tensor(g))
+            term = dot(out, Tensor(g))
             loss = term if loss is None else ad.add(loss, term)
         ad.backward(loss)
         expected = {name: np.zeros_like(store[f"rem.{name}"].data) for name in ("w_m1", "w_m2", "w_a1", "w_a2")}
@@ -474,7 +476,7 @@ class TestSpatiotemporalUpdate:
 
         def loss():
             r = spatiotemporal_update(params, Tensor(v), Tensor(agg), Tensor(r_prev))
-            return ad.dot(r, r)
+            return dot(r, r)
 
         assert gradient_check(loss, store, epsilon=1e-5) < 1e-4
 
@@ -718,7 +720,7 @@ class TestRelationImportance:
 
 
 class TestLeaveOneOut:
-    """Each drop row against a replay without j from the public functions."""
+    """Each drop row against a replay without j from the per-node oracles."""
 
     def assert_drops_match_reference(self, params, graph, t, window, i):
         full, drops = leave_one_out(params, graph, t, window, i)
@@ -925,7 +927,7 @@ class TestBlockInvariance:
         state = RemState()
         rem_step(params, state, graph, 0)
         rem_step(params, state, graph, 1)
-        ad.backward(ad.dot(state.embedding(0), Tensor(np.ones(128))))
+        ad.backward(dot(state.embedding(0), Tensor(np.ones(128))))
         assert shapes == set(REM_WEIGHT_SHAPES)
 
     @given(
@@ -951,8 +953,8 @@ class TestBlockInvariance:
 
 
 def per_node_rem(params, graph):
-    """Relation embeddings per frame from the public per-node and per-sender
-    functions: ``node_feature``, ``message``, ``attention_coefficients`` and
+    """Relation embeddings per frame from the per-node and per-sender oracles:
+    ``node_feature``, ``node_message``, ``node_attention_coefficients`` and
     ``spatiotemporal_update``."""
     out, v_prev, r_prev = [], {}, {}
     for t, frame in enumerate(graph.frames):
@@ -1036,7 +1038,7 @@ class TestFrameBatchedRem:
             for t in range(2):
                 rem_step(params, state, graph, t)
                 for i in state.ids:
-                    term = ad.dot(state.embedding(i), Tensor(weights[i]))
+                    term = dot(state.embedding(i), Tensor(weights[i]))
                     total = term if total is None else ad.add(total, term)
             return total
 
@@ -1141,7 +1143,7 @@ class TestRunEquivalence:
 
         def functional(state, s, total):
             for i in graph.frames[s].ids:
-                term = ad.dot(state.embedding(i, s), Tensor(weights[s, i]))
+                term = dot(state.embedding(i, s), Tensor(weights[s, i]))
                 total = term if total is None else ad.add(total, term)
             return total
 

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import spatial_edges, temporal_edges
-from remtrack.geometry import BoundingBox, _box_array, scaled_distance, scaled_distance_matrix
+from oracles import scaled_distance, spatial_edges, temporal_edges
+from remtrack.geometry import BoundingBox, _box_array, scaled_distance_matrix
 from remtrack.st_graph import SpatioTemporalGraph, build_graph, update_graph
 
 

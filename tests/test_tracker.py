@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_model, weighted_sum
-from oracles import record_prepare_window, record_window_loss
+from oracles import dot, record_prepare_window, record_window_loss
 from remtrack import autodiff as ad
 from remtrack.autodiff import ParameterStore, Tensor, backward, gradient_check
 from remtrack import tracker
@@ -146,7 +146,7 @@ class TestRegressionHeads:
             a = regress_baseline(trk, Tensor(feat))
             b = regress_relation_aware(trk, Tensor(feat), Tensor(r))
             c = regress_from_relations(trk, Tensor(r))
-            return ad.add(ad.add(ad.dot(a, a), ad.dot(b, b)), ad.dot(c, c))
+            return ad.add(ad.add(dot(a, a), dot(b, b)), dot(c, c))
 
         assert gradient_check(loss, store, epsilon=1e-5) < 1e-4
 
